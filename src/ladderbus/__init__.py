@@ -34,7 +34,7 @@ from .controlgen import (
     encode_scenarios,
     partition_regions,
 )
-from .sim import SimReport, energy_proxy, run_frames
+from .sim import SimReport, run_frames
 from .costmodel import CostModel, CostReport, calibrate, scaling_sweep
 
 __version__ = "0.1.0"

@@ -56,7 +56,7 @@ DEFAULT_CONFIG = {
     "graph": {},
     "topology": {"n_tiles": None, "n_lanes": None, "lane_width_bits": 32},
     "placement": {"anneal": True, "t0": None, "cooling": 0.97, "iters": None},
-    "grouping": {"algorithm": "maxclique", "clique_budget_s": 10.0, "compare": True},
+    "grouping": {"algorithm": "maxclique", "clique_budget_s": grouping.DEFAULT_CLIQUE_BUDGET_S, "compare": True},
     "controllers": {"count": None},
     "sim": {"frames": 1, "trace": False},
 }
@@ -117,9 +117,7 @@ def _save_json(path: Path, obj) -> None:
 
 
 def _load_json(path: Path, stage: str):
-    if not path.exists():
-        raise ConfigError(f"missing state file {path.name}; run the '{stage}' stage first")
-    return json.loads(path.read_text())
+    return json.loads(_read_state_text(path.parent, path.name, stage))
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +213,22 @@ def _paths_from_state(rundir: Path):
     return [path_from_record(r) for r in rec["paths"]]
 
 
+def _check_algorithms(names: list[str]) -> None:
+    for name in names:
+        if name not in grouping.GROUPING_ALGORITHMS:
+            raise ConfigError(f"unknown grouping algorithm '{name}' "
+                              f"(choose from {', '.join(grouping.GROUPING_ALGORITHMS)})")
+
+
 def stage_group(cfg: dict, rundir: Path) -> None:
     g = parse_cluster_graph(_read_state_text(rundir, "graph.json", "gen"))
     topo = _topology_from_state(rundir)
     paths = _paths_from_state(rundir)
     gcfg = cfg["grouping"]
     algo = gcfg.get("algorithm", "maxclique")
-    budget = gcfg.get("clique_budget_s", 10.0)
-
-    def run_algo(name):
-        if name == "greedy":
-            return grouping.group_greedy(paths, topo)
-        if name == "maxclique":
-            return grouping.group_max_clique(paths, topo, clique_budget_s=budget)
-        raise ConfigError(f"unknown grouping algorithm '{name}'")
-
-    sset = run_algo(algo)
+    _check_algorithms([algo])
+    budget = gcfg.get("clique_budget_s", grouping.DEFAULT_CLIQUE_BUDGET_S)
+    sset = grouping.group_paths(algo, paths, topo, budget)
     try:
         grouping.validate_scenario_set(sset, paths, topo)
     except ValueError as exc:
@@ -238,7 +236,7 @@ def stage_group(cfg: dict, rundir: Path) -> None:
     counts = {algo: sset.n_scenarios}
     if gcfg.get("compare", True):
         other = "greedy" if algo == "maxclique" else "maxclique"
-        counts[other] = run_algo(other).n_scenarios
+        counts[other] = grouping.group_paths(other, paths, topo, budget).n_scenarios
     doc = grouping.scenario_set_record(sset)
     doc["counts"] = counts
     doc["lower_bound"] = grouping.scenario_lower_bound(g)
@@ -412,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sw.add_argument("--sizes", required=True, help="comma-separated cluster counts")
     p_sw.add_argument("--densities", required=True, help="comma-separated densities")
     p_sw.add_argument("--seeds", required=True, help="comma-separated seeds")
-    p_sw.add_argument("--algorithms", default="greedy,maxclique")
+    p_sw.add_argument("--algorithms", default=",".join(grouping.GROUPING_ALGORITHMS))
     p_sw.add_argument("--jobs", type=int, default=1)
 
     args = parser.parse_args(argv)
@@ -444,6 +442,7 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"bad sweep parameter: {exc}") from exc
             algos = args.algorithms.split(",")
+            _check_algorithms(algos)
             rows = costmodel.scaling_sweep(sizes, densities, seeds, algos, jobs=args.jobs)
             _save_json(rundir / "sweep.json", rows)
             (rundir / "sweep.csv").write_text(costmodel.sweep_to_csv(rows))

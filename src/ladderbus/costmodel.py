@@ -122,11 +122,6 @@ def cost_report(
 
 SWEEP_COLUMNS = ["n", "density", "seed", "algo", "E", "scenarios", "lower_bound", "ctrl_bits", "ctrl_frac"]
 
-_GROUPERS = {
-    "greedy": grouping.group_greedy,
-    "maxclique": grouping.group_max_clique,
-}
-
 
 def sweep_instance(n: int, density: float, seed: int, algorithms: list[str],
                    model: CostModel) -> list[dict]:
@@ -140,9 +135,7 @@ def sweep_instance(n: int, density: float, seed: int, algorithms: list[str],
     n_ctrl = default_controller_count(topo)
     rows = []
     for algo in algorithms:
-        if algo not in _GROUPERS:
-            raise ValueError(f"unknown algorithm '{algo}' (choose from {sorted(_GROUPERS)})")
-        sset = _GROUPERS[algo](paths, topo)
+        sset = grouping.group_paths(algo, paths, topo)
         bits = grouping.raw_scenario_bits(sset, topo)
         frac = cost_report(topo, bits, n_ctrl, model).control_fraction
         rows.append({
@@ -161,7 +154,7 @@ def scaling_sweep(
     cluster_sizes: list[int],
     densities: list[float],
     seeds: list[int],
-    algorithms: list[str] = ("greedy", "maxclique"),
+    algorithms: list[str] = grouping.GROUPING_ALGORITHMS,
     model: CostModel | None = None,
     jobs: int = 1,
 ) -> list[dict]:

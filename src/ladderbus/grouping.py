@@ -8,9 +8,12 @@ member must land in a distinct scenario, which pins the lower bound
 omega(G) in the first round). A branch-and-bound exact coloring serves
 as the optimality oracle for small instances.
 
+The conflict graph is built from the ladder's structure, not from
+pairs: per-column buckets of the paths ending on that column's rung,
+plus per-lane prefix masks over cmin and suffix masks over cmax.
 Adjacency is kept as per-vertex bitmasks (Python ints), which makes
-first-fit membership tests and Bron-Kerbosch set algebra cheap enough
-for thousand-path instances.
+first-fit, Bron-Kerbosch set algebra and scenario validation cheap
+enough for ten-thousand-path instances.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
+from operator import or_
 
 from .appgraph import ClusterGraph
-from .routing import RoutedPath, path_switch_states, paths_intersect
+from .routing import RoutedPath, path_switch_states
 from .topology import LadderTopology, SwitchState
 
 log = logging.getLogger(__name__)
@@ -72,30 +75,37 @@ def _check_vertex_ids(paths: list[RoutedPath]) -> None:
     for i, p in enumerate(paths):
         if p.edge_id != i:
             raise ValueError(f"path at position {i} has edge id {p.edge_id}; pass paths in edge-id order")
+        if not 0 <= p.cmin <= p.cmax:
+            raise ValueError(f"path {i} has column interval [{p.cmin}, {p.cmax}]")
 
 
 def build_conflict_graph(paths: list[RoutedPath]) -> ConflictGraph:
-    """Pairwise intersection graph; edge iff paths_intersect."""
+    """Intersection graph (edge iff paths_intersect) from rung and lane buckets.
+
+    Two paths conflict iff they share an endpoint column (its rung), or
+    run on one lane with overlapping intervals: u overlaps v iff
+    u.cmin <= v.cmax and u.cmax >= v.cmin.
+    """
     _check_vertex_ids(paths)
-    n = len(paths)
-    if n == 0:
-        return ConflictGraph(n=0, m=0, adj=())
-    cmin = np.fromiter((p.cmin for p in paths), dtype=np.int32, count=n)
-    cmax = np.fromiter((p.cmax for p in paths), dtype=np.int32, count=n)
-    lane = np.fromiter((p.lane for p in paths), dtype=np.int32, count=n)
-    share_rung = (
-        (cmin[:, None] == cmin[None, :])
-        | (cmin[:, None] == cmax[None, :])
-        | (cmax[:, None] == cmin[None, :])
-        | (cmax[:, None] == cmax[None, :])
-    )
-    overlap = (cmin[:, None] <= cmax[None, :]) & (cmin[None, :] <= cmax[:, None])
-    mat = share_rung | ((lane[:, None] == lane[None, :]) & overlap)
-    np.fill_diagonal(mat, False)
-    adj = tuple(
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in mat
-    )
-    return ConflictGraph(n=n, m=int(mat.sum()) // 2, adj=adj)
+    n_cols = max((p.cmax for p in paths), default=-1) + 1
+    rung = [0] * n_cols  # paths with an endpoint at column c
+    lanes: dict[int, list[RoutedPath]] = {}
+    for p in paths:
+        rung[p.cmin] |= 1 << p.edge_id
+        rung[p.cmax] |= 1 << p.edge_id
+        lanes.setdefault(p.lane, []).append(p)
+    adj = [0] * len(paths)
+    for members in lanes.values():  # one lane's masks live at a time
+        starts, ends = [0] * n_cols, [0] * n_cols
+        for p in members:
+            starts[p.cmin] |= 1 << p.edge_id
+            ends[p.cmax] |= 1 << p.edge_id
+        starts = list(accumulate(starts, or_))  # lane paths with cmin <= c
+        ends = list(accumulate(reversed(ends), or_))[::-1]  # lane paths with cmax >= c
+        for p in members:
+            own = 1 << p.edge_id
+            adj[p.edge_id] = (rung[p.cmin] | rung[p.cmax] | (starts[p.cmax] & ends[p.cmin])) & ~own
+    return ConflictGraph(n=len(paths), m=sum(a.bit_count() for a in adj) // 2, adj=tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +149,14 @@ def validate_scenario_set(sset: ScenarioSet, paths: list[RoutedPath], topo: Ladd
     flat = [pid for s in sset.scenarios for pid in s]
     if sorted(flat) != list(range(len(paths))):
         raise ValueError("scenarios do not partition the path set")
+    adj = build_conflict_graph(paths).adj
     for k, s in enumerate(sset.scenarios):
-        for i, a in enumerate(s):
-            for b in s[i + 1:]:
-                if paths_intersect(paths[a], paths[b]):
-                    raise ValueError(f"scenario {k}: paths {a} and {b} intersect")
+        members = sum(1 << pid for pid in s)
+        for a in s:
+            hit = adj[a] & members
+            if hit:
+                b = (hit & -hit).bit_length() - 1
+                raise ValueError(f"scenario {k}: paths {a} and {b} intersect")
     if len(sset.switch_vectors) != len(sset.scenarios):
         raise ValueError("one switch vector required per scenario")
     for k, s in enumerate(sset.scenarios):
@@ -304,8 +317,7 @@ def max_clique(
     Falls back to the largest clique found so far when the time budget
     expires (logged); the fallback is still a valid clique.
     """
-    clique, exact = _max_clique_masked(g.adj, (1 << g.n) - 1 if g.n else 0, budget_s)
-    return list(clique)
+    return list(_max_clique_masked(g.adj, (1 << g.n) - 1, budget_s)[0])
 
 
 def _max_clique_masked(
@@ -337,15 +349,13 @@ def group_max_clique(
     g = build_conflict_graph(paths)
     scenario_ids: list[list[int]] = []
     conflict_masks: list[int] = []
-    alive = (1 << g.n) - 1 if g.n else 0
+    alive = (1 << g.n) - 1
     calls = fallbacks = 0
     while alive:
         clique, exact = _max_clique_masked(g.adj, alive, clique_budget_s)
         calls += 1
         fallbacks += 0 if exact else 1
-        clique_mask = 0
-        for v in clique:
-            clique_mask |= 1 << v
+        clique_mask = sum(1 << v for v in clique)
         remaining = alive & ~clique_mask
         members = sorted(clique, key=lambda v: (-(g.adj[v] & alive).bit_count(), v))
         n_s = len(scenario_ids)
@@ -392,6 +402,20 @@ def group_max_clique(
         elapsed_s=time.perf_counter() - t0,
     )
     return _make_scenario_set(scenario_ids, paths, topo, "maxclique", stats)
+
+
+GROUPING_ALGORITHMS = ("greedy", "maxclique")
+
+
+def group_paths(algorithm: str, paths: list[RoutedPath], topo: LadderTopology,
+                clique_budget_s: float | None = DEFAULT_CLIQUE_BUDGET_S) -> ScenarioSet:
+    """Run one of GROUPING_ALGORITHMS by name. The group_* functions are looked
+    up in this module at call time, so rebinding (e.g. wrapping) one reaches every caller."""
+    if algorithm == "greedy":
+        return group_greedy(paths, topo)
+    if algorithm == "maxclique":
+        return group_max_clique(paths, topo, clique_budget_s=clique_budget_s)
+    raise ValueError(f"unknown grouping algorithm '{algorithm}' (choose from {', '.join(GROUPING_ALGORITHMS)})")
 
 
 def scenario_lower_bound(g: ClusterGraph) -> int:
@@ -484,14 +508,8 @@ def raw_scenario_bits(sset: ScenarioSet, topo: LadderTopology) -> int:
 def compressed_scenario_bits(sset: ScenarioSet, topo: LadderTopology) -> int:
     """Run-length encoded size: each run costs 2 state bits plus a length
     field wide enough to span the whole vector."""
-    if topo.n_switches <= 1:
-        length_bits = 1
-    else:
-        length_bits = (topo.n_switches - 1).bit_length()
-    total = 0
-    for vec in sset.switch_vectors:
-        total += len(rle_encode(vec)) * (2 + length_bits)
-    return total
+    length_bits = max((topo.n_switches - 1).bit_length(), 1)
+    return sum(len(rle_encode(vec)) for vec in sset.switch_vectors) * (2 + length_bits)
 
 
 def scenario_set_record(sset: ScenarioSet) -> dict:

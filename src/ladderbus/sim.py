@@ -17,7 +17,7 @@ from typing import IO
 from .controlgen import ControllerProgram, decode_programs
 from .grouping import ScenarioSet
 from .routing import RoutedPath, path_resources
-from .topology import LadderTopology, SwitchState
+from .topology import LadderTopology, SwitchState, tile_column
 
 
 @dataclass
@@ -30,11 +30,6 @@ class SimReport:
     collision_events: list[dict] = field(default_factory=list)
     per_step_active: list[int] = field(default_factory=list)
     energy: int = 0
-
-
-def energy_proxy(report: SimReport) -> int:
-    """Total activated segments + rungs over all executed steps."""
-    return report.energy
 
 
 class _UnionFind:
@@ -113,7 +108,8 @@ def run_frames(
     # executed path, not just the generator
     vectors = decode_programs(programs, topo)
     resources = {p.edge_id: path_resources(p, topo) for p in paths}
-    by_id = {p.edge_id: p for p in paths}
+    # endpoint columns per path; rung c is chain node c
+    cols = {p.edge_id: (tile_column(topo, p.src_tile), tile_column(topo, p.dst_tile)) for p in paths}
 
     report = SimReport(n_frames=n_frames, frame_length=schedule.frame_length,
                        delivered={p.edge_id: 0 for p in paths})
@@ -135,14 +131,12 @@ def run_frames(
                     )
             drivers: dict[int, int] = {}  # chain root -> number of sources driving it
             for pid in members:
-                src_col = by_id[pid].src_tile // 2
-                root = uf.find(_rung_node(src_col))
+                root = uf.find(cols[pid][0])
                 drivers[root] = drivers.get(root, 0) + 1
             delivered_ids = []
             for pid in members:
-                p = by_id[pid]
-                src_root = uf.find(_rung_node(p.src_tile // 2))
-                connected = src_root == uf.find(_rung_node(p.dst_tile // 2))
+                src_root = uf.find(cols[pid][0])
+                connected = src_root == uf.find(cols[pid][1])
                 clean = all(claims[res] == 1 for res in resources[pid])
                 if connected and drivers.get(src_root, 0) == 1 and clean:
                     report.delivered[pid] += 1
@@ -158,7 +152,3 @@ def run_frames(
             step_no += 1
     report.steps = step_no
     return report
-
-
-def _rung_node(col: int) -> int:
-    return col

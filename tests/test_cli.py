@@ -162,6 +162,22 @@ def test_sweep_and_csv_round_trip(tmp_path, capsys):
     assert csv_file.splitlines()[0] == "n,density,seed,algo,E,scenarios,lower_bound,ctrl_bits,ctrl_frac"
 
 
+def test_sweep_unknown_algorithm_is_config_error(tmp_path, capsys):
+    rundir = tmp_path / "sweep"
+    assert main(["sweep", "--rundir", str(rundir), "--sizes", "10",
+                 "--densities", "0.15", "--seeds", "0", "--algorithms", "greedy,bogus"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bogus" in err and "greedy" in err and "maxclique" in err
+    assert not (rundir / "sweep.csv").exists()
+
+
+def test_unknown_grouping_algorithm_is_config_error(tmp_path):
+    cfg = write_config(tmp_path)
+    for command in ("run", "group"):
+        assert main([command, "--config", cfg, "--rundir", str(tmp_path / "run"),
+                     "--set", "grouping.algorithm=bogus"]) == EXIT_CONFIG
+
+
 def test_config_overrides(tmp_path):
     cfg_path = write_config(tmp_path)
     cfg = load_config(cfg_path, ["seed=9", "grouping.algorithm=greedy", "sim.frames=5"])
