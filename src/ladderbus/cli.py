@@ -214,10 +214,11 @@ def _paths_from_state(rundir: Path):
 
 
 def _check_algorithms(names: list[str]) -> None:
-    for name in names:
-        if name not in grouping.GROUPING_ALGORITHMS:
-            raise ConfigError(f"unknown grouping algorithm '{name}' "
-                              f"(choose from {', '.join(grouping.GROUPING_ALGORITHMS)})")
+    try:
+        for name in names:
+            grouping.check_algorithm(name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def stage_group(cfg: dict, rundir: Path) -> None:

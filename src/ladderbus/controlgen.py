@@ -121,14 +121,6 @@ def encode_word(region: ControllerRegion, global_vector, topo: LadderTopology) -
     return word
 
 
-def decode_word(region: ControllerRegion, word: int) -> dict[tuple[int, int], int]:
-    """(lane, column) -> state for one region word."""
-    return {
-        (lane, col): (word >> (2 * j)) & 0b11
-        for j, (lane, col) in enumerate(region.switches())
-    }
-
-
 def encode_scenarios(
     sset: ScenarioSet,
     regions: list[ControllerRegion],
@@ -161,16 +153,16 @@ def decode_programs(programs: list[ControllerProgram], topo: LadderTopology) -> 
     if not programs:
         return []
     n_scen = len(programs[0].memory)
-    vectors = []
-    for k in range(n_scen):
-        vec = [0] * topo.n_switches
-        for prog in programs:
-            if len(prog.memory) != n_scen:
-                raise ValueError("programs disagree on scenario count")
-            for (lane, col), state in decode_word(prog.region, prog.memory[k]).items():
-                vec[topo.switch_index(lane, col)] = state
-        vectors.append(tuple(vec))
-    return vectors
+    if any(len(prog.memory) != n_scen for prog in programs):
+        raise ValueError("programs disagree on scenario count")
+    vectors = [[0] * topo.n_switches for _ in range(n_scen)]
+    for prog in programs:
+        indices = [topo.switch_index(lane, col) for lane, col in prog.region.switches()]
+        for vec, word in zip(vectors, prog.memory):
+            for idx in indices:
+                vec[idx] = word & 0b11
+                word >>= 2
+    return [tuple(vec) for vec in vectors]
 
 
 def build_schedule(

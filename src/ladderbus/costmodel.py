@@ -126,6 +126,8 @@ SWEEP_COLUMNS = ["n", "density", "seed", "algo", "E", "scenarios", "lower_bound"
 def sweep_instance(n: int, density: float, seed: int, algorithms: list[str],
                    model: CostModel) -> list[dict]:
     """Full flow on one synthetic instance; one output row per algorithm."""
+    for algo in algorithms:
+        grouping.check_algorithm(algo)
     n_edges = round(density * n * (n - 1))
     g = generate_synthetic(n, n_edges, seed)
     topo = build_topology(n)

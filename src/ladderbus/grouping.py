@@ -407,15 +407,20 @@ def group_max_clique(
 GROUPING_ALGORITHMS = ("greedy", "maxclique")
 
 
+def check_algorithm(algorithm: str) -> None:
+    """Raise ValueError unless algorithm is one of GROUPING_ALGORITHMS."""
+    if algorithm not in GROUPING_ALGORITHMS:
+        raise ValueError(f"unknown grouping algorithm '{algorithm}' (choose from {', '.join(GROUPING_ALGORITHMS)})")
+
+
 def group_paths(algorithm: str, paths: list[RoutedPath], topo: LadderTopology,
                 clique_budget_s: float | None = DEFAULT_CLIQUE_BUDGET_S) -> ScenarioSet:
     """Run one of GROUPING_ALGORITHMS by name. The group_* functions are looked
     up in this module at call time, so rebinding (e.g. wrapping) one reaches every caller."""
+    check_algorithm(algorithm)
     if algorithm == "greedy":
         return group_greedy(paths, topo)
-    if algorithm == "maxclique":
-        return group_max_clique(paths, topo, clique_budget_s=clique_budget_s)
-    raise ValueError(f"unknown grouping algorithm '{algorithm}' (choose from {', '.join(GROUPING_ALGORITHMS)})")
+    return group_max_clique(paths, topo, clique_budget_s=clique_budget_s)
 
 
 def scenario_lower_bound(g: ClusterGraph) -> int:

@@ -2,15 +2,23 @@
 
 One simulator step applies one scenario: the global switch vector is
 reassembled from every controller's memory word (exercising the
-region encoding), electrical chains are derived from the switch states,
-and each of the scenario's connections is checked to be delivered over
-a chain with exactly one driver. Any resource claimed by two
-connections in the same step is a collision. Energy is a structural
-proxy: the number of activated segments and rungs, summed over steps.
+region encoding), and each of the scenario's connections is checked to
+be delivered over a chain with exactly one driver. Any resource claimed
+by two connections in the same step is a collision. Energy is a
+structural proxy: the number of activated segments and rungs, summed
+over steps.
+
+A step's outcome depends only on its scenario (decoded vector and
+members), so each scenario is audited once, the first time the schedule
+reaches it, and every step replays that result. Chains only meet at
+rungs: on one lane, a RIGHT_RUNG switch followed by a run of LEFT_RIGHT
+switches and a LEFT_RUNG switch links the two rungs it turns onto, so
+rung connectivity comes from one scan per lane.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -32,50 +40,51 @@ class SimReport:
     energy: int = 0
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _chains(topo: LadderTopology, vector) -> _UnionFind:
-    """Connected components over rungs and segments induced by switch states.
-
-    Node ids: rung c -> c; segment (lane, i) -> n_columns + lane*(n_columns-1) + i.
-    """
+def _audit(topo: LadderTopology, vector, members, resources: dict, ends: dict):
+    """(collided (resource, claims) pairs sorted by resource, delivered ids,
+    active segment and rung count) of one step applying this scenario."""
     cols = topo.n_columns
-    uf = _UnionFind(cols + topo.n_segments)
+    parent = list(range(cols))  # union-find over rung columns
 
-    def seg(lane: int, i: int) -> int:
-        if not (0 <= i < cols - 1):
-            raise ValueError(f"switch state references nonexistent segment (lane {lane}, {i})")
-        return cols + lane * (cols - 1) + i
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
 
-    for idx, state in enumerate(vector):
-        if state == SwitchState.IDLE:
-            continue
-        lane, c = topo.switch_id(idx)
-        if state == SwitchState.LEFT_RIGHT:
-            uf.union(seg(lane, c - 1), seg(lane, c))
-        elif state == SwitchState.LEFT_RUNG:
-            uf.union(seg(lane, c - 1), c)
-        elif state == SwitchState.RIGHT_RUNG:
-            uf.union(seg(lane, c), c)
-        else:
-            raise ValueError(f"unknown switch state {state}")
-    return uf
+    for lane in range(topo.n_lanes):
+        base = topo.switch_index(lane, 0)
+        row = vector[base:base + cols]
+        for c, uses in ((0, (SwitchState.LEFT_RIGHT, SwitchState.LEFT_RUNG)),
+                        (cols - 1, (SwitchState.LEFT_RIGHT, SwitchState.RIGHT_RUNG))):
+            if row[c] in uses:
+                raise ValueError(f"switch (lane {lane}, column {c}) in state {SwitchState(row[c]).name} "
+                                 "references a nonexistent segment")
+        start = None  # rung the lane's open chain turned off, if any
+        for c, state in enumerate(row):
+            if state == SwitchState.RIGHT_RUNG:
+                start = c
+            elif state == SwitchState.LEFT_RUNG:
+                if start is not None:
+                    parent[find(start)] = find(c)
+                start = None
+            elif state == SwitchState.IDLE:
+                start = None
+
+    claims: Counter[tuple] = Counter()
+    for pid in members:
+        claims.update(resources[pid])
+    collided = sorted((res, count) for res, count in claims.items() if count > 1)
+    shared = {res for res, _count in collided}
+    src_roots = [find(ends[pid][0]) for pid in members]
+    drivers = Counter(src_roots)
+    delivered = [
+        pid for pid, root in zip(members, src_roots)
+        if root == find(ends[pid][1]) and drivers[root] == 1
+        and resources[pid].isdisjoint(shared)
+    ]
+    active = sum(1 for res in claims if res[0] in ("seg", "rung"))
+    return collided, delivered, active
 
 
 def run_frames(
@@ -98,7 +107,10 @@ def run_frames(
     for prog in programs:
         if len(prog.memory) != n_scen:
             raise ValueError("program memory does not match scenario count")
-    for idx, _rep in schedule.entries:
+    indices = [idx for idx, _rep in schedule.entries]
+    if schedule.conditional is not None:
+        indices.append(schedule.conditional[1])
+    for idx in indices:
         if not (0 <= idx < n_scen):
             raise ValueError(f"unknown scenario index {idx} in schedule")
     if cond_flags is None:
@@ -108,40 +120,25 @@ def run_frames(
     # executed path, not just the generator
     vectors = decode_programs(programs, topo)
     resources = {p.edge_id: path_resources(p, topo) for p in paths}
-    # endpoint columns per path; rung c is chain node c
-    cols = {p.edge_id: (tile_column(topo, p.src_tile), tile_column(topo, p.dst_tile)) for p in paths}
+    ends = {p.edge_id: (tile_column(topo, p.src_tile), tile_column(topo, p.dst_tile)) for p in paths}
 
     report = SimReport(n_frames=n_frames, frame_length=schedule.frame_length,
                        delivered={p.edge_id: 0 for p in paths})
+    outcomes: dict[int, tuple] = {}  # scenario index -> _audit result
     step_no = 0
     for frame in range(n_frames):
         flag = bool(cond_flags[frame]) if frame < len(cond_flags) else False
         for scen_idx in schedule.steps(flag_raised=flag):
-            uf = _chains(topo, vectors[scen_idx])
-            members = sset.scenarios[scen_idx]
-            claims: dict[tuple, int] = {}
-            for pid in members:
-                for res in resources[pid]:
-                    claims[res] = claims.get(res, 0) + 1
-            for res, count in sorted(claims.items()):
-                if count > 1:
-                    report.collisions += 1
-                    report.collision_events.append(
-                        {"step": step_no, "scenario": scen_idx, "resource": list(res), "claims": count}
-                    )
-            drivers: dict[int, int] = {}  # chain root -> number of sources driving it
-            for pid in members:
-                root = uf.find(cols[pid][0])
-                drivers[root] = drivers.get(root, 0) + 1
-            delivered_ids = []
-            for pid in members:
-                src_root = uf.find(cols[pid][0])
-                connected = src_root == uf.find(cols[pid][1])
-                clean = all(claims[res] == 1 for res in resources[pid])
-                if connected and drivers.get(src_root, 0) == 1 and clean:
-                    report.delivered[pid] += 1
-                    delivered_ids.append(pid)
-            active = sum(1 for res in claims if res[0] in ("seg", "rung"))
+            if scen_idx not in outcomes:
+                outcomes[scen_idx] = _audit(topo, vectors[scen_idx], sset.scenarios[scen_idx], resources, ends)
+            collided, delivered_ids, active = outcomes[scen_idx]
+            report.collisions += len(collided)
+            for res, count in collided:
+                report.collision_events.append(
+                    {"step": step_no, "scenario": scen_idx, "resource": list(res), "claims": count}
+                )
+            for pid in delivered_ids:
+                report.delivered[pid] += 1
             report.per_step_active.append(active)
             report.energy += active
             if trace is not None:

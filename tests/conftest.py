@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
 from ladderbus import (
     build_topology,
@@ -20,6 +21,7 @@ from ladderbus import (
     place_anneal,
 )
 from ladderbus.routing import RoutedPath, extract_paths
+from ladderbus.topology import SwitchState, tile_column
 
 # (n_clusters, n_edges, number of seeds): 200 instances shaped like the
 # evaluated applications, spanning n 11..96 and density 0.10..0.23.
@@ -62,6 +64,60 @@ def oracle_path_resources(path: RoutedPath, topo) -> set[tuple]:
 
 def oracle_intersect(a: RoutedPath, b: RoutedPath, topo) -> bool:
     return bool(oracle_path_resources(a, topo) & oracle_path_resources(b, topo))
+
+
+def oracle_sim_step(topo, vector, members, paths) -> tuple[list, list, int]:
+    """One simulator step, re-derived from the topology docstring.
+
+    Nodes are explicit rungs ("rung", c) and segments ("seg", lane, i);
+    the switch at (lane, c) has ports left segment (lane, c - 1), right
+    segment (lane, c) and rung c, and its state joins two of them. A
+    member is delivered iff its source and destination rungs are joined,
+    no other member drives (has its source rung in) that chain, and none
+    of its resources is claimed twice. Returns (sorted (resource, claims)
+    pairs claimed more than once, delivered ids in member order, number
+    of distinct segments and rungs claimed).
+    """
+    joins = {
+        SwitchState.LEFT_RIGHT: ("left", "right"),
+        SwitchState.LEFT_RUNG: ("left", "rung"),
+        SwitchState.RIGHT_RUNG: ("right", "rung"),
+    }
+    neighbors: dict[tuple, set] = {}
+    for lane in range(topo.n_lanes):
+        for c in range(topo.n_columns):
+            state = vector[lane * topo.n_columns + c]
+            if state == SwitchState.IDLE:
+                continue
+            ports = {"left": ("seg", lane, c - 1), "right": ("seg", lane, c), "rung": ("rung", c)}
+            a, b = (ports[name] for name in joins[SwitchState(state)])
+            neighbors.setdefault(a, set()).add(b)
+            neighbors.setdefault(b, set()).add(a)
+
+    def chain(node) -> frozenset:
+        seen, todo = {node}, [node]
+        while todo:
+            for nxt in neighbors.get(todo.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return frozenset(seen)
+
+    claims: dict[tuple, int] = {}
+    for pid in members:
+        for res in oracle_path_resources(paths[pid], topo):
+            claims[res] = claims.get(res, 0) + 1
+    sources = [("rung", paths[pid].src_tile // 2) for pid in members]
+    delivered = []
+    for pid, src in zip(members, sources):
+        reach = chain(src)
+        drivers = sum(1 for other in sources if other in reach)
+        clean = all(claims[res] == 1 for res in oracle_path_resources(paths[pid], topo))
+        if ("rung", paths[pid].dst_tile // 2) in reach and drivers == 1 and clean:
+            delivered.append(pid)
+    collided = sorted((res, count) for res, count in claims.items() if count > 1)
+    active = sum(1 for res in claims if res[0] in ("seg", "rung"))
+    return collided, delivered, active
 
 
 def oracle_max_clique_size(n: int, edges: set[frozenset]) -> int:
@@ -110,6 +166,32 @@ def conflict_edges_from_oracle(paths, topo) -> set[frozenset]:
         if oracle_intersect(paths[i], paths[j], topo):
             edges.add(frozenset((i, j)))
     return edges
+
+
+# ---------------------------------------------------------------------------
+# hypothesis strategies
+
+
+@st.composite
+def ladder_paths(draw):
+    """A ladder of 1-4 lanes and up to 12 paths on it.
+
+    Columns are drawn from a narrow range so that same-column paths,
+    paths meeting at exactly one column and nested intervals are common.
+    """
+    n_lanes = draw(st.integers(1, 4))
+    n_columns = draw(st.integers(1, 6))
+    topo = build_topology(2 * n_columns, n_lanes)
+    tile = st.integers(0, topo.n_tiles - 1)
+    ends = draw(st.lists(
+        st.tuples(tile, tile, st.integers(0, n_lanes - 1)).filter(lambda t: t[0] != t[1]),
+        max_size=12,
+    ))
+    paths = []
+    for i, (src, dst, lane) in enumerate(ends):
+        c1, c2 = tile_column(topo, src), tile_column(topo, dst)
+        paths.append(RoutedPath(i, src, dst, lane=lane, cmin=min(c1, c2), cmax=max(c1, c2)))
+    return topo, paths
 
 
 # ---------------------------------------------------------------------------

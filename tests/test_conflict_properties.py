@@ -3,35 +3,11 @@ predicate and the resource-set oracle, and validation reads its masks."""
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import oracle_intersect
+from conftest import ladder_paths, oracle_intersect
 
 from ladderbus.grouping import ScenarioSet, build_conflict_graph, group_greedy, validate_scenario_set
-from ladderbus.routing import RoutedPath, paths_intersect
-from ladderbus.topology import build_topology, tile_column
-
-
-@st.composite
-def ladder_paths(draw):
-    """A ladder of 1-4 lanes and up to 12 paths on it.
-
-    Columns are drawn from a narrow range so that same-column paths,
-    paths meeting at exactly one column and nested intervals are common.
-    """
-    n_lanes = draw(st.integers(1, 4))
-    n_columns = draw(st.integers(1, 6))
-    topo = build_topology(2 * n_columns, n_lanes)
-    tile = st.integers(0, topo.n_tiles - 1)
-    ends = draw(st.lists(
-        st.tuples(tile, tile, st.integers(0, n_lanes - 1)).filter(lambda t: t[0] != t[1]),
-        max_size=12,
-    ))
-    paths = []
-    for i, (src, dst, lane) in enumerate(ends):
-        c1, c2 = tile_column(topo, src), tile_column(topo, dst)
-        paths.append(RoutedPath(i, src, dst, lane=lane, cmin=min(c1, c2), cmax=max(c1, c2)))
-    return topo, paths
+from ladderbus.routing import paths_intersect
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 import pytest
 
+from ladderbus import costmodel
 from ladderbus.controlgen import default_controller_count
 from ladderbus.costmodel import (
     CalibrationObservation,
@@ -137,6 +138,15 @@ def test_sweep_complete_small_graph():
 def test_sweep_rejects_unknown_algorithm():
     with pytest.raises(ValueError):
         sweep_instance(8, 0.1, 0, ["magic"], calibrate(reference_observations()))
+
+
+def test_sweep_checks_algorithm_names_before_generating(monkeypatch):
+    def no_generation(*args):
+        raise AssertionError("instance generated before the algorithm names were checked")
+
+    monkeypatch.setattr(costmodel, "generate_synthetic", no_generation)
+    with pytest.raises(ValueError, match="unknown grouping algorithm 'magic'.*greedy, maxclique"):
+        sweep_instance(8, 0.1, 0, ["greedy", "magic"], calibrate(reference_observations()))
 
 
 def test_sweep_parallel_matches_serial():

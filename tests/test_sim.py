@@ -1,19 +1,27 @@
+import dataclasses
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import ladder_paths, oracle_sim_step
 
 from ladderbus.appgraph import generate_synthetic, make_cluster_graph
 from ladderbus.controlgen import (
     build_schedule,
+    decode_programs,
     default_controller_count,
     encode_scenarios,
+    format_program,
+    parse_program,
     partition_regions,
 )
 from ladderbus.grouping import ScenarioSet, group_max_clique, scenario_switch_vector
 from ladderbus.placement import place_anneal
 from ladderbus.routing import extract_paths
 from ladderbus.sim import run_frames
-from ladderbus.topology import build_topology
+from ladderbus.topology import SwitchState, build_topology
 
 
 def pipeline(g, seed=0, n_regions=None):
@@ -153,3 +161,110 @@ def test_zero_scenarios_trivially_clean():
     assert report.steps == 0
     assert report.collisions == 0
     assert report.energy == 0
+
+
+@pytest.mark.parametrize("guarded", ["n_scenarios", -1])
+def test_out_of_range_conditional_scenario_rejected(guarded):
+    g = generate_synthetic(8, 12, seed=8)
+    topo, paths, sset, programs = pipeline(g, seed=8)
+    idx = sset.n_scenarios if guarded == "n_scenarios" else guarded
+    parsed = [parse_program(format_program(p).replace("end\n", f"cond 0 {idx}\nend\n")) for p in programs]
+    with pytest.raises(ValueError, match="unknown scenario index"):
+        run_frames(topo, parsed, paths, sset, n_frames=1, cond_flags=[True])
+
+
+def test_decode_rejects_disagreeing_memories_even_when_first_is_empty():
+    g = generate_synthetic(10, 20, seed=7)
+    topo, paths, sset, programs = pipeline(g, seed=7, n_regions=2)
+    empty = dataclasses.replace(programs[0], memory=())
+    with pytest.raises(ValueError, match="disagree"):
+        decode_programs([empty, programs[1]], topo)
+
+
+def test_left_rung_on_column_zero_rejected():
+    g = make_cluster_graph(2, [(0, 1, 1)])
+    topo = build_topology(4, 2)
+    paths = extract_paths(g, topo, place_anneal(g, topo, seed=0))
+    vec = [SwitchState.IDLE] * topo.n_switches
+    vec[topo.switch_index(1, 0)] = SwitchState.LEFT_RUNG
+    sset = ScenarioSet(scenarios=((0,),), switch_vectors=(tuple(vec),))
+    programs = encode_scenarios(sset, partition_regions(topo, 2), topo)
+    with pytest.raises(ValueError, match="lane 1, column 0"):
+        run_frames(topo, programs, paths, sset, n_frames=1)
+
+
+def _legal_states(column, n_columns):
+    """Switch states whose ports all exist at this column."""
+    states = set(SwitchState)
+    if column == 0:
+        states -= {SwitchState.LEFT_RIGHT, SwitchState.LEFT_RUNG}
+    if column == n_columns - 1:
+        states -= {SwitchState.LEFT_RIGHT, SwitchState.RIGHT_RUNG}
+    return sorted(states)
+
+
+@st.composite
+def sim_instances(draw):
+    """Paths on a ladder of 1-4 lanes, a random (often conflicting) partition
+    into scenarios, and per scenario a vector realized from its members
+    (later members overwrite earlier ones), arbitrary with legal edge
+    columns, or realized with arbitrary legal states on the idle switches."""
+    topo, paths = draw(ladder_paths())
+    cols = topo.n_columns
+    k = draw(st.integers(1, max(1, len(paths))))
+    owner = draw(st.lists(st.integers(0, k - 1), min_size=len(paths), max_size=len(paths)))
+    scenarios = tuple(tuple(pid for pid, s in enumerate(owner) if s == i) for i in range(k))
+    vectors = []
+    for members in scenarios:
+        vec = [SwitchState.IDLE] * topo.n_switches
+        realized = draw(st.booleans())
+        if realized:
+            for pid in members:
+                p = paths[pid]
+                if p.cmin < p.cmax:
+                    base = p.lane * cols
+                    vec[base + p.cmin] = SwitchState.RIGHT_RUNG
+                    vec[base + p.cmax] = SwitchState.LEFT_RUNG
+                    for c in range(p.cmin + 1, p.cmax):
+                        vec[base + c] = SwitchState.LEFT_RIGHT
+        if not realized or draw(st.booleans()):
+            # arbitrary states on the idle switches, which can join members' chains
+            vec = [draw(st.sampled_from(_legal_states(idx % cols, cols))) if state == SwitchState.IDLE else state
+                   for idx, state in enumerate(vec)]
+        vectors.append(tuple(int(state) for state in vec))
+    sset = ScenarioSet(scenarios=scenarios, switch_vectors=tuple(vectors))
+    order = draw(st.permutations(range(k)))
+    cond = draw(st.none() | st.integers(0, k - 1))
+    n_ctrl = draw(st.integers(1, cols))
+    n_frames = draw(st.integers(0, 3))
+    flags = draw(st.lists(st.booleans(), max_size=3))
+    return topo, paths, sset, order, cond, n_ctrl, n_frames, flags
+
+
+@settings(max_examples=200, deadline=None)
+@given(sim_instances())
+def test_run_frames_matches_step_oracle(instance):
+    topo, paths, sset, order, cond, n_ctrl, n_frames, flags = instance
+    schedule = build_schedule(sset, frame_order=list(order), conditional=None if cond is None else (0, cond))
+    programs = encode_scenarios(sset, partition_regions(topo, n_ctrl), topo, schedule=schedule)
+    report = run_frames(topo, programs, paths, sset, n_frames, cond_flags=flags)
+
+    steps = []
+    for frame in range(n_frames):
+        steps.extend(order)
+        if cond is not None and frame < len(flags) and flags[frame]:
+            steps.append(cond)
+    delivered = {p.edge_id: 0 for p in paths}
+    events, active_per_step = [], []
+    for step, scen in enumerate(steps):
+        collided, delivered_ids, active = oracle_sim_step(topo, sset.switch_vectors[scen], sset.scenarios[scen], paths)
+        events += [{"step": step, "scenario": scen, "resource": list(res), "claims": n} for res, n in collided]
+        for pid in delivered_ids:
+            delivered[pid] += 1
+        active_per_step.append(active)
+    assert report.steps == len(steps)
+    assert report.delivered == delivered
+    assert report.collisions == len(events)
+    assert report.collision_events == events
+    assert report.per_step_active == active_per_step
+    assert report.energy == sum(active_per_step)
