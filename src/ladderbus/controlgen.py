@@ -11,7 +11,8 @@ when a runtime flag is raised.
 Word layout: the region's switches sorted by (lane, column); switch j
 of that order occupies bits [2j, 2j+1] (LSB first).
 
-Program text format (byte-stable, one file per controller)::
+Program text format (byte-stable, one file per controller; the optional
+``cond`` line holds a flag id and a scenario id)::
 
     ladderbus-ctrl v1
     region 0
@@ -22,7 +23,7 @@ Program text format (byte-stable, one file per controller)::
     mem 00000 3a824 00108 20004
     step 0 1
     step 1 1
-    cond 0 2        # optional: flag id, scenario id
+    cond 0 2
     end
 """
 
@@ -54,12 +55,13 @@ class ControllerRegion:
     def word_bits(self) -> int:
         return 2 * self.n_switches
 
-    def switches(self) -> list[tuple[int, int]]:
-        """(lane, column) pairs in word order."""
+    def switch_indices(self, topo: LadderTopology) -> list[int]:
+        """Global switch index of each of the region's switches, in word
+        order: (lane, column), so one range of consecutive indices per lane."""
         return [
-            (lane, col)
+            idx
             for lane in range(self.n_lanes)
-            for col in range(self.col_start, self.col_end + 1)
+            for idx in range(topo.switch_index(lane, self.col_start), topo.switch_index(lane, self.col_end) + 1)
         ]
 
 
@@ -114,11 +116,17 @@ def partition_regions(topo: LadderTopology, n_controllers: int) -> list[Controll
     return regions
 
 
-def encode_word(region: ControllerRegion, global_vector, topo: LadderTopology) -> int:
-    word = 0
-    for j, (lane, col) in enumerate(region.switches()):
-        word |= (global_vector[topo.switch_index(lane, col)] & 0b11) << (2 * j)
-    return word
+def _check_regions(regions: list[ControllerRegion], topo: LadderTopology) -> None:
+    """Raise ValueError unless the regions partition the columns, each over all lanes."""
+    expect = 0
+    for r in sorted(regions, key=lambda r: (r.col_start, r.col_end)):
+        if r.col_start != expect:
+            raise ValueError("regions do not partition the columns")
+        if r.n_lanes != topo.n_lanes:
+            raise ValueError(f"region {r.controller_id} has {r.n_lanes} lanes, topology has {topo.n_lanes}")
+        expect = r.col_end + 1
+    if expect != topo.n_columns:
+        raise ValueError("regions do not partition the columns")
 
 
 def encode_scenarios(
@@ -131,33 +139,27 @@ def encode_scenarios(
     for vec in sset.switch_vectors:
         if len(vec) != topo.n_switches:
             raise ValueError("switch vector length does not match topology")
-    covered = sorted((r.col_start, r.col_end) for r in regions)
-    expect = 0
-    for lo, hi in covered:
-        if lo != expect:
-            raise ValueError("regions do not partition the columns")
-        expect = hi + 1
-    if expect != topo.n_columns:
-        raise ValueError("regions do not partition the columns")
+    _check_regions(regions, topo)
     if schedule is None:
         schedule = build_schedule(sset)
     programs = []
     for region in regions:
-        memory = tuple(encode_word(region, vec, topo) for vec in sset.switch_vectors)
+        indices = region.switch_indices(topo)
+        memory = tuple(sum((vec[idx] & 0b11) << (2 * j) for j, idx in enumerate(indices))
+                       for vec in sset.switch_vectors)
         programs.append(ControllerProgram(region=region, memory=memory, schedule=schedule))
     return programs
 
 
 def decode_programs(programs: list[ControllerProgram], topo: LadderTopology) -> list[tuple[int, ...]]:
     """Reassemble global switch vectors from all regions' memories."""
-    if not programs:
-        return []
+    _check_regions([prog.region for prog in programs], topo)
     n_scen = len(programs[0].memory)
     if any(len(prog.memory) != n_scen for prog in programs):
         raise ValueError("programs disagree on scenario count")
     vectors = [[0] * topo.n_switches for _ in range(n_scen)]
     for prog in programs:
-        indices = [topo.switch_index(lane, col) for lane, col in prog.region.switches()]
+        indices = prog.region.switch_indices(topo)
         for vec, word in zip(vectors, prog.memory):
             for idx in indices:
                 vec[idx] = word & 0b11
@@ -211,35 +213,41 @@ def format_program(prog: ControllerProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+# integers after the keyword of each program line other than "mem" and "end"
+_ARITY = {"region": 1, "columns": 2, "n_lanes": 1, "word_bits": 1, "scenarios": 1, "step": 2, "cond": 2}
+
+
 def parse_program(text: str) -> ControllerProgram:
+    """Parse one program file; ValueError names the malformed line or field."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "ladderbus-ctrl v1":
         raise ValueError("not a ladderbus-ctrl v1 program")
-    fields: dict[str, list[str]] = {}
-    entries: list[tuple[int, int]] = []
-    conditional = None
+    fields: dict[str, list[tuple[int, ...]]] = {}  # keyword -> its lines' integers, in order
+    memory: tuple[int, ...] = ()
     for ln in lines[1:]:
-        parts = ln.split()
-        key = parts[0]
-        if key == "step":
-            entries.append((int(parts[1]), int(parts[2])))
-        elif key == "cond":
-            conditional = (int(parts[1]), int(parts[2]))
-        elif key == "end":
+        key, *vals = ln.split()
+        if key == "end":
             break
+        if key == "mem":
+            memory = tuple(int(w, 16) for w in vals)
+        elif len(vals) != _ARITY.get(key):
+            raise ValueError(f"program line {ln!r}: unknown keyword or wrong number of values")
         else:
-            fields[key] = parts[1:]
-    region = ControllerRegion(
-        controller_id=int(fields["region"][0]),
-        col_start=int(fields["columns"][0]),
-        col_end=int(fields["columns"][1]),
-        n_lanes=int(fields["n_lanes"][0]),
-    )
-    memory = tuple(int(w, 16) for w in fields["mem"]) if "mem" in fields else ()
-    n_scen = int(fields["scenarios"][0])
+            fields.setdefault(key, []).append(tuple(int(v) for v in vals))
+    header = ("region", "columns", "n_lanes", "word_bits", "scenarios")
+    for key in header:
+        if key not in fields:
+            raise ValueError(f"program has no {key!r} line")
+    (ctrl_id,), (col_start, col_end), (n_lanes,), (word_bits,), (n_scen,) = (fields[key][-1] for key in header)
+    region = ControllerRegion(ctrl_id, col_start, col_end, n_lanes)
+    if word_bits != region.word_bits:
+        raise ValueError(f"program field 'word_bits' is {word_bits}, its region needs {region.word_bits}")
     if len(memory) != n_scen:
         raise ValueError(f"expected {n_scen} memory words, found {len(memory)}")
+    for k, w in enumerate(memory):
+        if not 0 <= w < 1 << word_bits:
+            raise ValueError(f"memory word {k} ({w:x}) does not fit in {word_bits} bits")
     return ControllerProgram(
         region=region, memory=memory,
-        schedule=Schedule(entries=tuple(entries), conditional=conditional),
+        schedule=Schedule(entries=tuple(fields.get("step", ())), conditional=fields.get("cond", [None])[-1]),
     )

@@ -118,17 +118,22 @@ def scenario_switch_vector(
     """Full switch-state vector realizing every path of one scenario.
 
     Raises if two paths demand one switch in different states (cannot
-    happen for a conflict-free scenario).
+    happen for a conflict-free scenario), naming the later path's lowest such column.
     """
     vec = [int(SwitchState.IDLE)] * topo.n_switches
     for pid in path_ids:
-        for idx, state in path_switch_states(paths[pid], topo).items():
-            if vec[idx] != SwitchState.IDLE and vec[idx] != state:
-                lane, col = topo.switch_id(idx)
-                raise ValueError(
-                    f"switch ({lane},{col}) demanded in states {vec[idx]} and {int(state)}"
-                )
-            vec[idx] = int(state)
+        p = paths[pid]
+        run = path_switch_states(p)
+        if not run:
+            continue
+        if p.cmin > p.cmax:
+            raise ValueError(f"path {pid}: column interval [{p.cmin}, {p.cmax}] is reversed")
+        lo, hi = topo.switch_index(p.lane, p.cmin), topo.switch_index(p.lane, p.cmax) + 1
+        if any(vec[lo:hi]):
+            for col, have, want in zip(range(p.cmin, p.cmax + 1), vec[lo:hi], run):
+                if have != SwitchState.IDLE and have != want:
+                    raise ValueError(f"switch ({p.lane},{col}) demanded in states {have} and {want}")
+        vec[lo:hi] = run
     return tuple(vec)
 
 

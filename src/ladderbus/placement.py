@@ -48,8 +48,8 @@ def placement_cost(g: ClusterGraph, topo: LadderTopology, p: TilePlacement) -> i
 def place_greedy(g: ClusterGraph, topo: LadderTopology) -> TilePlacement:
     """Descending total-degree insertion, each cluster onto the cheapest free tile.
 
-    Ties break toward the lowest tile id; equal-degree clusters are
-    visited in id order.
+    Ties break toward the lowest tile id (the first minimum over the
+    ascending free list); equal-degree clusters are visited in id order.
     """
     if g.n_clusters > topo.n_tiles:
         raise ValueError(f"{g.n_clusters} clusters exceed {topo.n_tiles} tiles")
@@ -60,18 +60,12 @@ def place_greedy(g: ClusterGraph, topo: LadderTopology) -> TilePlacement:
     degrees = g.total_degrees()
     order = sorted(range(g.n_clusters), key=lambda c: (-degrees[c], c))
 
+    cols = [tile_column(topo, t) for t in range(topo.n_tiles)]
     assignment = [-1] * g.n_clusters
     free = list(range(topo.n_tiles))
     for c in order:
-        best_tile, best_cost = None, None
-        for t in free:
-            col = tile_column(topo, t)
-            cost = 0
-            for other, w in adj[c]:
-                if assignment[other] >= 0:
-                    cost += w * (abs(col - tile_column(topo, assignment[other])) + 1)
-            if best_cost is None or cost < best_cost:
-                best_tile, best_cost = t, cost
+        placed = [(cols[assignment[other]], w) for other, w in adj[c] if assignment[other] >= 0]
+        best_tile = min(free, key=lambda t: sum(w * (abs(cols[t] - col) + 1) for col, w in placed))
         assignment[c] = best_tile
         free.remove(best_tile)
     return TilePlacement(assignment=tuple(assignment))

@@ -88,21 +88,15 @@ def paths_intersect(a: RoutedPath, b: RoutedPath) -> bool:
     return a.lane == b.lane and a.cmin <= b.cmax and b.cmin <= a.cmax
 
 
-def path_switch_states(path: RoutedPath, topo: LadderTopology) -> dict[int, SwitchState]:
-    """Non-IDLE switch settings realizing a path, keyed by switch index.
-
-    A same-column connection travels tile-to-tile over the rung alone
-    and needs no switch; its lane switch is reserved but left IDLE.
-    """
+def path_switch_states(path: RoutedPath) -> list[int]:
+    """States of the path's lane switches over columns cmin..cmax: RIGHT_RUNG,
+    LEFT_RIGHT per inner column, LEFT_RUNG. A same-column connection travels
+    tile-to-tile over the rung alone and needs no switch; its lane switch is
+    reserved but left IDLE, so its run is empty."""
     if path.cmin == path.cmax:
-        return {}
-    states: dict[int, SwitchState] = {}
-    lane = path.lane
-    states[topo.switch_index(lane, path.cmin)] = SwitchState.RIGHT_RUNG
-    states[topo.switch_index(lane, path.cmax)] = SwitchState.LEFT_RUNG
-    for c in range(path.cmin + 1, path.cmax):
-        states[topo.switch_index(lane, c)] = SwitchState.LEFT_RIGHT
-    return states
+        return []
+    return [int(SwitchState.RIGHT_RUNG), *[int(SwitchState.LEFT_RIGHT)] * (path.cmax - path.cmin - 1),
+            int(SwitchState.LEFT_RUNG)]
 
 
 def path_resources(path: RoutedPath, topo: LadderTopology) -> set[tuple]:

@@ -97,16 +97,16 @@ def run_frames(
     trace: IO[str] | None = None,
 ) -> SimReport:
     """Execute n_frames of the replicated schedule and audit every step."""
-    if not programs:
-        raise ValueError("no controller programs")
+    # reassemble from controller memories so the region encoding is on the
+    # executed path; decoding rejects programs that do not cover the ladder
+    vectors = decode_programs(programs, topo)
     schedule = programs[0].schedule
     for prog in programs[1:]:
         if prog.schedule != schedule:
             raise ValueError("inconsistent schedules across controllers (lockstep required)")
     n_scen = sset.n_scenarios
-    for prog in programs:
-        if len(prog.memory) != n_scen:
-            raise ValueError("program memory does not match scenario count")
+    if len(vectors) != n_scen:
+        raise ValueError("program memory does not match scenario count")
     indices = [idx for idx, _rep in schedule.entries]
     if schedule.conditional is not None:
         indices.append(schedule.conditional[1])
@@ -116,9 +116,6 @@ def run_frames(
     if cond_flags is None:
         cond_flags = [False] * n_frames
 
-    # reassemble from controller memories so the region encoding is on the
-    # executed path, not just the generator
-    vectors = decode_programs(programs, topo)
     resources = {p.edge_id: path_resources(p, topo) for p in paths}
     ends = {p.edge_id: (tile_column(topo, p.src_tile), tile_column(topo, p.dst_tile)) for p in paths}
 

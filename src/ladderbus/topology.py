@@ -60,7 +60,8 @@ class LadderTopology:
         return self.n_columns
 
     def switch_index(self, lane: int, column: int) -> int:
-        """Canonical dense index of switch (lane, column); lane-major."""
+        """Canonical dense index of switch (lane, column); lane-major, so one
+        lane's columns are consecutive indices (one slice of a switch vector)."""
         if not (0 <= lane < self.n_lanes and 0 <= column < self.n_columns):
             raise ValueError(f"switch ({lane},{column}) out of range")
         return lane * self.n_columns + column

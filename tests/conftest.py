@@ -120,6 +120,29 @@ def oracle_sim_step(topo, vector, members, paths) -> tuple[list, list, int]:
     return collided, delivered, active
 
 
+def oracle_switch_vector(topo, members, paths) -> tuple[int, ...]:
+    """Switch vector of one scenario, re-derived from the topology docstring.
+
+    Writes switch by switch at index lane * n_columns + column, with the
+    columns taken from the tiles: a path between columns lo < hi sets
+    (lane, lo) to RIGHT_RUNG, (lane, hi) to LEFT_RUNG and every column in
+    between to LEFT_RIGHT; a same-column path sets nothing. Members are
+    applied in the given order, columns in ascending order, and the first
+    switch demanded in two different non-IDLE states raises ValueError.
+    """
+    vec = [SwitchState.IDLE] * topo.n_switches
+    for pid in members:
+        p = paths[pid]
+        lo, hi = sorted((p.src_tile // 2, p.dst_tile // 2))
+        for c in range(lo, hi + 1) if lo < hi else ():
+            want = SwitchState.RIGHT_RUNG if c == lo else SwitchState.LEFT_RUNG if c == hi else SwitchState.LEFT_RIGHT
+            idx = p.lane * topo.n_columns + c
+            if vec[idx] not in (SwitchState.IDLE, want):
+                raise ValueError(f"switch ({p.lane},{c}) demanded in states {int(vec[idx])} and {int(want)}")
+            vec[idx] = want
+    return tuple(int(state) for state in vec)
+
+
 def oracle_max_clique_size(n: int, edges: set[frozenset]) -> int:
     """Exhaustive subset enumeration; n <= 14."""
     best = 0

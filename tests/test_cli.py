@@ -126,6 +126,17 @@ def test_collision_yields_invariant_exit_code(tmp_path):
     assert main(["sim", "--config", cfg, "--rundir", str(rundir)]) == EXIT_INVARIANT
 
 
+def test_malformed_program_is_stage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    prog = rundir / "programs" / "ctrl_000.txt"
+    prog.write_text(prog.read_text().replace("step 0 1\n", "step 0\n"))
+    capsys.readouterr()
+    assert main(["sim", "--config", cfg, "--rundir", str(rundir)]) == EXIT_STAGE
+    assert "'step 0'" in capsys.readouterr().err
+
+
 def test_report_text_and_json(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rundir = tmp_path / "run"

@@ -1,12 +1,20 @@
 """Property tests: the structural conflict build agrees with the pairwise
-predicate and the resource-set oracle, and validation reads its masks."""
+predicate and the resource-set oracle, validation reads its masks, and
+scenario switch vectors agree with the per-switch oracle."""
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ladder_paths, oracle_intersect
+from conftest import ladder_paths, oracle_intersect, oracle_switch_vector
 
-from ladderbus.grouping import ScenarioSet, build_conflict_graph, group_greedy, validate_scenario_set
+from ladderbus.grouping import (
+    ScenarioSet,
+    build_conflict_graph,
+    group_greedy,
+    scenario_switch_vector,
+    validate_scenario_set,
+)
 from ladderbus.routing import paths_intersect
 
 
@@ -42,3 +50,20 @@ def test_validate_accepts_greedy_and_rejects_a_conflicting_move(instance):
     bad = ScenarioSet(scenarios=tuple(tuple(s) for s in scenarios), switch_vectors=sset.switch_vectors)
     with pytest.raises(ValueError, match="intersect"):
         validate_scenario_set(bad, paths, topo)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_paths(), st.data())
+def test_scenario_switch_vector_matches_oracle(instance, data):
+    topo, paths = instance
+    # any member subset in any order: conflicting members are common
+    members = data.draw(st.permutations(range(len(paths))))
+    members = members[:data.draw(st.integers(0, len(members)))]
+    try:
+        expected = oracle_switch_vector(topo, members, paths)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            scenario_switch_vector(members, paths, topo)
+        assert str(raised.value) == str(exc)
+    else:
+        assert scenario_switch_vector(members, paths, topo) == expected

@@ -1,6 +1,9 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderbus.appgraph import generate_synthetic
 from ladderbus.controlgen import (
@@ -13,7 +16,7 @@ from ladderbus.controlgen import (
     parse_program,
     partition_regions,
 )
-from ladderbus.grouping import group_max_clique
+from ladderbus.grouping import ScenarioSet, group_max_clique
 from ladderbus.placement import place_anneal
 from ladderbus.routing import extract_paths
 from ladderbus.topology import build_topology
@@ -170,3 +173,79 @@ def test_encode_rejects_bad_regions():
     regions = partition_regions(topo, 2)[:1]  # drop one region
     with pytest.raises(ValueError):
         encode_scenarios(sset, regions, topo)
+
+
+def test_decode_rejects_programs_missing_a_region():
+    topo, paths, sset = pipeline(24, 128, seed=3)
+    programs = encode_scenarios(sset, partition_regions(topo, default_controller_count(topo)), topo)
+    with pytest.raises(ValueError, match="partition"):
+        decode_programs(programs[:-1], topo)
+
+
+def test_decode_rejects_wrong_lane_count():
+    topo, paths, sset = pipeline(24, 128, seed=3)
+    programs = encode_scenarios(sset, partition_regions(topo, 2), topo)
+    narrow = dataclasses.replace(programs[0], region=dataclasses.replace(programs[0].region, n_lanes=topo.n_lanes - 1))
+    with pytest.raises(ValueError, match="lanes"):
+        decode_programs([narrow, programs[1]], topo)
+
+
+@st.composite
+def vector_sets(draw):
+    """A ladder, arbitrary 2-bit switch vectors on it and a region count."""
+    topo = build_topology(2 * draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+    vectors = draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=topo.n_switches, max_size=topo.n_switches).map(tuple),
+        max_size=4,
+    ))
+    return topo, tuple(vectors), draw(st.integers(1, topo.n_columns))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_sets())
+def test_encode_format_parse_decode_round_trip(instance):
+    topo, vectors, n_regions = instance
+    sset = ScenarioSet(scenarios=tuple(() for _ in vectors), switch_vectors=vectors)
+    programs = encode_scenarios(sset, partition_regions(topo, n_regions), topo)
+    parsed = [parse_program(format_program(p)) for p in programs]
+    assert decode_programs(parsed, topo) == list(vectors)
+
+
+def _program_text():
+    topo, paths, sset = pipeline(14, 41, seed=5)
+    return format_program(encode_scenarios(sset, partition_regions(topo, 2), topo)[0])
+
+
+def test_parse_rejects_step_without_repeat():
+    text = _program_text().replace("step 0 1\n", "step 0\n")
+    with pytest.raises(ValueError, match="'step 0'"):
+        parse_program(text)
+
+
+def test_parse_rejects_unknown_keyword():
+    # a misspelled step line must not drop its schedule entry silently
+    text = _program_text().replace("step 1 1\n", "stpe 1 1\n")
+    with pytest.raises(ValueError, match="'stpe 1 1'"):
+        parse_program(text)
+
+
+def test_parse_rejects_missing_region_line():
+    text = "".join(ln for ln in _program_text().splitlines(keepends=True) if not ln.startswith("region "))
+    with pytest.raises(ValueError, match="no 'region' line"):
+        parse_program(text)
+
+
+def test_parse_rejects_word_wider_than_word_bits():
+    text = _program_text()
+    prog = parse_program(text)
+    old = text.split("\n")[6]  # the mem line
+    new = "mem " + " ".join(f"{w:x}" for w in (1 << prog.region.word_bits,) + prog.memory[1:])
+    with pytest.raises(ValueError, match="memory word 0"):
+        parse_program(text.replace(old, new))
+
+
+def test_parse_rejects_word_bits_not_matching_region():
+    text = _program_text()
+    bits = parse_program(text).region.word_bits
+    with pytest.raises(ValueError, match="word_bits"):
+        parse_program(text.replace(f"word_bits {bits}\n", f"word_bits {bits + 2}\n"))

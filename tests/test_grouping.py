@@ -342,6 +342,12 @@ def test_switch_vector_conflict_detected():
         scenario_switch_vector([0, 1], [a, b], topo)
 
 
+def test_switch_vector_rejects_reversed_interval():
+    topo = build_topology(8, 1)
+    with pytest.raises(ValueError, match="reversed"):
+        scenario_switch_vector([0], [RoutedPath(0, 6, 2, lane=0, cmin=3, cmax=1)], topo)
+
+
 def test_scenario_vectors_idle_elsewhere():
     _, topo, paths = routed_instance(10, 20, seed=1)
     sset = group_max_clique(paths, topo)
@@ -350,7 +356,9 @@ def test_scenario_vectors_idle_elsewhere():
     for members, vec in zip(sset.scenarios, sset.switch_vectors):
         expected = {}
         for pid in members:
-            expected.update(path_switch_states(paths[pid], topo))
+            p = paths[pid]
+            for c, state in enumerate(path_switch_states(p), start=p.cmin):
+                expected[topo.switch_index(p.lane, c)] = state
         for idx, state in enumerate(vec):
             assert state == expected.get(idx, 0)
 

@@ -160,19 +160,16 @@ def test_conflict_edges_oracle_is_consistent():
 
 
 def test_switch_states_for_span_path():
-    topo = build_topology(12, 2)
     p = RoutedPath(0, 2, 9, lane=1, cmin=1, cmax=4)
-    states = path_switch_states(p, topo)
-    assert states[topo.switch_index(1, 1)] == SwitchState.RIGHT_RUNG
-    assert states[topo.switch_index(1, 4)] == SwitchState.LEFT_RUNG
-    assert states[topo.switch_index(1, 2)] == SwitchState.LEFT_RIGHT
-    assert states[topo.switch_index(1, 3)] == SwitchState.LEFT_RIGHT
-    assert len(states) == 4
+    # one state per column 1..4 of lane 1
+    states = path_switch_states(p)
+    assert states == [SwitchState.RIGHT_RUNG, SwitchState.LEFT_RIGHT, SwitchState.LEFT_RIGHT,
+                      SwitchState.LEFT_RUNG]
+    assert all(type(s) is int for s in states)
 
 
 def test_switch_states_same_column_empty():
-    topo = build_topology(6, 2)
-    assert path_switch_states(RoutedPath(0, 2, 3, lane=0, cmin=1, cmax=1), topo) == {}
+    assert path_switch_states(RoutedPath(0, 2, 3, lane=0, cmin=1, cmax=1)) == []
 
 
 def test_path_record_round_trip():
