@@ -15,7 +15,7 @@ from .appgraph import (
 )
 from .topology import LadderTopology, SwitchState, build_topology, tile_coordinates
 from .placement import TilePlacement, place_anneal, place_greedy, placement_cost
-from .routing import RoutedPath, extract_paths, paths_intersect, route_connection
+from .routing import RoutedPath, extract_paths, route_connection
 from .grouping import (
     ConflictGraph,
     ScenarioSet,

@@ -13,7 +13,8 @@ Usage:
     ladderbus report --rundir out/ --format json
     ladderbus sweep --sizes 20,40 --densities 0.15 --seeds 0,1,2 --rundir out/
 
-Config (JSON; any subset, defaults shown in DEFAULT_CONFIG):
+Config (JSON; any subset of DEFAULT_CONFIG, and a key it lacks is a
+config error except inside the free-form "graph"):
     {"seed": 1,
      "graph": {"synthetic": {"n_clusters": 24, "n_edges": 128}},
      "topology": {"n_lanes": null, "lane_width_bits": 32},
@@ -84,6 +85,16 @@ def _deep_merge(base: dict, extra: dict) -> dict:
     return out
 
 
+def _check_known_keys(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "") -> None:
+    """Reject keys DEFAULT_CONFIG does not have; the graph subtree is free-form."""
+    for key, val in cfg.items():
+        dotted = prefix + key
+        if key not in defaults:
+            raise ConfigError(f"unknown config key '{dotted}'")
+        if dotted != "graph" and isinstance(val, dict) and isinstance(defaults[key], dict):
+            _check_known_keys(val, defaults[key], dotted + ".")
+
+
 def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -109,6 +120,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
             if not isinstance(node, dict):
                 raise ConfigError(f"override '{key}' crosses a non-object value")
         node[parts[-1]] = value
+    _check_known_keys(cfg)
     return cfg
 
 

@@ -96,14 +96,10 @@ def calibrate(observations: list[CalibrationObservation]) -> CostModel:
 
 
 def data_plane_cost(topo: LadderTopology, model: CostModel) -> float:
-    if model is None:
-        raise ValueError("cost model not calibrated")
     return model.a * topo.n_tiles + model.b * topo.n_lanes * topo.lane_width_bits
 
 
 def control_plane_cost(scenario_bits: int, n_controllers: int, model: CostModel) -> float:
-    if model is None:
-        raise ValueError("cost model not calibrated")
     return model.c * scenario_bits + model.d * n_controllers
 
 

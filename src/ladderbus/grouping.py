@@ -80,7 +80,7 @@ def _check_vertex_ids(paths: list[RoutedPath]) -> None:
 
 
 def build_conflict_graph(paths: list[RoutedPath]) -> ConflictGraph:
-    """Intersection graph (edge iff paths_intersect) from rung and lane buckets.
+    """Intersection graph of the paths, from rung and lane buckets.
 
     Two paths conflict iff they share an endpoint column (its rung), or
     run on one lane with overlapping intervals: u overlaps v iff

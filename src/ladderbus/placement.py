@@ -48,8 +48,10 @@ def placement_cost(g: ClusterGraph, topo: LadderTopology, p: TilePlacement) -> i
 def place_greedy(g: ClusterGraph, topo: LadderTopology) -> TilePlacement:
     """Descending total-degree insertion, each cluster onto the cheapest free tile.
 
-    Ties break toward the lowest tile id (the first minimum over the
-    ascending free list); equal-degree clusters are visited in id order.
+    A tile's price depends only on its column, so each column with a free
+    tile is priced once. Ties break toward the lowest tile id: the lowest
+    free tile of the first cheapest column. Equal-degree clusters are
+    visited in id order.
     """
     if g.n_clusters > topo.n_tiles:
         raise ValueError(f"{g.n_clusters} clusters exceed {topo.n_tiles} tiles")
@@ -61,13 +63,16 @@ def place_greedy(g: ClusterGraph, topo: LadderTopology) -> TilePlacement:
     order = sorted(range(g.n_clusters), key=lambda c: (-degrees[c], c))
 
     cols = [tile_column(topo, t) for t in range(topo.n_tiles)]
+    free: dict[int, list[int]] = {}  # column -> its free tiles, both ascending
+    for t in range(topo.n_tiles):
+        free.setdefault(cols[t], []).append(t)
     assignment = [-1] * g.n_clusters
-    free = list(range(topo.n_tiles))
     for c in order:
         placed = [(cols[assignment[other]], w) for other, w in adj[c] if assignment[other] >= 0]
-        best_tile = min(free, key=lambda t: sum(w * (abs(cols[t] - col) + 1) for col, w in placed))
-        assignment[c] = best_tile
-        free.remove(best_tile)
+        best_col = min(free, key=lambda col: sum(w * (abs(col - at) + 1) for at, w in placed))
+        assignment[c] = free[best_col].pop(0)
+        if not free[best_col]:
+            del free[best_col]
     return TilePlacement(assignment=tuple(assignment))
 
 

@@ -1,15 +1,12 @@
-"""Connection routing on the ladder and the path-intersection predicate.
+"""Connection routing on the ladder.
 
 On a ladder the geometry of a connection is forced: it occupies the
 column interval between its endpoint tiles, entering and leaving
 through the shared rung of each endpoint column. The only routing
-freedom is the lane, chosen least-loaded at routing time so that
-intersection becomes a pairwise-decidable predicate.
-
-Two paths intersect iff they touch a common rung column, or run on the
-same lane with overlapping column intervals (which shares a switch or
-a segment). Rungs are shared across lanes, so rung contention is
-lane-independent.
+freedom is the lane, chosen least-loaded at routing time, so a routed
+path is its lane and its column interval [cmin, cmax]. Which paths
+contend is decided from those intervals in
+``grouping.build_conflict_graph``.
 """
 
 from __future__ import annotations
@@ -31,10 +28,6 @@ class RoutedPath:
     lane: int
     cmin: int  # interval [cmin, cmax] of traversed columns, inclusive
     cmax: int
-
-    @property
-    def rung_columns(self) -> frozenset[int]:
-        return frozenset((self.cmin, self.cmax))
 
 
 def route_connection(
@@ -81,13 +74,6 @@ def extract_paths(g: ClusterGraph, topo: LadderTopology, p: TilePlacement) -> li
     return paths
 
 
-def paths_intersect(a: RoutedPath, b: RoutedPath) -> bool:
-    """True iff the two paths contend for any switch, segment or rung."""
-    if a.cmin == b.cmin or a.cmin == b.cmax or a.cmax == b.cmin or a.cmax == b.cmax:
-        return True
-    return a.lane == b.lane and a.cmin <= b.cmax and b.cmin <= a.cmax
-
-
 def path_switch_states(path: RoutedPath) -> list[int]:
     """States of the path's lane switches over columns cmin..cmax: RIGHT_RUNG,
     LEFT_RIGHT per inner column, LEFT_RUNG. A same-column connection travels
@@ -97,21 +83,6 @@ def path_switch_states(path: RoutedPath) -> list[int]:
         return []
     return [int(SwitchState.RIGHT_RUNG), *[int(SwitchState.LEFT_RIGHT)] * (path.cmax - path.cmin - 1),
             int(SwitchState.LEFT_RUNG)]
-
-
-def path_resources(path: RoutedPath, topo: LadderTopology) -> set[tuple]:
-    """Explicit resource footprint: rungs, switches and segments claimed.
-
-    Switch claims cover the whole interval (including the reserved
-    switch of a same-column path): bufferless switches cannot be
-    time-multiplexed within a scenario.
-    """
-    res: set[tuple] = {("rung", c) for c in path.rung_columns}
-    for c in range(path.cmin, path.cmax + 1):
-        res.add(("sw", path.lane, c))
-    for i in range(path.cmin, path.cmax):
-        res.add(("seg", path.lane, i))
-    return res
 
 
 def path_record(path: RoutedPath) -> dict:

@@ -10,21 +10,27 @@ over steps.
 
 A step's outcome depends only on its scenario (decoded vector and
 members), so each scenario is audited once, the first time the schedule
-reaches it, and every step replays that result. Chains only meet at
-rungs: on one lane, a RIGHT_RUNG switch followed by a run of LEFT_RIGHT
-switches and a LEFT_RUNG switch links the two rungs it turns onto, so
-rung connectivity comes from one scan per lane.
+reaches it, and every step replays that result. The audit views the
+vector as a lanes x columns array. Chains only meet at rungs: on one
+lane, a RIGHT_RUNG switch followed by a run of LEFT_RIGHT switches and a
+LEFT_RUNG switch links the two rungs it turns onto. A member
+(lane, cmin, cmax) claims the rungs of cmin and cmax, the switches of
+its lane over [cmin, cmax] (a same-column member reserves its one
+switch: bufferless switches cannot be time-multiplexed within a
+scenario) and the segments over [cmin, cmax), so the claims are counted
+per column and per lane from interval end counts.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO
 
+import numpy as np
+
 from .controlgen import ControllerProgram, decode_programs
 from .grouping import ScenarioSet
-from .routing import RoutedPath, path_resources
+from .routing import RoutedPath
 from .topology import LadderTopology, SwitchState, tile_column
 
 
@@ -40,10 +46,22 @@ class SimReport:
     energy: int = 0
 
 
-def _audit(topo: LadderTopology, vector, members, resources: dict, ends: dict):
-    """(collided (resource, claims) pairs sorted by resource, delivered ids,
-    active segment and rung count) of one step applying this scenario."""
-    cols = topo.n_columns
+def _audit(topo: LadderTopology, vector, members, geometry: dict):
+    """(collided (resource, claims) pairs in rung, seg, sw order, each by lane
+    and column; delivered ids; active segment and rung count) of one step
+    applying this scenario. geometry maps a path id to (lane, cmin, cmax,
+    source column, destination column)."""
+    lanes, cols = topo.n_lanes, topo.n_columns
+    state = np.asarray(vector, dtype=np.int8).reshape(lanes, cols)
+    bad_first = np.isin(state[:, 0], (SwitchState.LEFT_RIGHT, SwitchState.LEFT_RUNG))
+    bad_last = np.isin(state[:, -1], (SwitchState.LEFT_RIGHT, SwitchState.RIGHT_RUNG))
+    bad = np.flatnonzero(bad_first | bad_last)
+    if bad.size:
+        lane = int(bad[0])
+        c = 0 if bad_first[lane] else cols - 1
+        raise ValueError(f"switch (lane {lane}, column {c}) in state {SwitchState(state[lane, c]).name} "
+                         "references a nonexistent segment")
+
     parent = list(range(cols))  # union-find over rung columns
 
     def find(c: int) -> int:
@@ -52,38 +70,34 @@ def _audit(topo: LadderTopology, vector, members, resources: dict, ends: dict):
             c = parent[c]
         return c
 
-    for lane in range(topo.n_lanes):
-        base = topo.switch_index(lane, 0)
-        row = vector[base:base + cols]
-        for c, uses in ((0, (SwitchState.LEFT_RIGHT, SwitchState.LEFT_RUNG)),
-                        (cols - 1, (SwitchState.LEFT_RIGHT, SwitchState.RIGHT_RUNG))):
-            if row[c] in uses:
-                raise ValueError(f"switch (lane {lane}, column {c}) in state {SwitchState(row[c]).name} "
-                                 "references a nonexistent segment")
-        start = None  # rung the lane's open chain turned off, if any
-        for c, state in enumerate(row):
-            if state == SwitchState.RIGHT_RUNG:
-                start = c
-            elif state == SwitchState.LEFT_RUNG:
-                if start is not None:
-                    parent[find(start)] = find(c)
-                start = None
-            elif state == SwitchState.IDLE:
-                start = None
+    # a rung link: RIGHT_RUNG, then LEFT_RUNG as the lane's next non-LEFT_RIGHT switch;
+    # a lane's last switch is neither (checked above), so no link crosses lanes
+    turn_lane, turn_col = np.nonzero(state != SwitchState.LEFT_RIGHT)
+    turns = state[turn_lane, turn_col]
+    link = (turns[:-1] == SwitchState.RIGHT_RUNG) & (turns[1:] == SwitchState.LEFT_RUNG)
+    for a, b in zip(turn_col[:-1][link].tolist(), turn_col[1:][link].tolist()):
+        parent[find(a)] = find(b)
+    root = np.array([find(c) for c in range(cols)])
 
-    claims: Counter[tuple] = Counter()
-    for pid in members:
-        claims.update(resources[pid])
-    collided = sorted((res, count) for res, count in claims.items() if count > 1)
-    shared = {res for res, _count in collided}
-    src_roots = [find(ends[pid][0]) for pid in members]
-    drivers = Counter(src_roots)
-    delivered = [
-        pid for pid, root in zip(members, src_roots)
-        if root == find(ends[pid][1]) and drivers[root] == 1
-        and resources[pid].isdisjoint(shared)
-    ]
-    active = sum(1 for res in claims if res[0] in ("seg", "rung"))
+    lane, cmin, cmax, src, dst = np.array([geometry[pid] for pid in members], dtype=np.intp).reshape(-1, 5).T
+    rung = np.bincount(cmin, minlength=cols) + np.bincount(cmax[cmax != cmin], minlength=cols)
+    starts = np.bincount(lane * cols + cmin, minlength=lanes * cols).reshape(lanes, cols)
+    stops = np.bincount(lane * cols + cmax, minlength=lanes * cols).reshape(lanes, cols)
+    seg = np.cumsum(starts - stops, axis=1)  # claims on the segment right of each switch; 0 in the last column
+    sw = seg + stops
+    collided = []
+    for name, counts in (("rung", rung), ("seg", seg), ("sw", sw)):
+        at = np.nonzero(counts > 1)  # (column,) or (lane, column) index arrays, row-major
+        collided += [((name, *where), n) for *where, n in zip(*(a.tolist() for a in at), counts[at].tolist())]
+
+    # a shared segment shares both its end switches, so rungs and switches decide
+    shared_sw = np.pad(np.cumsum(sw > 1, axis=1), ((0, 0), (1, 0)))
+    clean = (rung[cmin] == 1) & (rung[cmax] == 1) & (shared_sw[lane, cmax + 1] == shared_sw[lane, cmin])
+    src_root = root[src]
+    drivers = np.bincount(src_root, minlength=cols)
+    ok = (src_root == root[dst]) & (drivers[src_root] == 1) & clean
+    delivered = [pid for pid, hit in zip(members, ok.tolist()) if hit]
+    active = int(np.count_nonzero(rung) + np.count_nonzero(seg))
     return collided, delivered, active
 
 
@@ -116,8 +130,8 @@ def run_frames(
     if cond_flags is None:
         cond_flags = [False] * n_frames
 
-    resources = {p.edge_id: path_resources(p, topo) for p in paths}
-    ends = {p.edge_id: (tile_column(topo, p.src_tile), tile_column(topo, p.dst_tile)) for p in paths}
+    geometry = {p.edge_id: (p.lane, p.cmin, p.cmax, tile_column(topo, p.src_tile), tile_column(topo, p.dst_tile))
+                for p in paths}
 
     report = SimReport(n_frames=n_frames, frame_length=schedule.frame_length,
                        delivered={p.edge_id: 0 for p in paths})
@@ -127,7 +141,7 @@ def run_frames(
         flag = bool(cond_flags[frame]) if frame < len(cond_flags) else False
         for scen_idx in schedule.steps(flag_raised=flag):
             if scen_idx not in outcomes:
-                outcomes[scen_idx] = _audit(topo, vectors[scen_idx], sset.scenarios[scen_idx], resources, ends)
+                outcomes[scen_idx] = _audit(topo, vectors[scen_idx], sset.scenarios[scen_idx], geometry)
             collided, delivered_ids, active = outcomes[scen_idx]
             report.collisions += len(collided)
             for res, count in collided:

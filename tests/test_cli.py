@@ -124,6 +124,10 @@ def test_collision_yields_invariant_exit_code(tmp_path):
     (rundir / "scenarios.json").write_text(json.dumps(doc))
     assert main(["emit-ctrl", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
     assert main(["sim", "--config", cfg, "--rundir", str(rundir)]) == EXIT_INVARIANT
+    events = json.loads((rundir / "sim_report.json").read_text())["collision_events"]
+    paths = json.loads((rundir / "paths.json").read_text())["paths"]
+    assert ["rung", paths[0]["src"] // 2] in [ev["resource"] for ev in events]  # both leave cluster 0
+    assert all(type(v) is int for ev in events for v in [*ev["resource"][1:], ev["claims"], ev["step"]])
 
 
 def test_malformed_program_is_stage_error(tmp_path, capsys):
@@ -187,6 +191,20 @@ def test_unknown_grouping_algorithm_is_config_error(tmp_path):
     for command in ("run", "group"):
         assert main([command, "--config", cfg, "--rundir", str(tmp_path / "run"),
                      "--set", "grouping.algorithm=bogus"]) == EXIT_CONFIG
+
+
+def test_unknown_config_key_in_file_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(BASE_CONFIG, grouping={"algoritm": "greedy"}))
+    assert main(["run", "--config", cfg, "--rundir", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert "'grouping.algoritm'" in capsys.readouterr().err
+
+
+def test_unknown_config_key_in_override_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", cfg, "--rundir", str(tmp_path / "run"), "--set", "sim.frame=2"]) == EXIT_CONFIG
+    assert "'sim.frame'" in capsys.readouterr().err
+    # the graph subtree is free-form
+    assert load_config(cfg, ["graph.synthetic.seed=3"])["graph"]["synthetic"]["seed"] == 3
 
 
 def test_config_overrides(tmp_path):

@@ -76,14 +76,6 @@ def test_control_plane_cost_linearity():
     assert control_plane_cost(1000, 4, model) * 2 == control_plane_cost(2000, 8, model)
 
 
-def test_cost_model_required():
-    topo = build_topology(8, 3)
-    with pytest.raises(ValueError):
-        data_plane_cost(topo, None)
-    with pytest.raises(ValueError):
-        control_plane_cost(10, 1, None)
-
-
 def test_cost_report_fraction_bounds():
     model = calibrate(reference_observations())
     rep = cost_report(build_topology(24), 2880, 3, model)

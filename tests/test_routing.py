@@ -1,20 +1,20 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from conftest import conflict_edges_from_oracle, oracle_intersect, oracle_path_resources
+from conftest import conflict_edges_from_oracle, oracle_intersect
 
 from ladderbus.appgraph import generate_synthetic, make_cluster_graph
+from ladderbus.grouping import build_conflict_graph
 from ladderbus.placement import place_anneal
 from ladderbus.routing import (
     RoutedPath,
     extract_paths,
     path_from_record,
     path_record,
-    path_resources,
     path_switch_states,
-    paths_intersect,
     route_connection,
 )
 from ladderbus.topology import SwitchState, build_topology
@@ -28,7 +28,6 @@ def test_route_same_column_ties_to_lane_zero():
     topo = build_topology(8, 3)
     p = route_connection(topo, 0, 1, fresh_load(topo))
     assert (p.lane, p.cmin, p.cmax) == (0, 0, 0)
-    assert p.rung_columns == frozenset({0})
 
 
 def test_route_prefers_least_loaded_lane():
@@ -88,23 +87,28 @@ def test_extract_lane_choices_match_independent_replay():
             load[best][i] += 1
 
 
+def intersect(a, b):
+    """Conflict-graph edge between a and b, built with a as path 0 and b as path 1."""
+    return build_conflict_graph([dataclasses.replace(a, edge_id=0), dataclasses.replace(b, edge_id=1)]).has_edge(0, 1)
+
+
 def test_intersect_shared_source_any_lanes():
     a = RoutedPath(0, 0, 4, lane=0, cmin=0, cmax=2)
     b = RoutedPath(1, 0, 6, lane=1, cmin=0, cmax=3)
-    assert paths_intersect(a, b) and paths_intersect(b, a)
+    assert intersect(a, b) and intersect(b, a)
 
 
 def test_intersect_disjoint_resources_false():
     a = RoutedPath(0, 0, 4, lane=0, cmin=0, cmax=2)
     b = RoutedPath(1, 2, 7, lane=1, cmin=1, cmax=3)
-    assert not paths_intersect(a, b)
-    assert not paths_intersect(b, a)
+    assert not intersect(a, b)
+    assert not intersect(b, a)
 
 
 def test_intersect_same_lane_touching_intervals():
     a = RoutedPath(0, 0, 6, lane=0, cmin=0, cmax=3)
     b = RoutedPath(1, 6, 10, lane=0, cmin=3, cmax=5)
-    assert paths_intersect(a, b)  # share the switch and rung at column 3
+    assert intersect(a, b)  # share the switch and rung at column 3
 
 
 def test_intersect_matches_resource_set_oracle():
@@ -112,8 +116,9 @@ def test_intersect_matches_resource_set_oracle():
     g = generate_synthetic(20, 90, seed=8)
     placement = place_anneal(g, topo, seed=3)
     paths = extract_paths(g, topo, placement)
+    conflicts = build_conflict_graph(paths)
     for a, b in itertools.combinations(paths, 2):
-        assert paths_intersect(a, b) == oracle_intersect(a, b, topo), (a, b)
+        assert conflicts.has_edge(a.edge_id, b.edge_id) == oracle_intersect(a, b, topo), (a, b)
 
 
 def test_intersect_symmetric_random():
@@ -125,7 +130,7 @@ def test_intersect_symmetric_random():
             return RoutedPath(eid, 2 * ca, 2 * cb + 1, lane=rng.randrange(3),
                               cmin=min(ca, cb), cmax=max(ca, cb))
         a, b = rand_path(0), rand_path(1)
-        assert paths_intersect(a, b) == paths_intersect(b, a)
+        assert intersect(a, b) == intersect(b, a)
 
 
 def test_connections_sharing_a_cluster_always_intersect():
@@ -135,18 +140,10 @@ def test_connections_sharing_a_cluster_always_intersect():
         g = generate_synthetic(n, rng.randint(2, n * (n - 1)), seed=rng.randint(0, 10**6))
         topo = build_topology(max(n, 2))
         placement = place_anneal(g, topo, seed=rng.randint(0, 10**6))
-        paths = extract_paths(g, topo, placement)
+        conflicts = build_conflict_graph(extract_paths(g, topo, placement))
         for (i, ei), (j, ej) in itertools.combinations(enumerate(g.edges), 2):
             if {ei[0], ei[1]} & {ej[0], ej[1]}:
-                assert paths_intersect(paths[i], paths[j])
-
-
-def test_path_resources_match_oracle():
-    topo = build_topology(16)
-    g = generate_synthetic(16, 60, seed=5)
-    placement = place_anneal(g, topo, seed=5)
-    for p in extract_paths(g, topo, placement):
-        assert path_resources(p, topo) == oracle_path_resources(p, topo)
+                assert conflicts.has_edge(i, j)
 
 
 def test_conflict_edges_oracle_is_consistent():
@@ -155,8 +152,9 @@ def test_conflict_edges_oracle_is_consistent():
     placement = place_anneal(g, topo, seed=6)
     paths = extract_paths(g, topo, placement)
     edges = conflict_edges_from_oracle(paths, topo)
+    conflicts = build_conflict_graph(paths)
     for i, j in itertools.combinations(range(len(paths)), 2):
-        assert (frozenset((i, j)) in edges) == paths_intersect(paths[i], paths[j])
+        assert (frozenset((i, j)) in edges) == conflicts.has_edge(i, j)
 
 
 def test_switch_states_for_span_path():

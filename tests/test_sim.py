@@ -19,7 +19,7 @@ from ladderbus.controlgen import (
 )
 from ladderbus.grouping import ScenarioSet, group_max_clique, scenario_switch_vector
 from ladderbus.placement import place_anneal
-from ladderbus.routing import extract_paths
+from ladderbus.routing import RoutedPath, extract_paths
 from ladderbus.sim import run_frames
 from ladderbus.topology import SwitchState, build_topology
 
@@ -40,7 +40,7 @@ def test_single_path_energy_counts_path_resources():
     report = run_frames(topo, programs, paths, sset, n_frames=1)
     p = paths[0]
     segments = p.cmax - p.cmin
-    rungs = len(p.rung_columns)
+    rungs = len({p.cmin, p.cmax})
     assert report.steps == 1
     assert report.collisions == 0
     assert report.delivered == {0: 1}
@@ -75,6 +75,24 @@ def test_corrupted_scenario_detects_collision():
     assert any(ev["resource"][0] == "rung" for ev in report.collision_events)
     # neither connection is cleanly delivered over a doubly-driven chain
     assert all(v == 0 for v in report.delivered.values())
+
+
+def test_chain_with_two_drivers_delivers_neither():
+    # members on columns 0-1 and on column 2 alone claim nothing in common;
+    # idle switches of lane 1 then link rungs 1 and 2 into one chain
+    topo = build_topology(6, 2)
+    paths = [RoutedPath(0, 0, 2, lane=0, cmin=0, cmax=1), RoutedPath(1, 4, 5, lane=0, cmin=2, cmax=2)]
+    vec = list(scenario_switch_vector((0, 1), paths, topo))
+    delivered = []
+    for linked in (False, True):
+        if linked:
+            vec[topo.switch_index(1, 1)] = SwitchState.RIGHT_RUNG
+            vec[topo.switch_index(1, 2)] = SwitchState.LEFT_RUNG
+        sset = ScenarioSet(scenarios=((0, 1),), switch_vectors=(tuple(vec),))
+        report = run_frames(topo, encode_scenarios(sset, partition_regions(topo, 1), topo), paths, sset, n_frames=1)
+        assert report.collisions == 0
+        delivered.append(report.delivered)
+    assert delivered == [{0: 1, 1: 1}, {0: 0, 1: 0}]
 
 
 def test_end_to_end_three_frames():
@@ -190,6 +208,23 @@ def test_left_rung_on_column_zero_rejected():
     sset = ScenarioSet(scenarios=((0,),), switch_vectors=(tuple(vec),))
     programs = encode_scenarios(sset, partition_regions(topo, 2), topo)
     with pytest.raises(ValueError, match="lane 1, column 0"):
+        run_frames(topo, programs, paths, sset, n_frames=1)
+
+
+@pytest.mark.parametrize("bad, named", [
+    ({(0, 1): SwitchState.RIGHT_RUNG, (1, 0): SwitchState.LEFT_RIGHT}, "lane 0, column 1"),
+    ({(1, 0): SwitchState.LEFT_RUNG, (1, 1): SwitchState.LEFT_RIGHT}, "lane 1, column 0"),
+])
+def test_illegal_edge_state_names_lowest_lane_then_column_zero(bad, named):
+    g = make_cluster_graph(2, [(0, 1, 1)])
+    topo = build_topology(4, 2)
+    paths = extract_paths(g, topo, place_anneal(g, topo, seed=0))
+    vec = [SwitchState.IDLE] * topo.n_switches
+    for (lane, column), state in bad.items():
+        vec[topo.switch_index(lane, column)] = state
+    sset = ScenarioSet(scenarios=((0,),), switch_vectors=(tuple(vec),))
+    programs = encode_scenarios(sset, partition_regions(topo, 1), topo)
+    with pytest.raises(ValueError, match=named):
         run_frames(topo, programs, paths, sset, n_frames=1)
 
 
