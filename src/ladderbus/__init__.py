@@ -23,7 +23,6 @@ from .grouping import (
     group_greedy,
     group_max_clique,
     max_clique,
-    optimal_grouping_exact,
     scenario_lower_bound,
 )
 from .controlgen import (

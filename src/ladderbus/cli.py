@@ -13,8 +13,8 @@ Usage:
     ladderbus report --rundir out/ --format json
     ladderbus sweep --sizes 20,40 --densities 0.15 --seeds 0,1,2 --rundir out/
 
-Config (JSON; any subset of DEFAULT_CONFIG, and a key it lacks is a
-config error except inside the free-form "graph"):
+Config (JSON; any subset of DEFAULT_CONFIG; an unknown key or a value of
+another JSON type than its default is a config error outside "graph"):
     {"seed": 1,
      "graph": {"synthetic": {"n_clusters": 24, "n_edges": 128}},
      "topology": {"n_lanes": null, "lane_width_bits": 32},
@@ -85,14 +85,30 @@ def _deep_merge(base: dict, extra: dict) -> dict:
     return out
 
 
-def _check_known_keys(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "") -> None:
-    """Reject keys DEFAULT_CONFIG does not have; the graph subtree is free-form."""
+def _type_matches(value, default, nullable: bool) -> bool:
+    """JSON type check: booleans are never numbers, an int passes where the
+    default is a float, and a null default takes null or a number."""
+    if value is None:
+        return default is None or nullable
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if default is None or isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _check_config(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "") -> None:
+    """Reject keys DEFAULT_CONFIG does not have and values whose JSON type
+    differs from their default's; the graph subtree is free-form."""
     for key, val in cfg.items():
         dotted = prefix + key
         if key not in defaults:
             raise ConfigError(f"unknown config key '{dotted}'")
-        if dotted != "graph" and isinstance(val, dict) and isinstance(defaults[key], dict):
-            _check_known_keys(val, defaults[key], dotted + ".")
+        if not _type_matches(val, defaults[key], dotted == "grouping.clique_budget_s"):  # null: no budget
+            raise ConfigError(f"config key '{dotted}' has value {json.dumps(val)}, "
+                              f"not of the type of its default {json.dumps(defaults[key])}")
+        if dotted != "graph" and isinstance(val, dict):
+            _check_config(val, defaults[key], dotted + ".")
 
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
@@ -120,7 +136,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
             if not isinstance(node, dict):
                 raise ConfigError(f"override '{key}' crosses a non-object value")
         node[parts[-1]] = value
-    _check_known_keys(cfg)
+    _check_config(cfg)
     return cfg
 
 
@@ -241,19 +257,21 @@ def stage_group(cfg: dict, rundir: Path) -> None:
     algo = gcfg.get("algorithm", "maxclique")
     _check_algorithms([algo])
     budget = gcfg.get("clique_budget_s", grouping.DEFAULT_CLIQUE_BUDGET_S)
-    sset = grouping.group_paths(algo, paths, topo, budget)
+    conflicts = grouping.build_conflict_graph(paths)
+    partition = grouping.group_paths(algo, conflicts, budget)
     try:
-        grouping.validate_scenario_set(sset, paths, topo)
+        grouping.validate_scenario_set(partition.scenarios, conflicts)
     except ValueError as exc:
         raise InvariantViolation(f"grouping produced an invalid scenario set: {exc}") from exc
-    counts = {algo: sset.n_scenarios}
+    counts = {algo: partition.n_scenarios}
     if gcfg.get("compare", True):
         other = "greedy" if algo == "maxclique" else "maxclique"
-        counts[other] = grouping.group_paths(other, paths, topo, budget).n_scenarios
+        counts[other] = grouping.group_paths(other, conflicts, budget).n_scenarios
+    sset = grouping.build_scenario_set(partition, paths, topo)
     doc = grouping.scenario_set_record(sset)
     doc["counts"] = counts
     doc["lower_bound"] = grouping.scenario_lower_bound(g)
-    doc["raw_bits"] = grouping.raw_scenario_bits(sset, topo)
+    doc["raw_bits"] = grouping.raw_scenario_bits(sset.n_scenarios, topo)
     doc["compressed_bits"] = grouping.compressed_scenario_bits(sset, topo)
     _save_json(rundir / "scenarios.json", doc)
 
@@ -318,6 +336,9 @@ def stage_sim(cfg: dict, rundir: Path) -> None:
     })
     if report.collisions > 0:
         raise InvariantViolation(f"simulation detected {report.collisions} collision(s)")
+    for edge, count in sorted(report.delivered.items()):
+        if count != n_frames:
+            raise InvariantViolation(f"connection {edge} delivered {count} time(s) in {n_frames} frame(s)")
 
 
 def stage_cost(cfg: dict, rundir: Path) -> None:

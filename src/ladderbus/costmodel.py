@@ -71,8 +71,7 @@ class CostReport:
 
 def _observation_shape(obs: CalibrationObservation) -> tuple[LadderTopology, int, int]:
     topo = build_topology(obs.n_tiles)
-    scenario_bits = obs.n_scenarios * 2 * topo.n_switches
-    return topo, scenario_bits, default_controller_count(topo)
+    return topo, grouping.raw_scenario_bits(obs.n_scenarios, topo), default_controller_count(topo)
 
 
 def calibrate(observations: list[CalibrationObservation]) -> CostModel:
@@ -121,7 +120,7 @@ SWEEP_COLUMNS = ["n", "density", "seed", "algo", "E", "scenarios", "lower_bound"
 
 def sweep_instance(n: int, density: float, seed: int, algorithms: list[str],
                    model: CostModel) -> list[dict]:
-    """Full flow on one synthetic instance; one output row per algorithm."""
+    """Full flow on one synthetic instance; one row per algorithm, all coloring one conflict graph."""
     for algo in algorithms:
         grouping.check_algorithm(algo)
     n_edges = round(density * n * (n - 1))
@@ -131,14 +130,15 @@ def sweep_instance(n: int, density: float, seed: int, algorithms: list[str],
     paths = extract_paths(g, topo, placement)
     lower = grouping.scenario_lower_bound(g)
     n_ctrl = default_controller_count(topo)
+    conflicts = grouping.build_conflict_graph(paths)
     rows = []
     for algo in algorithms:
-        sset = grouping.group_paths(algo, paths, topo)
-        bits = grouping.raw_scenario_bits(sset, topo)
+        n_scenarios = grouping.group_paths(algo, conflicts).n_scenarios
+        bits = grouping.raw_scenario_bits(n_scenarios, topo)
         frac = cost_report(topo, bits, n_ctrl, model).control_fraction
         rows.append({
             "n": n, "density": density, "seed": seed, "algo": algo,
-            "E": n_edges, "scenarios": sset.n_scenarios, "lower_bound": lower,
+            "E": n_edges, "scenarios": n_scenarios, "lower_bound": lower,
             "ctrl_bits": bits, "ctrl_frac": frac,
         })
     return rows

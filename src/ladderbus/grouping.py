@@ -2,11 +2,11 @@
 
 Vertices of the conflict graph are routed paths; an edge marks resource
 contention, so a scenario is an independent set and a full grouping is
-a coloring. Two algorithms are provided: first-fit greedy over paths in
-edge-id order, and iterated maximum-clique extraction (each clique
-member must land in a distinct scenario, which pins the lower bound
-omega(G) in the first round). A branch-and-bound exact coloring serves
-as the optimality oracle for small instances.
+a coloring. The groupers color a ConflictGraph into a Partition:
+first-fit greedy over paths in edge-id order, and iterated
+maximum-clique extraction (each clique member must land in a distinct
+scenario, which pins the lower bound omega(G) in the first round).
+Switch vectors are built once, for the partition that is stored.
 
 The conflict graph is built from the ladder's structure, not from
 pairs: per-column buckets of the paths ending on that column's rung,
@@ -31,7 +31,6 @@ from .topology import LadderTopology, SwitchState
 log = logging.getLogger(__name__)
 
 DEFAULT_CLIQUE_BUDGET_S = 10.0
-EXACT_GROUPING_MAX_PATHS = 15
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,18 @@ class GroupingStats:
     algorithm: str
     clique_calls: int = 0
     clique_fallbacks: int = 0
-    elapsed_s: float = 0.0
+
+
+@dataclass(frozen=True)
+class Partition:
+    """A grouper's result: path ids per scenario, each sorted, in scenario order."""
+
+    scenarios: tuple[tuple[int, ...], ...]
+    stats: GroupingStats
+
+    @property
+    def n_scenarios(self) -> int:
+        return len(self.scenarios)
 
 
 @dataclass(frozen=True)
@@ -137,46 +147,32 @@ def scenario_switch_vector(
     return tuple(vec)
 
 
-def _make_scenario_set(
-    scenario_ids: list[list[int]],
-    paths: list[RoutedPath],
-    topo: LadderTopology,
-    algorithm: str,
-    stats: GroupingStats | None = None,
-) -> ScenarioSet:
-    scenarios = tuple(tuple(sorted(s)) for s in scenario_ids)
-    vectors = tuple(scenario_switch_vector(s, paths, topo) for s in scenarios)
-    return ScenarioSet(scenarios=scenarios, switch_vectors=vectors, algorithm=algorithm, stats=stats)
+def build_scenario_set(partition: Partition, paths: list[RoutedPath], topo: LadderTopology) -> ScenarioSet:
+    """The stored form of a partition: one switch vector per scenario."""
+    vectors = tuple(scenario_switch_vector(s, paths, topo) for s in partition.scenarios)
+    return ScenarioSet(partition.scenarios, vectors, partition.stats.algorithm, partition.stats)
 
 
-def validate_scenario_set(sset: ScenarioSet, paths: list[RoutedPath], topo: LadderTopology) -> None:
-    """Raise ValueError unless sset is a conflict-free partition with consistent vectors."""
-    flat = [pid for s in sset.scenarios for pid in s]
-    if sorted(flat) != list(range(len(paths))):
+def validate_scenario_set(scenarios, g: ConflictGraph) -> None:
+    """Raise ValueError unless scenarios partition g's vertices into independent sets."""
+    flat = [pid for s in scenarios for pid in s]
+    if sorted(flat) != list(range(g.n)):
         raise ValueError("scenarios do not partition the path set")
-    adj = build_conflict_graph(paths).adj
-    for k, s in enumerate(sset.scenarios):
+    for k, s in enumerate(scenarios):
         members = sum(1 << pid for pid in s)
         for a in s:
-            hit = adj[a] & members
+            hit = g.adj[a] & members
             if hit:
                 b = (hit & -hit).bit_length() - 1
                 raise ValueError(f"scenario {k}: paths {a} and {b} intersect")
-    if len(sset.switch_vectors) != len(sset.scenarios):
-        raise ValueError("one switch vector required per scenario")
-    for k, s in enumerate(sset.scenarios):
-        if tuple(sset.switch_vectors[k]) != scenario_switch_vector(s, paths, topo):
-            raise ValueError(f"scenario {k}: switch vector does not realize its paths")
 
 
 # ---------------------------------------------------------------------------
 # grouping algorithms
 
 
-def group_greedy(paths: list[RoutedPath], topo: LadderTopology) -> ScenarioSet:
+def group_greedy(g: ConflictGraph) -> Partition:
     """First-fit: each path joins the first scenario it does not intersect."""
-    t0 = time.perf_counter()
-    g = build_conflict_graph(paths)
     scenario_ids: list[list[int]] = []
     conflict_masks: list[int] = []  # OR of members' adjacency; bit v set = v conflicts
     for v in range(g.n):
@@ -188,8 +184,7 @@ def group_greedy(paths: list[RoutedPath], topo: LadderTopology) -> ScenarioSet:
         else:
             scenario_ids.append([v])
             conflict_masks.append(g.adj[v])
-    stats = GroupingStats(algorithm="greedy", elapsed_s=time.perf_counter() - t0)
-    return _make_scenario_set(scenario_ids, paths, topo, "greedy", stats)
+    return Partition(tuple(map(tuple, scenario_ids)), GroupingStats("greedy"))  # members join in id order
 
 
 def _greedy_clique(adj: tuple[int, ...], alive: int) -> list[int]:
@@ -276,6 +271,9 @@ class _CliqueSearch:
             x |= bit
 
     def run(self, alive: int) -> tuple[tuple[int, ...], bool]:
+        """(clique, exact) over the alive vertices; a fallback is logged."""
+        if alive == 0:
+            raise ValueError("max_clique on an empty graph")
         self.best = tuple(_greedy_clique(self.adj, alive))
         order = _degeneracy_order(self.adj, alive)
         p, x = alive, 0
@@ -287,6 +285,7 @@ class _CliqueSearch:
                 x |= bit
             return self.best, True
         except _BudgetExpired:
+            log.warning("clique budget expired; using best clique found (size %d)", len(self.best))
             return self.best, False
 
 
@@ -322,25 +321,10 @@ def max_clique(
     Falls back to the largest clique found so far when the time budget
     expires (logged); the fallback is still a valid clique.
     """
-    return list(_max_clique_masked(g.adj, (1 << g.n) - 1, budget_s)[0])
+    return list(_CliqueSearch(g.adj, budget_s).run((1 << g.n) - 1)[0])
 
 
-def _max_clique_masked(
-    adj: tuple[int, ...], alive: int, budget_s: float | None
-) -> tuple[tuple[int, ...], bool]:
-    if alive == 0:
-        raise ValueError("max_clique on an empty graph")
-    clique, exact = _CliqueSearch(adj, budget_s).run(alive)
-    if not exact:
-        log.warning("clique budget expired; using best clique found (size %d)", len(clique))
-    return clique, exact
-
-
-def group_max_clique(
-    paths: list[RoutedPath],
-    topo: LadderTopology,
-    clique_budget_s: float | None = DEFAULT_CLIQUE_BUDGET_S,
-) -> ScenarioSet:
+def group_max_clique(g: ConflictGraph, clique_budget_s: float | None = DEFAULT_CLIQUE_BUDGET_S) -> Partition:
     """Iterated clique extraction: peel a maximum clique, spread its members
     over distinct scenarios, repeat until no path is left.
 
@@ -350,14 +334,12 @@ def group_max_clique(
     matching, so a new scenario is created only when the clique genuinely
     cannot be accommodated in the existing ones.
     """
-    t0 = time.perf_counter()
-    g = build_conflict_graph(paths)
     scenario_ids: list[list[int]] = []
     conflict_masks: list[int] = []
     alive = (1 << g.n) - 1
     calls = fallbacks = 0
     while alive:
-        clique, exact = _max_clique_masked(g.adj, alive, clique_budget_s)
+        clique, exact = _CliqueSearch(g.adj, clique_budget_s).run(alive)
         calls += 1
         fallbacks += 0 if exact else 1
         clique_mask = sum(1 << v for v in clique)
@@ -387,10 +369,9 @@ def group_max_clique(
                     return True
             return False
 
-        placed = set(owner.values())
         for v in members:
-            if v not in placed and augment(v, set()):
-                placed = set(owner.values())
+            if v not in owner.values():
+                augment(v, set())
         assigned = {v: s for s, v in owner.items()}
         for v in members:
             if v in assigned:
@@ -400,13 +381,8 @@ def group_max_clique(
                 scenario_ids.append([v])
                 conflict_masks.append(g.adj[v])
         alive = remaining
-    stats = GroupingStats(
-        algorithm="maxclique",
-        clique_calls=calls,
-        clique_fallbacks=fallbacks,
-        elapsed_s=time.perf_counter() - t0,
-    )
-    return _make_scenario_set(scenario_ids, paths, topo, "maxclique", stats)
+    stats = GroupingStats("maxclique", clique_calls=calls, clique_fallbacks=fallbacks)
+    return Partition(tuple(tuple(sorted(s)) for s in scenario_ids), stats)
 
 
 GROUPING_ALGORITHMS = ("greedy", "maxclique")
@@ -418,74 +394,21 @@ def check_algorithm(algorithm: str) -> None:
         raise ValueError(f"unknown grouping algorithm '{algorithm}' (choose from {', '.join(GROUPING_ALGORITHMS)})")
 
 
-def group_paths(algorithm: str, paths: list[RoutedPath], topo: LadderTopology,
-                clique_budget_s: float | None = DEFAULT_CLIQUE_BUDGET_S) -> ScenarioSet:
-    """Run one of GROUPING_ALGORITHMS by name. The group_* functions are looked
-    up in this module at call time, so rebinding (e.g. wrapping) one reaches every caller."""
+def group_paths(algorithm: str, g: ConflictGraph,
+                clique_budget_s: float | None = DEFAULT_CLIQUE_BUDGET_S) -> Partition:
+    """Run one of GROUPING_ALGORITHMS by name on a conflict graph. The group_*
+    functions are looked up in this module at call time, so rebinding (e.g.
+    wrapping) one reaches every caller."""
     check_algorithm(algorithm)
     if algorithm == "greedy":
-        return group_greedy(paths, topo)
-    return group_max_clique(paths, topo, clique_budget_s=clique_budget_s)
+        return group_greedy(g)
+    return group_max_clique(g, clique_budget_s=clique_budget_s)
 
 
 def scenario_lower_bound(g: ClusterGraph) -> int:
     """Max total cluster degree: all connections touching one cluster share
     its rung, so they pairwise conflict and force that many scenarios."""
     return max(g.total_degrees(), default=0)
-
-
-# ---------------------------------------------------------------------------
-# exact oracle (minimum scenario count = chromatic number of the conflict graph)
-
-
-def optimal_grouping_exact(paths: list[RoutedPath], topo: LadderTopology) -> ScenarioSet:
-    """Minimum-cardinality grouping by branch-and-bound coloring; small inputs only."""
-    t0 = time.perf_counter()
-    if len(paths) > EXACT_GROUPING_MAX_PATHS:
-        raise ValueError(
-            f"exact grouping limited to {EXACT_GROUPING_MAX_PATHS} paths, got {len(paths)}"
-        )
-    g = build_conflict_graph(paths)
-    if g.n == 0:
-        return ScenarioSet(scenarios=(), switch_vectors=(), algorithm="exact")
-    alive = (1 << g.n) - 1
-    lower = len(_max_clique_masked(g.adj, alive, None)[0])
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    coloring = [-1] * g.n
-
-    def feasible(k: int) -> bool:
-        def assign(pos: int, used: int) -> bool:
-            if pos == g.n:
-                return True
-            v = order[pos]
-            banned = 0
-            for u in range(g.n):
-                if coloring[u] >= 0 and g.has_edge(u, v):
-                    banned |= 1 << coloring[u]
-            limit = min(used + 1, k)  # new color allowed only once (symmetry)
-            for c in range(limit):
-                if (banned >> c) & 1:
-                    continue
-                coloring[v] = c
-                if assign(pos + 1, max(used, c + 1)):
-                    return True
-                coloring[v] = -1
-            return False
-
-        for i in range(g.n):
-            coloring[i] = -1
-        return assign(0, 0)
-
-    k = lower
-    while not feasible(k):
-        k += 1
-    scenario_ids: list[list[int]] = [[] for _ in range(k)]
-    for v, c in enumerate(coloring):
-        scenario_ids[c].append(v)
-    scenario_ids = [s for s in scenario_ids if s]
-    scenario_ids.sort(key=lambda s: min(s))
-    stats = GroupingStats(algorithm="exact", elapsed_s=time.perf_counter() - t0)
-    return _make_scenario_set(scenario_ids, paths, topo, "exact", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +433,9 @@ def rle_decode(runs) -> tuple[int, ...]:
     return tuple(out)
 
 
-def raw_scenario_bits(sset: ScenarioSet, topo: LadderTopology) -> int:
+def raw_scenario_bits(n_scenarios: int, topo: LadderTopology) -> int:
     """Uncompressed control memory: 2 bits per switch per scenario."""
-    return sset.n_scenarios * 2 * topo.n_switches
+    return n_scenarios * 2 * topo.n_switches
 
 
 def compressed_scenario_bits(sset: ScenarioSet, topo: LadderTopology) -> int:

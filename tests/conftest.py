@@ -3,7 +3,10 @@
 The oracles here intentionally re-derive everything from first
 principles (explicit resource sets, exhaustive subset enumeration,
 plain backtracking coloring) rather than reusing the package's
-predicates, so they can catch errors in the fast paths.
+predicates, so they can catch errors in the fast paths. The exception
+is optimal_grouping_exact, a pruned coloring search over the package's
+conflict graph: the plain backtracking oracle is too slow for the
+11-path instances of acceptance criterion 3.
 """
 
 from __future__ import annotations
@@ -14,12 +17,15 @@ import pytest
 from hypothesis import strategies as st
 
 from ladderbus import (
+    build_conflict_graph,
     build_topology,
     generate_synthetic,
     group_greedy,
     group_max_clique,
+    max_clique,
     place_anneal,
 )
+from ladderbus.grouping import GroupingStats, Partition, build_scenario_set
 from ladderbus.routing import RoutedPath, extract_paths
 from ladderbus.topology import SwitchState, tile_column
 
@@ -183,6 +189,54 @@ def oracle_chromatic_number(n: int, edges: set[frozenset]) -> int:
     return n
 
 
+EXACT_GROUPING_MAX_PATHS = 15
+
+
+def optimal_grouping_exact(g) -> Partition:
+    """Minimum-cardinality coloring of a conflict graph by branch and bound,
+    starting at the maximum clique size; small graphs only."""
+    if g.n > EXACT_GROUPING_MAX_PATHS:
+        raise ValueError(f"exact grouping limited to {EXACT_GROUPING_MAX_PATHS} paths, got {g.n}")
+    stats = GroupingStats(algorithm="exact")
+    if g.n == 0:
+        return Partition((), stats)
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    coloring = [-1] * g.n
+
+    def feasible(k: int) -> bool:
+        def assign(pos: int, used: int) -> bool:
+            if pos == g.n:
+                return True
+            v = order[pos]
+            banned = 0
+            for u in range(g.n):
+                if coloring[u] >= 0 and g.has_edge(u, v):
+                    banned |= 1 << coloring[u]
+            limit = min(used + 1, k)  # new color allowed only once (symmetry)
+            for c in range(limit):
+                if (banned >> c) & 1:
+                    continue
+                coloring[v] = c
+                if assign(pos + 1, max(used, c + 1)):
+                    return True
+                coloring[v] = -1
+            return False
+
+        for i in range(g.n):
+            coloring[i] = -1
+        return assign(0, 0)
+
+    k = len(max_clique(g, budget_s=None))
+    while not feasible(k):
+        k += 1
+    scenario_ids: list[list[int]] = [[] for _ in range(k)]
+    for v, c in enumerate(coloring):
+        scenario_ids[c].append(v)
+    scenario_ids = [s for s in scenario_ids if s]
+    scenario_ids.sort(key=lambda s: min(s))
+    return Partition(tuple(map(tuple, scenario_ids)), stats)
+
+
 def conflict_edges_from_oracle(paths, topo) -> set[frozenset]:
     edges = set()
     for i, j in itertools.combinations(range(len(paths)), 2):
@@ -230,8 +284,9 @@ class CorpusInstance:
         self.topo = build_topology(n)
         self.placement = place_anneal(self.graph, self.topo, seed=seed + 1)
         self.paths = extract_paths(self.graph, self.topo, self.placement)
-        self.sset_greedy = group_greedy(self.paths, self.topo)
-        self.sset_maxclique = group_max_clique(self.paths, self.topo)
+        conflicts = build_conflict_graph(self.paths)
+        self.sset_greedy = group_greedy(conflicts)
+        self.sset_maxclique = build_scenario_set(group_max_clique(conflicts), self.paths, self.topo)
 
     @property
     def key(self):

@@ -7,7 +7,7 @@ the reported per-cell statistics.
 import time
 from collections import defaultdict
 
-from conftest import CORPUS_SHAPES, oracle_max_clique_size, oracle_path_resources
+from conftest import CORPUS_SHAPES, optimal_grouping_exact, oracle_max_clique_size, oracle_path_resources
 
 from ladderbus.appgraph import generate_synthetic
 from ladderbus.controlgen import (
@@ -27,7 +27,6 @@ from ladderbus.grouping import (
     build_conflict_graph,
     group_max_clique,
     max_clique,
-    optimal_grouping_exact,
     scenario_lower_bound,
 )
 from ladderbus.placement import place_anneal
@@ -84,8 +83,8 @@ def test_criterion_3_oracle_bracketing():
         paths = extract_paths(g, topo, placement)
         cg = build_conflict_graph(paths)
 
-        exact = optimal_grouping_exact(paths, topo).n_scenarios
-        mc_count = group_max_clique(paths, topo).n_scenarios
+        exact = optimal_grouping_exact(cg).n_scenarios
+        mc_count = group_max_clique(cg).n_scenarios
         max_deg = max(cg.degree(v) for v in range(cg.n))
         assert exact <= mc_count <= max_deg + 1, (n, e, seed)
 
@@ -194,7 +193,7 @@ def test_criterion_9_performance_smoke():
     placement = place_anneal(g, topo, seed=1)
     paths = extract_paths(g, topo, placement)
     start = time.perf_counter()
-    sset = group_max_clique(paths, topo)  # default 10 s-per-clique budget
+    sset = group_max_clique(build_conflict_graph(paths))  # default 10 s-per-clique budget
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"grouping took {elapsed:.1f}s"
     if sset.stats.clique_fallbacks:

@@ -1,6 +1,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from ladderbus import grouping
 from ladderbus.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -130,6 +133,52 @@ def test_collision_yields_invariant_exit_code(tmp_path):
     assert all(type(v) is int for ev in events for v in [*ev["resource"][1:], ev["claims"], ev["step"]])
 
 
+def _drop_scenario_zero_switches(doc, _paths):
+    doc["scenarios"][0]["switches_rle"] = [[0, sum(run for _state, run in doc["scenarios"][0]["switches_rle"])]]
+    # a same-column connection needs no switch, so it is still delivered
+    return min(pid for pid in doc["scenarios"][0]["paths"] if _paths[pid]["cmin"] != _paths[pid]["cmax"])
+
+
+def _drop_one_path_from_its_scenario(doc, _paths):
+    return doc["scenarios"][0]["paths"].pop()
+
+
+@pytest.mark.parametrize("corrupt", [_drop_scenario_zero_switches, _drop_one_path_from_its_scenario])
+def test_undelivered_connection_is_invariant_violation(tmp_path, capsys, corrupt):
+    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    doc = json.loads((rundir / "scenarios.json").read_text())
+    paths = json.loads((rundir / "paths.json").read_text())["paths"]
+    undelivered = corrupt(doc, paths)
+    (rundir / "scenarios.json").write_text(json.dumps(doc))
+    assert main(["emit-ctrl", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["sim", "--config", cfg, "--rundir", str(rundir)]) == EXIT_INVARIANT
+    assert f"connection {undelivered} delivered 0 time(s)" in capsys.readouterr().err
+    report = json.loads((rundir / "sim_report.json").read_text())
+    assert report["collisions"] == 0
+    assert report["delivered"][str(undelivered)] == 0
+
+
+def test_group_stage_builds_one_conflict_graph(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    rundir = tmp_path / "run"
+    for stage in ["gen", "metrics", "place", "route"]:
+        assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    builds = []
+    build = grouping.build_conflict_graph
+
+    def counted(paths):
+        builds.append(len(paths))
+        return build(paths)
+
+    monkeypatch.setattr(grouping, "build_conflict_graph", counted)
+    assert main(["group", "--config", cfg, "--rundir", str(rundir), "--set", "grouping.compare=true"]) == EXIT_OK
+    assert builds == [41]
+    assert set(json.loads((rundir / "scenarios.json").read_text())["counts"]) == {"greedy", "maxclique"}
+
+
 def test_malformed_program_is_stage_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rundir = tmp_path / "run"
@@ -207,12 +256,39 @@ def test_unknown_config_key_in_override_is_config_error(tmp_path, capsys):
     assert load_config(cfg, ["graph.synthetic.seed=3"])["graph"]["synthetic"]["seed"] == 3
 
 
+@pytest.mark.parametrize("override, key", [
+    ('placement.anneal="no"', "placement.anneal"),
+    ('sim.frames="2"', "sim.frames"),
+    ('grouping.clique_budget_s="x"', "grouping.clique_budget_s"),
+    ("sim.trace=1", "sim.trace"),  # booleans are never numbers
+    ("seed=true", "seed"),
+    ("seed=1.5", "seed"),
+    ("topology.n_lanes=true", "topology.n_lanes"),
+    ("controllers.count=four", "controllers.count"),
+    ("sim.frames=null", "sim.frames"),
+    ("grouping.algorithm=3", "grouping.algorithm"),
+    ("sim=3", "sim"),
+    ("graph=[]", "graph"),
+])
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, override, key):
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", cfg, "--rundir", str(tmp_path / "run"), "--set", override]) == EXIT_CONFIG
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "graph.json").exists()
+
+
 def test_config_overrides(tmp_path):
     cfg_path = write_config(tmp_path)
     cfg = load_config(cfg_path, ["seed=9", "grouping.algorithm=greedy", "sim.frames=5"])
     assert cfg["seed"] == 9
     assert cfg["grouping"]["algorithm"] == "greedy"
     assert cfg["sim"]["frames"] == 5
+    # an int where the default is a float, null or a number where it is null,
+    # and no clique budget
+    cfg = load_config(cfg_path, ["placement.cooling=1", "placement.t0=0.5", "topology.n_lanes=4",
+                                 "grouping.clique_budget_s=null"])
+    assert (cfg["placement"]["cooling"], cfg["placement"]["t0"]) == (1, 0.5)
+    assert cfg["topology"]["n_lanes"] == 4 and cfg["grouping"]["clique_budget_s"] is None
 
 
 def test_override_via_cli_changes_output(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import ladder_paths, oracle_intersect, oracle_switch_vector
 
 from ladderbus.grouping import (
-    ScenarioSet,
     build_conflict_graph,
     group_greedy,
     scenario_switch_vector,
@@ -37,8 +36,9 @@ def test_conflict_graph_matches_predicate_and_oracle(instance):
 @given(ladder_paths())
 def test_validate_accepts_greedy_and_rejects_a_conflicting_move(instance):
     topo, paths = instance
-    sset = group_greedy(paths, topo)
-    validate_scenario_set(sset, paths, topo)
+    g = build_conflict_graph(paths)
+    sset = group_greedy(g)
+    validate_scenario_set(sset.scenarios, g)
     if sset.n_scenarios < 2:
         return
     # first-fit put each member of scenario 1 there because it conflicts with scenario 0
@@ -46,9 +46,8 @@ def test_validate_accepts_greedy_and_rejects_a_conflicting_move(instance):
     scenarios = [list(s) for s in sset.scenarios]
     scenarios[1].remove(moved)
     scenarios[0].append(moved)
-    bad = ScenarioSet(scenarios=tuple(tuple(s) for s in scenarios), switch_vectors=sset.switch_vectors)
     with pytest.raises(ValueError, match="intersect"):
-        validate_scenario_set(bad, paths, topo)
+        validate_scenario_set(scenarios, g)
 
 
 @settings(max_examples=300, deadline=None)

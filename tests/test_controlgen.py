@@ -16,7 +16,7 @@ from ladderbus.controlgen import (
     parse_program,
     partition_regions,
 )
-from ladderbus.grouping import ScenarioSet, group_max_clique
+from ladderbus.grouping import ScenarioSet, build_conflict_graph, build_scenario_set, group_max_clique
 from ladderbus.placement import place_anneal
 from ladderbus.routing import extract_paths
 from ladderbus.topology import build_topology
@@ -27,7 +27,7 @@ def pipeline(n, e, seed):
     topo = build_topology(max(n, 2))
     placement = place_anneal(g, topo, seed=seed + 1)
     paths = extract_paths(g, topo, placement)
-    return topo, paths, group_max_clique(paths, topo)
+    return topo, paths, build_scenario_set(group_max_clique(build_conflict_graph(paths)), paths, topo)
 
 
 def test_partition_single_region():

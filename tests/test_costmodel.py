@@ -1,6 +1,6 @@
 import pytest
 
-from ladderbus import costmodel
+from ladderbus import costmodel, grouping
 from ladderbus.controlgen import default_controller_count
 from ladderbus.costmodel import (
     CalibrationObservation,
@@ -139,6 +139,24 @@ def test_sweep_checks_algorithm_names_before_generating(monkeypatch):
     monkeypatch.setattr(costmodel, "generate_synthetic", no_generation)
     with pytest.raises(ValueError, match="unknown grouping algorithm 'magic'.*greedy, maxclique"):
         sweep_instance(8, 0.1, 0, ["greedy", "magic"], calibrate(reference_observations()))
+
+
+def test_sweep_builds_one_conflict_graph_and_no_switch_vectors(monkeypatch):
+    builds = []
+    build = grouping.build_conflict_graph
+
+    def counted(paths):
+        builds.append(len(paths))
+        return build(paths)
+
+    def no_vectors(*args):
+        raise AssertionError("the sweep built a switch vector")
+
+    monkeypatch.setattr(grouping, "build_conflict_graph", counted)
+    monkeypatch.setattr(grouping, "scenario_switch_vector", no_vectors)
+    rows = sweep_instance(12, 0.2, 0, ["greedy", "maxclique"], calibrate(reference_observations()))
+    assert len(builds) == 1
+    assert [r["algo"] for r in rows] == ["greedy", "maxclique"]
 
 
 def test_sweep_parallel_matches_serial():

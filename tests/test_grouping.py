@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     conflict_edges_from_oracle,
+    optimal_grouping_exact,
     oracle_chromatic_number,
     oracle_max_clique_size,
 )
@@ -13,13 +14,12 @@ from conftest import (
 from ladderbus.appgraph import generate_synthetic, make_cluster_graph
 from ladderbus.grouping import (
     ConflictGraph,
-    ScenarioSet,
     build_conflict_graph,
+    build_scenario_set,
     compressed_scenario_bits,
     group_greedy,
     group_max_clique,
     max_clique,
-    optimal_grouping_exact,
     raw_scenario_bits,
     rle_decode,
     rle_encode,
@@ -99,12 +99,12 @@ def test_conflict_graph_requires_edge_id_order():
 def test_greedy_non_intersecting_single_scenario():
     topo = build_topology(8, 2)
     paths = [RoutedPath(i, 2 * i, 2 * i + 1, lane=0, cmin=i, cmax=i) for i in range(4)]
-    assert group_greedy(paths, topo).n_scenarios == 1
+    assert group_greedy(build_conflict_graph(paths)).n_scenarios == 1
 
 
 def test_greedy_mutually_intersecting_k_scenarios():
     topo = build_topology(12, 5)
-    assert group_greedy(star_paths(5, topo), topo).n_scenarios == 5
+    assert group_greedy(build_conflict_graph(star_paths(5, topo))).n_scenarios == 5
 
 
 def test_greedy_chain_conflicts_two_scenarios():
@@ -115,7 +115,7 @@ def test_greedy_chain_conflicts_two_scenarios():
         RoutedPath(1, 2, 4, lane=1, cmin=1, cmax=2),
         RoutedPath(2, 4, 6, lane=2, cmin=2, cmax=3),
     ]
-    sset = group_greedy(paths, topo)
+    sset = group_greedy(build_conflict_graph(paths))
     assert sset.scenarios == ((0, 2), (1,))
 
 
@@ -124,7 +124,7 @@ def test_greedy_first_fit_bound():
         _, topo, paths = routed_instance(14, 50, seed=seed)
         g = build_conflict_graph(paths)
         max_deg = max(g.degree(v) for v in range(g.n))
-        assert group_greedy(paths, topo).n_scenarios <= max_deg + 1
+        assert group_greedy(build_conflict_graph(paths)).n_scenarios <= max_deg + 1
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ def test_max_clique_budget_fallback_logged(caplog):
 
 def test_group_max_clique_complete_graph():
     topo = build_topology(12, 5)
-    sset = group_max_clique(star_paths(5, topo), topo)
+    sset = group_max_clique(build_conflict_graph(star_paths(5, topo)))
     assert sset.n_scenarios == 5
     assert sset.stats.clique_fallbacks == 0
 
@@ -205,13 +205,13 @@ def test_group_max_clique_complete_graph():
 def test_group_max_clique_no_conflicts_single_scenario():
     topo = build_topology(8, 2)
     paths = [RoutedPath(i, 2 * i, 2 * i + 1, lane=0, cmin=i, cmax=i) for i in range(4)]
-    assert group_max_clique(paths, topo).n_scenarios == 1
+    assert group_max_clique(build_conflict_graph(paths)).n_scenarios == 1
 
 
 def test_group_max_clique_empty_input():
     topo = build_topology(4, 2)
-    assert group_max_clique([], topo).n_scenarios == 0
-    assert group_greedy([], topo).n_scenarios == 0
+    assert group_max_clique(build_conflict_graph([])).n_scenarios == 0
+    assert group_greedy(build_conflict_graph([])).n_scenarios == 0
 
 
 def test_group_max_clique_bounds_random():
@@ -220,11 +220,11 @@ def test_group_max_clique_bounds_random():
         paths = paths[:12]
         if not paths:
             continue
-        sset = group_max_clique(paths, topo)
-        validate_scenario_set(sset, paths, topo)
         cg = build_conflict_graph(paths)
+        sset = group_max_clique(cg)
+        validate_scenario_set(sset.scenarios, cg)
         omega = len(max_clique(cg))
-        exact = optimal_grouping_exact(paths, topo)
+        exact = optimal_grouping_exact(cg)
         assert omega <= exact.n_scenarios <= sset.n_scenarios
         max_deg = max(cg.degree(v) for v in range(cg.n))
         assert sset.n_scenarios <= max_deg + 1
@@ -232,8 +232,9 @@ def test_group_max_clique_bounds_random():
 
 def test_grouping_deterministic():
     _, topo, paths = routed_instance(24, 128, seed=5)
-    assert group_max_clique(paths, topo).scenarios == group_max_clique(paths, topo).scenarios
-    assert group_greedy(paths, topo).scenarios == group_greedy(paths, topo).scenarios
+    first, second = build_conflict_graph(paths), build_conflict_graph(paths)
+    assert group_max_clique(first).scenarios == group_max_clique(second).scenarios
+    assert group_greedy(first).scenarios == group_greedy(second).scenarios
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +258,14 @@ def test_lower_bound_holds_for_groupings():
     for n, e, seed in [(11, 18, 2), (60, 772, 1)]:
         g, topo, paths = routed_instance(n, e, seed)
         bound = scenario_lower_bound(g)
-        assert group_greedy(paths, topo).n_scenarios >= bound
-        assert group_max_clique(paths, topo).n_scenarios >= bound
+        assert group_greedy(build_conflict_graph(paths)).n_scenarios >= bound
+        assert group_max_clique(build_conflict_graph(paths)).n_scenarios >= bound
 
 
 def test_lower_bound_synth60_772_paper_value_respected():
     g, topo, paths = routed_instance(60, 772, seed=1)
     # the published largest-degree figure for this shape
-    assert group_max_clique(paths, topo).n_scenarios >= 21
+    assert group_max_clique(build_conflict_graph(paths)).n_scenarios >= 21
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +274,7 @@ def test_lower_bound_synth60_772_paper_value_respected():
 
 def test_exact_complete_graph():
     topo = build_topology(12, 5)
-    assert optimal_grouping_exact(star_paths(5, topo), topo).n_scenarios == 5
+    assert optimal_grouping_exact(build_conflict_graph(star_paths(5, topo))).n_scenarios == 5
 
 
 def test_exact_five_cycle_needs_three():
@@ -287,9 +288,9 @@ def test_exact_five_cycle_needs_three():
     ]
     cg = build_conflict_graph(paths)
     assert cg.m == 5
-    sset = optimal_grouping_exact(paths, topo)
+    sset = optimal_grouping_exact(cg)
     assert sset.n_scenarios == 3
-    validate_scenario_set(sset, paths, topo)
+    validate_scenario_set(sset.scenarios, cg)
 
 
 def test_exact_matches_backtracking_oracle():
@@ -297,7 +298,7 @@ def test_exact_matches_backtracking_oracle():
         _, topo, paths = routed_instance(8, 18, seed=seed)
         paths = paths[:10]
         edges = conflict_edges_from_oracle(paths, topo)
-        assert optimal_grouping_exact(paths, topo).n_scenarios == oracle_chromatic_number(
+        assert optimal_grouping_exact(build_conflict_graph(paths)).n_scenarios == oracle_chromatic_number(
             len(paths), edges
         )
 
@@ -306,7 +307,7 @@ def test_exact_guards_instance_size():
     topo = build_topology(40, 2)
     paths = [RoutedPath(i, 2 * i, 2 * i + 1, lane=0, cmin=i, cmax=i) for i in range(16)]
     with pytest.raises(ValueError):
-        optimal_grouping_exact(paths, topo)
+        optimal_grouping_exact(build_conflict_graph(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -315,21 +316,18 @@ def test_exact_guards_instance_size():
 
 def test_validate_rejects_non_partition():
     _, topo, paths = routed_instance(6, 8, seed=0)
-    sset = group_greedy(paths, topo)
-    broken = ScenarioSet(scenarios=sset.scenarios[:-1], switch_vectors=sset.switch_vectors[:-1])
+    cg = build_conflict_graph(paths)
+    sset = group_greedy(cg)
     if sset.n_scenarios > 1:
         with pytest.raises(ValueError):
-            validate_scenario_set(broken, paths, topo)
+            validate_scenario_set(sset.scenarios[:-1], cg)
 
 
 def test_validate_rejects_conflicting_scenario():
     topo = build_topology(12, 5)
-    paths = star_paths(3, topo)
-    vec0 = scenario_switch_vector([0, 1], paths, topo)
-    vec1 = scenario_switch_vector([2], paths, topo)
-    bad = ScenarioSet(scenarios=((0, 1), (2,)), switch_vectors=(vec0, vec1))
+    cg = build_conflict_graph(star_paths(3, topo))
     with pytest.raises(ValueError, match="intersect"):
-        validate_scenario_set(bad, paths, topo)
+        validate_scenario_set(((0, 1), (2,)), cg)
 
 
 def test_switch_vector_conflict_detected():
@@ -350,7 +348,7 @@ def test_switch_vector_rejects_reversed_interval():
 
 def test_scenario_vectors_idle_elsewhere():
     _, topo, paths = routed_instance(10, 20, seed=1)
-    sset = group_max_clique(paths, topo)
+    sset = build_scenario_set(group_max_clique(build_conflict_graph(paths)), paths, topo)
     from ladderbus.routing import path_switch_states
 
     for members, vec in zip(sset.scenarios, sset.switch_vectors):
@@ -371,7 +369,7 @@ def test_rle_round_trip():
 
 def test_scenario_record_round_trip():
     _, topo, paths = routed_instance(12, 30, seed=2)
-    sset = group_max_clique(paths, topo)
+    sset = build_scenario_set(group_max_clique(build_conflict_graph(paths)), paths, topo)
     back = scenario_set_from_record(scenario_set_record(sset))
     assert back.scenarios == sset.scenarios
     assert back.switch_vectors == sset.switch_vectors
@@ -379,6 +377,6 @@ def test_scenario_record_round_trip():
 
 def test_bit_accounting():
     _, topo, paths = routed_instance(12, 30, seed=2)
-    sset = group_max_clique(paths, topo)
-    assert raw_scenario_bits(sset, topo) == sset.n_scenarios * 2 * topo.n_switches
+    sset = build_scenario_set(group_max_clique(build_conflict_graph(paths)), paths, topo)
+    assert raw_scenario_bits(sset.n_scenarios, topo) == sset.n_scenarios * 2 * topo.n_switches
     assert 0 < compressed_scenario_bits(sset, topo)

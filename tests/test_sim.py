@@ -17,7 +17,13 @@ from ladderbus.controlgen import (
     parse_program,
     partition_regions,
 )
-from ladderbus.grouping import ScenarioSet, group_max_clique, scenario_switch_vector
+from ladderbus.grouping import (
+    ScenarioSet,
+    build_conflict_graph,
+    build_scenario_set,
+    group_max_clique,
+    scenario_switch_vector,
+)
 from ladderbus.placement import place_anneal
 from ladderbus.routing import RoutedPath, extract_paths
 from ladderbus.sim import run_frames
@@ -28,7 +34,7 @@ def pipeline(g, seed=0, n_regions=None):
     topo = build_topology(max(g.n_clusters, 2))
     placement = place_anneal(g, topo, seed=seed)
     paths = extract_paths(g, topo, placement)
-    sset = group_max_clique(paths, topo)
+    sset = build_scenario_set(group_max_clique(build_conflict_graph(paths)), paths, topo)
     regions = partition_regions(topo, n_regions or default_controller_count(topo))
     programs = encode_scenarios(sset, regions, topo)
     return topo, paths, sset, programs
@@ -53,7 +59,7 @@ def test_same_column_path_one_rung_no_segments():
     topo = build_topology(2, 1)
     placement = place_anneal(g, topo, seed=0)
     paths = extract_paths(g, topo, placement)
-    sset = group_max_clique(paths, topo)
+    sset = build_scenario_set(group_max_clique(build_conflict_graph(paths)), paths, topo)
     programs = encode_scenarios(sset, partition_regions(topo, 1), topo)
     report = run_frames(topo, programs, paths, sset, n_frames=1)
     assert report.energy == 1
@@ -135,7 +141,7 @@ def test_conditional_step_executes_when_flag_raised():
     topo = build_topology(10)
     placement = place_anneal(g, topo, seed=6)
     paths = extract_paths(g, topo, placement)
-    sset = group_max_clique(paths, topo)
+    sset = build_scenario_set(group_max_clique(build_conflict_graph(paths)), paths, topo)
     sched = build_schedule(sset, conditional=(0, 0))
     programs = encode_scenarios(sset, partition_regions(topo, 2), topo, schedule=sched)
     base = run_frames(topo, programs, paths, sset, n_frames=2, cond_flags=[False, False])
