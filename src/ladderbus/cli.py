@@ -57,7 +57,7 @@ DEFAULT_CONFIG = {
     "graph": {},
     "topology": {"n_tiles": None, "n_lanes": None, "lane_width_bits": 32},
     "placement": {"anneal": True, "t0": None, "cooling": 0.97, "iters": None},
-    "grouping": {"algorithm": "maxclique", "clique_budget_s": grouping.DEFAULT_CLIQUE_BUDGET_S, "compare": True},
+    "grouping": {"algorithm": "maxclique", "compare": True},
     "controllers": {"count": None},
     "sim": {"frames": 1, "trace": False},
 }
@@ -85,11 +85,11 @@ def _deep_merge(base: dict, extra: dict) -> dict:
     return out
 
 
-def _type_matches(value, default, nullable: bool) -> bool:
+def _type_matches(value, default) -> bool:
     """JSON type check: booleans are never numbers, an int passes where the
     default is a float, and a null default takes null or a number."""
     if value is None:
-        return default is None or nullable
+        return default is None
     if isinstance(value, bool) or isinstance(default, bool):
         return type(value) is type(default)
     if default is None or isinstance(default, float):
@@ -104,7 +104,7 @@ def _check_config(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "") 
         dotted = prefix + key
         if key not in defaults:
             raise ConfigError(f"unknown config key '{dotted}'")
-        if not _type_matches(val, defaults[key], dotted == "grouping.clique_budget_s"):  # null: no budget
+        if not _type_matches(val, defaults[key]):
             raise ConfigError(f"config key '{dotted}' has value {json.dumps(val)}, "
                               f"not of the type of its default {json.dumps(defaults[key])}")
         if dotted != "graph" and isinstance(val, dict):
@@ -250,15 +250,13 @@ def _check_algorithms(names: list[str]) -> None:
 
 
 def stage_group(cfg: dict, rundir: Path) -> None:
-    g = parse_cluster_graph(_read_state_text(rundir, "graph.json", "gen"))
     topo = _topology_from_state(rundir)
     paths = _paths_from_state(rundir)
     gcfg = cfg["grouping"]
     algo = gcfg.get("algorithm", "maxclique")
     _check_algorithms([algo])
-    budget = gcfg.get("clique_budget_s", grouping.DEFAULT_CLIQUE_BUDGET_S)
     conflicts = grouping.build_conflict_graph(paths)
-    partition = grouping.group_paths(algo, conflicts, budget)
+    partition = grouping.group_paths(algo, conflicts)
     try:
         grouping.validate_scenario_set(partition.scenarios, conflicts)
     except ValueError as exc:
@@ -266,18 +264,19 @@ def stage_group(cfg: dict, rundir: Path) -> None:
     counts = {algo: partition.n_scenarios}
     if gcfg.get("compare", True):
         other = "greedy" if algo == "maxclique" else "maxclique"
-        counts[other] = grouping.group_paths(other, conflicts, budget).n_scenarios
+        counts[other] = grouping.group_paths(other, conflicts).n_scenarios
     sset = grouping.build_scenario_set(partition, paths, topo)
     doc = grouping.scenario_set_record(sset)
     doc["counts"] = counts
-    doc["lower_bound"] = grouping.scenario_lower_bound(g)
+    doc["lower_bound"] = grouping.scenario_lower_bound(paths)
     doc["raw_bits"] = grouping.raw_scenario_bits(sset.n_scenarios, topo)
     doc["compressed_bits"] = grouping.compressed_scenario_bits(sset, topo)
     _save_json(rundir / "scenarios.json", doc)
 
 
-def _scenarios_from_state(rundir: Path):
-    return grouping.scenario_set_from_record(_load_json(rundir / "scenarios.json", "group"))
+def _scenarios_from_state(rundir: Path, topo, n_paths: int):
+    rec = _load_json(rundir / "scenarios.json", "group")
+    return grouping.scenario_set_from_record(rec, topo.n_switches, n_paths)
 
 
 def _controller_count(cfg: dict, topo) -> int:
@@ -286,7 +285,7 @@ def _controller_count(cfg: dict, topo) -> int:
 
 def stage_emit_ctrl(cfg: dict, rundir: Path) -> None:
     topo = _topology_from_state(rundir)
-    sset = _scenarios_from_state(rundir)
+    sset = _scenarios_from_state(rundir, topo, len(_paths_from_state(rundir)))
     regions = controlgen.partition_regions(topo, _controller_count(cfg, topo))
     programs = controlgen.encode_scenarios(sset, regions, topo)
     progdir = rundir / "programs"
@@ -316,7 +315,7 @@ def _programs_from_state(rundir: Path):
 def stage_sim(cfg: dict, rundir: Path) -> None:
     topo = _topology_from_state(rundir)
     paths = _paths_from_state(rundir)
-    sset = _scenarios_from_state(rundir)
+    sset = _scenarios_from_state(rundir, topo, len(paths))
     programs = _programs_from_state(rundir)
     n_frames = cfg["sim"].get("frames", 1)
     if cfg["sim"].get("trace"):

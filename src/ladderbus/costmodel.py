@@ -128,7 +128,7 @@ def sweep_instance(n: int, density: float, seed: int, algorithms: list[str],
     topo = build_topology(n)
     placement = place_greedy(g, topo)
     paths = extract_paths(g, topo, placement)
-    lower = grouping.scenario_lower_bound(g)
+    lower = grouping.scenario_lower_bound(paths)
     n_ctrl = default_controller_count(topo)
     conflicts = grouping.build_conflict_graph(paths)
     rows = []

@@ -5,7 +5,11 @@ contention, so a scenario is an independent set and a full grouping is
 a coloring. The groupers color a ConflictGraph into a Partition:
 first-fit greedy over paths in edge-id order, and iterated
 maximum-clique extraction (each clique member must land in a distinct
-scenario, which pins the lower bound omega(G) in the first round).
+scenario). Each clique search is exact within a fixed count of search
+nodes, so a grouping depends on its input alone, never on machine speed.
+scenario_lower_bound is the structural bound B, the size of the largest
+rung star or lane cover: both are cliques, so every grouping needs at
+least B scenarios.
 Switch vectors are built once, for the partition that is stored.
 
 The conflict graph is built from the ladder's structure, not from
@@ -19,18 +23,14 @@ enough for ten-thousand-path instances.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
 
-from .appgraph import ClusterGraph
 from .routing import RoutedPath, path_switch_states
 from .topology import LadderTopology, SwitchState
 
 log = logging.getLogger(__name__)
-
-DEFAULT_CLIQUE_BUDGET_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -187,18 +187,10 @@ def group_greedy(g: ConflictGraph) -> Partition:
     return Partition(tuple(map(tuple, scenario_ids)), GroupingStats("greedy"))  # members join in id order
 
 
-def _greedy_clique(adj: tuple[int, ...], alive: int) -> list[int]:
-    """Fast large clique to seed the branch-and-bound size bound."""
-    best_v, best_deg = -1, -1
-    m = alive
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        d = (adj[v] & alive).bit_count()
-        if d > best_deg:
-            best_v, best_deg = v, d
-    clique = [best_v]
-    cand = adj[best_v] & alive
+def _greedy_clique(adj: tuple[int, ...], cand: int) -> list[int]:
+    """Fast large clique to seed the branch-and-bound size bound: take the
+    candidate with most candidate neighbors (ties to the lowest id), repeat."""
+    clique = []
     while cand:
         pick, pick_deg = -1, -1
         m = cand
@@ -217,36 +209,32 @@ class _BudgetExpired(Exception):
     pass
 
 
+CLIQUE_TICK_LIMIT = 1 << 18  # search nodes per clique call
+
+
 class _CliqueSearch:
     """Bron-Kerbosch with pivoting, pruned to maximum-clique search.
 
     Enumerates every maximal clique whose size can still reach the
     current best, so the lexicographically smallest maximum clique is
-    selected exactly (unless the time budget expires, in which case the
-    best clique found so far is returned and marked non-exact).
+    selected exactly, whatever the outer vertex order. The search stops
+    after CLIQUE_TICK_LIMIT nodes; it then returns the best clique found
+    so far, marked non-exact, so the result never depends on machine speed.
     """
 
-    def __init__(self, adj, budget_s):
+    def __init__(self, adj):
         self.adj = adj
-        self.deadline = time.monotonic() + budget_s if budget_s is not None else None
         self.ticks = 0
         self.best: tuple[int, ...] = ()
 
-    def _tick(self):
-        self.ticks += 1
-        if self.deadline is not None and self.ticks % 256 == 0:
-            if time.monotonic() > self.deadline:
-                raise _BudgetExpired
-
-    def _consider(self, r: list[int]):
-        cand = tuple(sorted(r))
-        if len(cand) > len(self.best) or (len(cand) == len(self.best) and cand < self.best):
-            self.best = cand
-
     def _expand(self, r: list[int], p: int, x: int):
-        self._tick()
-        if p == 0 and x == 0:
-            self._consider(r)
+        self.ticks += 1
+        if self.ticks > CLIQUE_TICK_LIMIT:
+            raise _BudgetExpired
+        if p == 0 and x == 0:  # r is maximal: keep the larger, then the lexicographically smaller
+            cand = tuple(sorted(r))
+            if (-len(cand), cand) < (-len(self.best), self.best):
+                self.best = cand
             return
         if len(r) + p.bit_count() < len(self.best):
             return
@@ -271,11 +259,15 @@ class _CliqueSearch:
             x |= bit
 
     def run(self, alive: int) -> tuple[tuple[int, ...], bool]:
-        """(clique, exact) over the alive vertices; a fallback is logged."""
+        """(clique, exact) over the alive vertices; a fallback is logged.
+
+        The outer loop visits vertices by ascending degree within the alive
+        set, ties to the lowest id (the static order of Tomita and Seki)."""
         if alive == 0:
             raise ValueError("max_clique on an empty graph")
         self.best = tuple(_greedy_clique(self.adj, alive))
-        order = _degeneracy_order(self.adj, alive)
+        order = sorted((v for v in range(alive.bit_length()) if (alive >> v) & 1),
+                       key=lambda v: ((self.adj[v] & alive).bit_count(), v))
         p, x = alive, 0
         try:
             for v in order:
@@ -285,46 +277,20 @@ class _CliqueSearch:
                 x |= bit
             return self.best, True
         except _BudgetExpired:
-            log.warning("clique budget expired; using best clique found (size %d)", len(self.best))
+            log.warning("clique node budget expired; using best clique found (size %d)", len(self.best))
             return self.best, False
 
 
-def _degeneracy_order(adj: tuple[int, ...], alive: int) -> list[int]:
-    """Repeatedly peel a minimum-degree vertex (ties to lowest id)."""
-    remaining = alive
-    degs = {}
-    m = alive
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        degs[v] = (adj[v] & alive).bit_count()
-    order = []
-    while remaining:
-        v = min(degs, key=lambda u: (degs[u], u))
-        order.append(v)
-        del degs[v]
-        remaining &= ~(1 << v)
-        nb = adj[v] & remaining
-        while nb:
-            u = (nb & -nb).bit_length() - 1
-            nb &= nb - 1
-            degs[u] -= 1
-    return order
-
-
-def max_clique(
-    g: ConflictGraph,
-    budget_s: float | None = DEFAULT_CLIQUE_BUDGET_S,
-) -> list[int]:
+def max_clique(g: ConflictGraph) -> list[int]:
     """Maximum clique, lexicographically smallest among ties.
 
-    Falls back to the largest clique found so far when the time budget
-    expires (logged); the fallback is still a valid clique.
+    Falls back to the largest clique found so far when the search reaches
+    CLIQUE_TICK_LIMIT nodes (logged); the fallback is still a valid clique.
     """
-    return list(_CliqueSearch(g.adj, budget_s).run((1 << g.n) - 1)[0])
+    return list(_CliqueSearch(g.adj).run((1 << g.n) - 1)[0])
 
 
-def group_max_clique(g: ConflictGraph, clique_budget_s: float | None = DEFAULT_CLIQUE_BUDGET_S) -> Partition:
+def group_max_clique(g: ConflictGraph) -> Partition:
     """Iterated clique extraction: peel a maximum clique, spread its members
     over distinct scenarios, repeat until no path is left.
 
@@ -339,7 +305,7 @@ def group_max_clique(g: ConflictGraph, clique_budget_s: float | None = DEFAULT_C
     alive = (1 << g.n) - 1
     calls = fallbacks = 0
     while alive:
-        clique, exact = _CliqueSearch(g.adj, clique_budget_s).run(alive)
+        clique, exact = _CliqueSearch(g.adj).run(alive)
         calls += 1
         fallbacks += 0 if exact else 1
         clique_mask = sum(1 << v for v in clique)
@@ -394,21 +360,32 @@ def check_algorithm(algorithm: str) -> None:
         raise ValueError(f"unknown grouping algorithm '{algorithm}' (choose from {', '.join(GROUPING_ALGORITHMS)})")
 
 
-def group_paths(algorithm: str, g: ConflictGraph,
-                clique_budget_s: float | None = DEFAULT_CLIQUE_BUDGET_S) -> Partition:
+def group_paths(algorithm: str, g: ConflictGraph) -> Partition:
     """Run one of GROUPING_ALGORITHMS by name on a conflict graph. The group_*
     functions are looked up in this module at call time, so rebinding (e.g.
     wrapping) one reaches every caller."""
     check_algorithm(algorithm)
     if algorithm == "greedy":
         return group_greedy(g)
-    return group_max_clique(g, clique_budget_s=clique_budget_s)
+    return group_max_clique(g)
 
 
-def scenario_lower_bound(g: ClusterGraph) -> int:
-    """Max total cluster degree: all connections touching one cluster share
-    its rung, so they pairwise conflict and force that many scenarios."""
-    return max(g.total_degrees(), default=0)
+def scenario_lower_bound(paths: list[RoutedPath]) -> int:
+    """Bound B: the larger of the column star load (paths with an endpoint in
+    one column share its rung) and the lane point cover (paths on one lane
+    covering one column pairwise overlap). Both are cliques, so B is at most
+    the clique number, and B is at least the largest total cluster degree."""
+    n_cols = max((p.cmax for p in paths), default=-1) + 1
+    star = [0] * n_cols
+    cover: dict[int, list[int]] = {}  # lane -> +1 at cmin, -1 after cmax
+    for p in paths:
+        star[p.cmin] += 1
+        if p.cmax != p.cmin:
+            star[p.cmax] += 1
+        ends = cover.setdefault(p.lane, [0] * (n_cols + 1))
+        ends[p.cmin] += 1
+        ends[p.cmax + 1] -= 1
+    return max([*star, *(max(accumulate(ends)) for ends in cover.values())], default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +439,27 @@ def scenario_set_record(sset: ScenarioSet) -> dict:
     return rec
 
 
-def scenario_set_from_record(rec: dict) -> ScenarioSet:
+def scenario_set_from_record(rec: dict, n_switches: int, n_paths: int) -> ScenarioSet:
+    """Inverse of scenario_set_record for a ladder of n_switches switches and
+    n_paths routed paths; raises ValueError naming the first scenario that
+    does not fit them."""
+    for k, s in enumerate(rec["scenarios"]):
+        if not isinstance(s, dict) or not all(isinstance(s.get(key), list) for key in ("paths", "switches_rle")):
+            raise ValueError(f"scenario {k}: needs the lists 'paths' and 'switches_rle'")
+        for pid in s["paths"]:
+            if type(pid) is not int or not 0 <= pid < n_paths:  # JSON true/false are not ids
+                raise ValueError(f"scenario {k}: path id {pid!r} is not one of the {n_paths} routed paths")
+        for run in s["switches_rle"]:
+            if not (isinstance(run, list) and len(run) == 2 and all(type(v) is int for v in run)
+                    and 0 <= run[0] <= 3 and run[1] >= 1):
+                raise ValueError(f"scenario {k}: switch run {run!r} is not [state 0..3, run length >= 1]")
+        total = sum(count for _state, count in s["switches_rle"])
+        if total != n_switches:
+            raise ValueError(f"scenario {k}: switch runs cover {total} switches, not the ladder's {n_switches}")
     scenarios = tuple(tuple(s["paths"]) for s in rec["scenarios"])
     vectors = tuple(rle_decode(s["switches_rle"]) for s in rec["scenarios"])
-    return ScenarioSet(scenarios=scenarios, switch_vectors=vectors, algorithm=rec.get("algorithm", ""))
+    algorithm = rec.get("algorithm", "")
+    stats = rec.get("stats")
+    if stats is not None:
+        stats = GroupingStats(algorithm, stats["clique_calls"], stats["clique_fallbacks"])
+    return ScenarioSet(scenarios, vectors, algorithm, stats)

@@ -226,7 +226,7 @@ def optimal_grouping_exact(g) -> Partition:
             coloring[i] = -1
         return assign(0, 0)
 
-    k = len(max_clique(g, budget_s=None))
+    k = len(max_clique(g))
     while not feasible(k):
         k += 1
     scenario_ids: list[list[int]] = [[] for _ in range(k)]

@@ -161,6 +161,53 @@ def test_undelivered_connection_is_invariant_violation(tmp_path, capsys, corrupt
     assert report["delivered"][str(undelivered)] == 0
 
 
+def _set_state_7(scenario):
+    scenario["switches_rle"][0][0] = 7
+
+
+def _set_run_0(scenario):
+    scenario["switches_rle"].append([0, 0])
+
+
+def _cover_one_switch_too_many(scenario):
+    scenario["switches_rle"].append([0, 1])
+
+
+def _set_path_999(scenario):
+    scenario["paths"][0] = 999
+
+
+def _set_path_a(scenario):
+    scenario["paths"][0] = "a"
+
+
+def _drop_switches_rle(scenario):
+    del scenario["switches_rle"]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_set_state_7, "[7, "),
+    (_set_run_0, "[0, 0]"),
+    (_cover_one_switch_too_many, "switches, not the ladder's"),
+    (_set_path_999, "path id 999 "),
+    (_set_path_a, "path id 'a' "),
+    (_drop_switches_rle, "'switches_rle'"),
+], ids=["state-7", "run-0", "runs-too-long", "path-999", "path-a", "no-switches_rle"])
+def test_malformed_scenario_record_is_stage_error(tmp_path, capsys, corrupt, message):
+    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    doc = json.loads((rundir / "scenarios.json").read_text())
+    last = len(doc["scenarios"]) - 1
+    corrupt(doc["scenarios"][last])
+    (rundir / "scenarios.json").write_text(json.dumps(doc))
+    for stage in ("emit-ctrl", "sim"):
+        capsys.readouterr()
+        assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert f"stage {stage} failed: scenario {last}: " in err and message in err, err
+
+
 def test_group_stage_builds_one_conflict_graph(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     rundir = tmp_path / "run"
@@ -259,7 +306,7 @@ def test_unknown_config_key_in_override_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("override, key", [
     ('placement.anneal="no"', "placement.anneal"),
     ('sim.frames="2"', "sim.frames"),
-    ('grouping.clique_budget_s="x"', "grouping.clique_budget_s"),
+    ('placement.cooling="x"', "placement.cooling"),
     ("sim.trace=1", "sim.trace"),  # booleans are never numbers
     ("seed=true", "seed"),
     ("seed=1.5", "seed"),
@@ -283,12 +330,18 @@ def test_config_overrides(tmp_path):
     assert cfg["seed"] == 9
     assert cfg["grouping"]["algorithm"] == "greedy"
     assert cfg["sim"]["frames"] == 5
-    # an int where the default is a float, null or a number where it is null,
-    # and no clique budget
-    cfg = load_config(cfg_path, ["placement.cooling=1", "placement.t0=0.5", "topology.n_lanes=4",
-                                 "grouping.clique_budget_s=null"])
+    # an int where the default is a float, null or a number where it is null
+    cfg = load_config(cfg_path, ["placement.cooling=1", "placement.t0=0.5", "topology.n_lanes=4"])
     assert (cfg["placement"]["cooling"], cfg["placement"]["t0"]) == (1, 0.5)
-    assert cfg["topology"]["n_lanes"] == 4 and cfg["grouping"]["clique_budget_s"] is None
+    assert cfg["topology"]["n_lanes"] == 4
+
+
+def test_clique_budget_key_is_config_error(tmp_path, capsys):
+    # the clique search stops on a fixed node count, not on a configurable time
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", cfg, "--rundir", str(tmp_path / "run"),
+                 "--set", "grouping.clique_budget_s=5"]) == EXIT_CONFIG
+    assert "'grouping.clique_budget_s'" in capsys.readouterr().err
 
 
 def test_override_via_cli_changes_output(tmp_path):

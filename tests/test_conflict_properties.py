@@ -1,16 +1,25 @@
 """Property tests: the structural conflict build agrees with the pairwise
-resource-set oracle, validation reads its masks, and
-scenario switch vectors agree with the per-switch oracle."""
+resource-set oracle, validation reads its masks, the structural bound
+lies below the oracle's clique number, and scenario switch vectors agree
+with the per-switch oracle."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ladder_paths, oracle_intersect, oracle_switch_vector
+from conftest import (
+    conflict_edges_from_oracle,
+    ladder_paths,
+    oracle_intersect,
+    oracle_max_clique_size,
+    oracle_switch_vector,
+)
 
 from ladderbus.grouping import (
     build_conflict_graph,
     group_greedy,
+    group_max_clique,
+    scenario_lower_bound,
     scenario_switch_vector,
     validate_scenario_set,
 )
@@ -48,6 +57,17 @@ def test_validate_accepts_greedy_and_rejects_a_conflicting_move(instance):
     scenarios[0].append(moved)
     with pytest.raises(ValueError, match="intersect"):
         validate_scenario_set(scenarios, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ladder_paths())
+def test_lower_bound_below_clique_number_below_groupings(instance):
+    topo, paths = instance
+    omega = oracle_max_clique_size(len(paths), conflict_edges_from_oracle(paths, topo))
+    g = build_conflict_graph(paths)
+    assert scenario_lower_bound(paths) <= omega
+    assert omega <= group_greedy(g).n_scenarios
+    assert omega <= group_max_clique(g).n_scenarios
 
 
 @settings(max_examples=300, deadline=None)

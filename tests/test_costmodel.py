@@ -1,6 +1,7 @@
 import pytest
 
 from ladderbus import costmodel, grouping
+from ladderbus.appgraph import generate_synthetic
 from ladderbus.controlgen import default_controller_count
 from ladderbus.costmodel import (
     CalibrationObservation,
@@ -113,17 +114,19 @@ def test_sweep_rows_and_csv_format():
 def test_sweep_scenarios_respect_lower_bound():
     rows = scaling_sweep([12, 20], [0.2], [0], ["greedy", "maxclique"])
     for row in rows:
-        assert row["scenarios"] >= row["lower_bound"]
+        g = generate_synthetic(row["n"], row["E"], row["seed"])
+        assert row["scenarios"] >= row["lower_bound"] >= max(g.total_degrees())
 
 
 def test_sweep_complete_small_graph():
-    # complete directed graph on 4 clusters: bound = total degree 6; the
-    # exhaustive coloring oracle gives 10 scenarios on this topology, and
-    # max-clique grouping attains it
+    # complete directed graph on 4 clusters (total degree 6) in 2 columns: all
+    # 12 connections but the 2 inside the other column use a column's rung, so
+    # B = 10; the exhaustive coloring oracle gives 10 scenarios on this
+    # topology, and max-clique grouping attains it
     rows = sweep_instance(4, 1.0, 0, ["maxclique"], calibrate(reference_observations()))
     row = rows[0]
     assert row["E"] == 12
-    assert row["lower_bound"] == 6
+    assert row["lower_bound"] == 10
     assert row["scenarios"] == 10
 
 

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import random
+import time
 
 import pytest
 
@@ -11,9 +12,11 @@ from conftest import (
     oracle_max_clique_size,
 )
 
+from ladderbus import grouping
 from ladderbus.appgraph import generate_synthetic, make_cluster_graph
 from ladderbus.grouping import (
     ConflictGraph,
+    GroupingStats,
     build_conflict_graph,
     build_scenario_set,
     compressed_scenario_bits,
@@ -29,7 +32,7 @@ from ladderbus.grouping import (
     scenario_switch_vector,
     validate_scenario_set,
 )
-from ladderbus.placement import place_anneal
+from ladderbus.placement import place_anneal, place_greedy
 from ladderbus.routing import RoutedPath, extract_paths
 from ladderbus.topology import build_topology
 
@@ -177,18 +180,20 @@ def test_max_clique_deterministic():
     assert max_clique(g) == max_clique(g)
 
 
-def test_max_clique_budget_fallback_logged(caplog):
+def test_max_clique_budget_fallback_logged(caplog, monkeypatch):
     rng = random.Random(77)
     n = 80
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.5]
     g = graph_from_edges(n, edges)
+    monkeypatch.setattr(grouping, "CLIQUE_TICK_LIMIT", 100)
     with caplog.at_level(logging.WARNING, logger="ladderbus.grouping"):
-        clique = max_clique(g, budget_s=1e-6)
+        clique = max_clique(g)
     assert any("budget" in rec.message for rec in caplog.records)
-    # fallback still returns a valid clique
+    # fallback still returns a valid clique, and the same one every time
     edge_set = {frozenset(e) for e in edges}
     assert all(frozenset((u, v)) in edge_set for u, v in itertools.combinations(clique, 2))
     assert len(clique) >= 1
+    assert max_clique(g) == clique
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +235,18 @@ def test_group_max_clique_bounds_random():
         assert sset.n_scenarios <= max_deg + 1
 
 
+def test_group_max_clique_ignores_wall_clock(monkeypatch):
+    # a machine so slow that an hour passes between two clock reads
+    _, topo, paths = routed_instance(60, 348, seed=0)
+    cg = build_conflict_graph(paths)
+    expected = group_max_clique(cg)
+    clock = itertools.count(step=3600.0)
+    monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+    slow = group_max_clique(cg)
+    assert slow.scenarios == expected.scenarios
+    assert slow.stats == expected.stats and slow.stats.clique_fallbacks == 0
+
+
 def test_grouping_deterministic():
     _, topo, paths = routed_instance(24, 128, seed=5)
     first, second = build_conflict_graph(paths), build_conflict_graph(paths)
@@ -242,22 +259,35 @@ def test_grouping_deterministic():
 
 
 def test_lower_bound_star():
+    # five connections out of cluster 0 all use the rung of its column
     g = make_cluster_graph(6, [(0, i, 1) for i in range(1, 6)])
-    assert scenario_lower_bound(g) == 5
+    topo = build_topology(6)
+    assert scenario_lower_bound(extract_paths(g, topo, place_greedy(g, topo))) == 5
+
+
+def test_lower_bound_lane_cover():
+    # three nested intervals on one lane share the switch at column 2; no
+    # column has more than two path ends
+    paths = [RoutedPath(0, 0, 8, lane=0, cmin=0, cmax=4), RoutedPath(1, 2, 6, lane=0, cmin=1, cmax=3),
+             RoutedPath(2, 5, 4, lane=0, cmin=2, cmax=2), RoutedPath(3, 0, 2, lane=1, cmin=0, cmax=1)]
+    assert scenario_lower_bound(paths) == 3
+    assert len(max_clique(build_conflict_graph(paths))) == 3
+    assert scenario_lower_bound([]) == 0
 
 
 def test_lower_bound_reference_counts():
     # application-shaped fixture with largest total degree 6; the measured
-    # implementation needed 8 scenarios, respecting the bound
-    g = generate_synthetic(11, 18, seed=2)
-    assert scenario_lower_bound(g) == 6
-    assert 6 <= 8
+    # implementation needed 8 scenarios, which the structural bound proves optimal
+    g, topo, paths = routed_instance(11, 18, seed=2)
+    assert max(g.total_degrees()) == 6
+    assert scenario_lower_bound(paths) == 8
 
 
 def test_lower_bound_holds_for_groupings():
     for n, e, seed in [(11, 18, 2), (60, 772, 1)]:
         g, topo, paths = routed_instance(n, e, seed)
-        bound = scenario_lower_bound(g)
+        bound = scenario_lower_bound(paths)
+        assert bound >= max(g.total_degrees())
         assert group_greedy(build_conflict_graph(paths)).n_scenarios >= bound
         assert group_max_clique(build_conflict_graph(paths)).n_scenarios >= bound
 
@@ -370,9 +400,12 @@ def test_rle_round_trip():
 def test_scenario_record_round_trip():
     _, topo, paths = routed_instance(12, 30, seed=2)
     sset = build_scenario_set(group_max_clique(build_conflict_graph(paths)), paths, topo)
-    back = scenario_set_from_record(scenario_set_record(sset))
+    rec = scenario_set_record(sset)
+    back = scenario_set_from_record(rec, topo.n_switches, len(paths))
     assert back.scenarios == sset.scenarios
     assert back.switch_vectors == sset.switch_vectors
+    assert back.stats == sset.stats == GroupingStats("maxclique", clique_calls=rec["stats"]["clique_calls"])
+    assert scenario_set_record(back) == rec
 
 
 def test_bit_accounting():
