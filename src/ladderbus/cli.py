@@ -269,6 +269,7 @@ def stage_group(cfg: dict, rundir: Path) -> None:
     doc = grouping.scenario_set_record(sset)
     doc["counts"] = counts
     doc["lower_bound"] = grouping.scenario_lower_bound(paths)
+    doc["gap"] = sset.n_scenarios - doc["lower_bound"]
     doc["raw_bits"] = grouping.raw_scenario_bits(sset.n_scenarios, topo)
     doc["compressed_bits"] = grouping.compressed_scenario_bits(sset, topo)
     _save_json(rundir / "scenarios.json", doc)
@@ -384,10 +385,12 @@ def build_report(rundir: Path) -> dict:
         out["placement"] = {"greedy_cost": rec["greedy_cost"], "final_cost": rec["final_cost"]}
     if (rundir / "scenarios.json").exists():
         rec = json.loads((rundir / "scenarios.json").read_text())
-        section = {"lower_bound": rec["lower_bound"], "raw_bits": rec["raw_bits"],
-                   "compressed_bits": rec["compressed_bits"], "algorithm": rec["algorithm"]}
+        section = {"lower_bound": rec["lower_bound"], "gap": rec["gap"],
+                   "raw_bits": rec["raw_bits"], "compressed_bits": rec["compressed_bits"],
+                   "algorithm": rec["algorithm"]}
         for algo, count in rec["counts"].items():
             section[f"scenarios_{algo}"] = count
+        section.update(rec.get("stats", {}))  # clique_calls, clique_fallbacks
         out["grouping"] = section
     if (rundir / "sim_report.json").exists():
         rec = json.loads((rundir / "sim_report.json").read_text())

@@ -10,8 +10,8 @@ five small applications on this bus:
 Five calibration points support nothing richer; the model is a
 calibration of this design's scaling shape, not a CLB predictor for
 arbitrary FPGAs. The sweep runs the whole flow over synthetic cluster
-graphs and tabulates connection counts, scenario counts, bounds and
-control-plane fractions.
+graphs and tabulates connection counts, scenario counts, bounds, the
+gap between the two and control-plane fractions.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def cost_report(
 # ---------------------------------------------------------------------------
 # scaling sweep
 
-SWEEP_COLUMNS = ["n", "density", "seed", "algo", "E", "scenarios", "lower_bound", "ctrl_bits", "ctrl_frac"]
+SWEEP_COLUMNS = ["n", "density", "seed", "algo", "E", "scenarios", "lower_bound", "gap", "ctrl_bits", "ctrl_frac"]
 
 
 def sweep_instance(n: int, density: float, seed: int, algorithms: list[str],
@@ -139,7 +139,7 @@ def sweep_instance(n: int, density: float, seed: int, algorithms: list[str],
         rows.append({
             "n": n, "density": density, "seed": seed, "algo": algo,
             "E": n_edges, "scenarios": n_scenarios, "lower_bound": lower,
-            "ctrl_bits": bits, "ctrl_frac": frac,
+            "gap": n_scenarios - lower, "ctrl_bits": bits, "ctrl_frac": frac,
         })
     return rows
 
@@ -181,6 +181,6 @@ def sweep_to_csv(rows: list[dict]) -> str:
     for r in rows:
         lines.append(
             f"{r['n']},{r['density']:g},{r['seed']},{r['algo']},{r['E']},"
-            f"{r['scenarios']},{r['lower_bound']},{r['ctrl_bits']},{r['ctrl_frac']:.6f}"
+            f"{r['scenarios']},{r['lower_bound']},{r['gap']},{r['ctrl_bits']},{r['ctrl_frac']:.6f}"
         )
     return "\n".join(lines) + "\n"

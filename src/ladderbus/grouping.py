@@ -5,8 +5,11 @@ contention, so a scenario is an independent set and a full grouping is
 a coloring. The groupers color a ConflictGraph into a Partition:
 first-fit greedy over paths in edge-id order, and iterated
 maximum-clique extraction (each clique member must land in a distinct
-scenario). Each clique search is exact within a fixed count of search
-nodes, so a grouping depends on its input alone, never on machine speed.
+scenario). Each clique is found in two passes, a colour-bounded branch
+and bound for the clique number ω and then a member-by-member choice,
+in id order, of the lexicographically first ω-clique; the search is
+exact within a fixed count of search nodes, so a grouping depends on its
+input alone, never on machine speed.
 scenario_lower_bound is the structural bound B, the size of the largest
 rung star or lane cover: both are cliques, so every grouping needs at
 least B scenarios.
@@ -16,7 +19,7 @@ The conflict graph is built from the ladder's structure, not from
 pairs: per-column buckets of the paths ending on that column's rung,
 plus per-lane prefix masks over cmin and suffix masks over cmax.
 Adjacency is kept as per-vertex bitmasks (Python ints), which makes
-first-fit, Bron-Kerbosch set algebra and scenario validation cheap
+first-fit, clique-search set algebra and scenario validation cheap
 enough for ten-thousand-path instances.
 """
 
@@ -212,69 +215,110 @@ class _BudgetExpired(Exception):
 CLIQUE_TICK_LIMIT = 1 << 18  # search nodes per clique call
 
 
-class _CliqueSearch:
-    """Bron-Kerbosch with pivoting, pruned to maximum-clique search.
+def _colour_classes(adj, p: int) -> list[int]:
+    """Greedy colouring of p, each class filled in bit order: its colour
+    classes as masks."""
+    classes = []
+    while p:
+        c, q = 0, p
+        while q:
+            low = q & -q
+            c |= low
+            q = (q ^ low) & ~adj[low.bit_length() - 1]
+        classes.append(c)
+        p ^= c
+    return classes
 
-    Enumerates every maximal clique whose size can still reach the
-    current best, so the lexicographically smallest maximum clique is
-    selected exactly, whatever the outer vertex order. The search stops
-    after CLIQUE_TICK_LIMIT nodes; it then returns the best clique found
-    so far, marked non-exact, so the result never depends on machine speed.
+
+class _CliqueSearch:
+    """Exact maximum-clique search in two passes over adjacency bitmasks.
+
+    Pass 1 finds the clique number ω as in MCQ (Tomita and Seki 2003):
+    seeded with _greedy_clique, it branches on the candidates in reverse
+    greedy-colour order and stops at a candidate whose colour cannot lift
+    the clique above the best. Pass 2 then builds the lexicographically
+    smallest ω-clique member by member, in ascending-id order: the next
+    member is the smallest candidate that still extends to an ω-clique,
+    which a popcount, the colour classes of the remaining candidates and
+    then the branch and bound decide. The best clique known already is
+    such an extension, so no candidate past its next member is tried.
+    A run stops after CLIQUE_TICK_LIMIT search nodes of both passes; it
+    then returns the best clique found so far, marked non-exact, so the
+    result never depends on machine speed.
     """
 
     def __init__(self, adj):
         self.adj = adj
         self.ticks = 0
         self.best: tuple[int, ...] = ()
+        self.floor = self.cap = 0
 
-    def _expand(self, r: list[int], p: int, x: int):
+    def _tick(self) -> None:
         self.ticks += 1
         if self.ticks > CLIQUE_TICK_LIMIT:
             raise _BudgetExpired
-        if p == 0 and x == 0:  # r is maximal: keep the larger, then the lexicographically smaller
-            cand = tuple(sorted(r))
-            if (-len(cand), cand) < (-len(self.best), self.best):
-                self.best = cand
-            return
-        if len(r) + p.bit_count() < len(self.best):
-            return
-        # pivot: vertex of P|X covering most of P
-        pivot, cover = -1, -1
-        m = p | x
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            c = (self.adj[u] & p).bit_count()
-            if c > cover:
-                pivot, cover = u, c
-        m = p & ~self.adj[pivot]
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            bit = 1 << v
+
+    def _grow(self, r: list[int], p: int) -> bool:
+        """Branch and bound: a clique of more than self.floor members that
+        extends r by p becomes self.best and raises the floor to its size;
+        True once the floor reaches self.cap."""
+        self._tick()
+        if not p:
+            if len(r) > self.floor:
+                self.best = tuple(sorted(r))
+                self.floor = len(r)
+            return self.floor >= self.cap
+        classes = _colour_classes(self.adj, p)
+        for k in range(len(classes), 0, -1):  # colour k, highest first
+            m = classes[k - 1]
+            while m:
+                if len(r) + k <= self.floor:
+                    return False
+                v = m.bit_length() - 1
+                m ^= 1 << v
+                r.append(v)
+                found = self._grow(r, p & self.adj[v])
+                r.pop()
+                if found:
+                    return True
+                p &= ~(1 << v)
+        return False
+
+    def _first(self, p: int) -> None:
+        """Pass 2: replace self.best, an ω-clique of the vertices p, by the
+        lexicographically smallest one."""
+        omega = self.cap = len(self.best)
+        r: list[int] = []  # the members chosen so far
+        while len(r) < omega:
+            need = omega - len(r) - 1  # members still to come after the next one
+            classes = None  # of the remaining candidates, once one has failed
+            while True:  # ends at self.best's next member at the latest
+                low = p & -p
+                v = low.bit_length() - 1
+                p ^= low  # p now holds the candidates above v
+                sub = p & self.adj[v]
+                if v == self.best[len(r)]:
+                    break
+                if sub.bit_count() < need or (
+                        classes is not None and sum(1 for c in classes if c & sub) < need):
+                    continue
+                self.floor = omega - 1
+                if self._grow(r + [v], sub):
+                    break  # self.best now starts with the members chosen and v
+                if classes is None:
+                    classes = _colour_classes(self.adj, p)
             r.append(v)
-            self._expand(r, p & self.adj[v], x & self.adj[v])
-            r.pop()
-            p &= ~bit
-            x |= bit
+            p = sub
 
     def run(self, alive: int) -> tuple[tuple[int, ...], bool]:
-        """(clique, exact) over the alive vertices; a fallback is logged.
-
-        The outer loop visits vertices by ascending degree within the alive
-        set, ties to the lowest id (the static order of Tomita and Seki)."""
+        """(clique, exact) over the alive vertices; a fallback is logged."""
         if alive == 0:
             raise ValueError("max_clique on an empty graph")
         self.best = tuple(_greedy_clique(self.adj, alive))
-        order = sorted((v for v in range(alive.bit_length()) if (alive >> v) & 1),
-                       key=lambda v: ((self.adj[v] & alive).bit_count(), v))
-        p, x = alive, 0
+        self.floor, self.cap = len(self.best), len(self.adj) + 1
         try:
-            for v in order:
-                bit = 1 << v
-                self._expand([v], p & self.adj[v], x & self.adj[v])
-                p &= ~bit
-                x |= bit
+            self._grow([], alive)
+            self._first(alive)
             return self.best, True
         except _BudgetExpired:
             log.warning("clique node budget expired; using best clique found (size %d)", len(self.best))

@@ -149,16 +149,14 @@ def oracle_switch_vector(topo, members, paths) -> tuple[int, ...]:
     return tuple(int(state) for state in vec)
 
 
-def oracle_max_clique_size(n: int, edges: set[frozenset]) -> int:
-    """Exhaustive subset enumeration; n <= 14."""
-    best = 0
-    for bits in range(1, 1 << n):
-        members = [v for v in range(n) if (bits >> v) & 1]
-        if len(members) <= best:
-            continue
-        if all(frozenset((u, v)) in edges for u, v in itertools.combinations(members, 2)):
-            best = len(members)
-    return best
+def oracle_max_clique(n: int, edges: set[frozenset]) -> list[int]:
+    """Lexicographically first maximum clique: subsets by descending size,
+    each size in itertools.combinations' lexicographic order; n <= 14."""
+    for size in range(n, 0, -1):
+        for members in itertools.combinations(range(n), size):
+            if all(frozenset(pair) in edges for pair in itertools.combinations(members, 2)):
+                return list(members)
+    return []
 
 
 def oracle_chromatic_number(n: int, edges: set[frozenset]) -> int:

@@ -7,7 +7,7 @@ the reported per-cell statistics.
 import time
 from collections import defaultdict
 
-from conftest import CORPUS_SHAPES, optimal_grouping_exact, oracle_max_clique_size, oracle_path_resources
+from conftest import CORPUS_SHAPES, optimal_grouping_exact, oracle_max_clique, oracle_path_resources
 
 from ladderbus.appgraph import generate_synthetic
 from ladderbus.controlgen import (
@@ -96,7 +96,7 @@ def test_criterion_3_oracle_bracketing():
             for j in range(i + 1, cg.n)
             if cg.has_edge(i, j)
         }
-        assert len(clique) == oracle_max_clique_size(cg.n, edge_set), (n, e, seed)
+        assert clique == oracle_max_clique(cg.n, edge_set), (n, e, seed)
         checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0

@@ -244,9 +244,13 @@ def test_report_text_and_json(tmp_path, capsys):
     assert main(["report", "--rundir", str(rundir)]) == EXIT_OK
     text = capsys.readouterr().out
     assert "scenarios_maxclique" in text and "scenarios_greedy" in text
+    assert "  gap = " in text and "  clique_calls = " in text and "  clique_fallbacks = 0" in text
     assert main(["report", "--rundir", str(rundir), "--format", "json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["grouping"]["scenarios_maxclique"] <= doc["grouping"]["scenarios_greedy"]
+    section = doc["grouping"]
+    assert section["scenarios_maxclique"] <= section["scenarios_greedy"]
+    assert section["gap"] == section["scenarios_maxclique"] - section["lower_bound"] >= 0
+    assert section["clique_calls"] >= 1 and section["clique_fallbacks"] == 0
     assert "sim" in doc and doc["sim"]["collisions"] == 0
 
 
@@ -270,7 +274,7 @@ def test_sweep_and_csv_round_trip(tmp_path, capsys):
     csv_file = (rundir / "sweep.csv").read_text()
     assert main(["report", "--rundir", str(rundir), "--format", "csv"]) == EXIT_OK
     assert capsys.readouterr().out == csv_file
-    assert csv_file.splitlines()[0] == "n,density,seed,algo,E,scenarios,lower_bound,ctrl_bits,ctrl_frac"
+    assert csv_file.splitlines()[0] == "n,density,seed,algo,E,scenarios,lower_bound,gap,ctrl_bits,ctrl_frac"
 
 
 def test_sweep_unknown_algorithm_is_config_error(tmp_path, capsys):
@@ -378,7 +382,7 @@ def test_synth40_run_counts(tmp_path):
     assert len(paths) == 160
     doc = json.loads((rundir / "scenarios.json").read_text())
     assert len(doc["scenarios"]) >= 7  # at least the published largest degree
-    assert len(doc["scenarios"]) >= doc["lower_bound"]
+    assert doc["gap"] == len(doc["scenarios"]) - doc["lower_bound"] >= 0
 
 
 def test_empty_edge_graph_runs_clean(tmp_path):

@@ -1,7 +1,8 @@
 """Property tests: the structural conflict build agrees with the pairwise
 resource-set oracle, validation reads its masks, the structural bound
-lies below the oracle's clique number, and scenario switch vectors agree
-with the per-switch oracle."""
+lies below the oracle's clique number, max_clique returns the oracle's
+lexicographically first maximum clique, and scenario switch vectors
+agree with the per-switch oracle."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from conftest import (
     conflict_edges_from_oracle,
     ladder_paths,
     oracle_intersect,
-    oracle_max_clique_size,
+    oracle_max_clique,
     oracle_switch_vector,
 )
 
@@ -19,6 +20,7 @@ from ladderbus.grouping import (
     build_conflict_graph,
     group_greedy,
     group_max_clique,
+    max_clique,
     scenario_lower_bound,
     scenario_switch_vector,
     validate_scenario_set,
@@ -63,11 +65,20 @@ def test_validate_accepts_greedy_and_rejects_a_conflicting_move(instance):
 @given(ladder_paths())
 def test_lower_bound_below_clique_number_below_groupings(instance):
     topo, paths = instance
-    omega = oracle_max_clique_size(len(paths), conflict_edges_from_oracle(paths, topo))
+    omega = len(oracle_max_clique(len(paths), conflict_edges_from_oracle(paths, topo)))
     g = build_conflict_graph(paths)
     assert scenario_lower_bound(paths) <= omega
     assert omega <= group_greedy(g).n_scenarios
     assert omega <= group_max_clique(g).n_scenarios
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_paths())
+def test_max_clique_is_lexicographically_first_maximum(instance):
+    topo, paths = instance
+    if paths:
+        expected = oracle_max_clique(len(paths), conflict_edges_from_oracle(paths, topo))
+        assert max_clique(build_conflict_graph(paths)) == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -101,7 +101,7 @@ def test_sweep_rows_and_csv_format():
     assert keys == sorted(keys)
     csv = sweep_to_csv(rows)
     lines = csv.splitlines()
-    assert lines[0] == "n,density,seed,algo,E,scenarios,lower_bound,ctrl_bits,ctrl_frac"
+    assert lines[0] == "n,density,seed,algo,E,scenarios,lower_bound,gap,ctrl_bits,ctrl_frac"
     assert len(lines) == 1 + len(rows)
     assert csv.endswith("\n")
     for row, line in zip(rows, lines[1:]):
@@ -109,6 +109,7 @@ def test_sweep_rows_and_csv_format():
         assert cells[0] == str(row["n"])
         assert cells[3] == row["algo"]
         assert int(cells[4]) == row["E"]
+        assert int(cells[7]) == row["gap"] == row["scenarios"] - row["lower_bound"]
 
 
 def test_sweep_scenarios_respect_lower_bound():
@@ -128,6 +129,7 @@ def test_sweep_complete_small_graph():
     assert row["E"] == 12
     assert row["lower_bound"] == 10
     assert row["scenarios"] == 10
+    assert row["gap"] == 0
 
 
 def test_sweep_rejects_unknown_algorithm():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import logging
 import random
 import time
@@ -9,7 +11,7 @@ from conftest import (
     conflict_edges_from_oracle,
     optimal_grouping_exact,
     oracle_chromatic_number,
-    oracle_max_clique_size,
+    oracle_max_clique,
 )
 
 from ladderbus import grouping
@@ -160,17 +162,8 @@ def test_max_clique_random_matches_brute_force():
     for trial in range(25):
         n = 14 if trial < 3 else rng.randint(4, 12)
         edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.5]
-        g = graph_from_edges(n, edges)
-        clique = max_clique(g)
-        edge_set = {frozenset(e) for e in edges}
-        # valid clique
-        assert all(frozenset((u, v)) in edge_set for u, v in itertools.combinations(clique, 2))
-        # maximal: no vertex extends it
-        for v in range(n):
-            if v not in clique:
-                assert not all(frozenset((v, u)) in edge_set for u in clique)
-        # maximum: equals exhaustive enumeration
-        assert len(clique) == oracle_max_clique_size(n, edge_set), (trial, clique)
+        # the lexicographically first of the maximum cliques, not just one of them
+        assert max_clique(graph_from_edges(n, edges)) == oracle_max_clique(n, set(map(frozenset, edges))), trial
 
 
 def test_max_clique_deterministic():
@@ -245,6 +238,25 @@ def test_group_max_clique_ignores_wall_clock(monkeypatch):
     slow = group_max_clique(cg)
     assert slow.scenarios == expected.scenarios
     assert slow.stats == expected.stats and slow.stats.clique_fallbacks == 0
+
+
+# sha256 prefix of [scenarios, clique_calls, clique_fallbacks] as JSON; recorded
+# with the Bron-Kerbosch search this clique search replaced
+PINNED_MAX_CLIQUE_PARTITIONS = {
+    (24, 128, 0): "aff7042533ea8b5f",
+    (40, 292, 0): "50a38971373a5690",
+    (60, 772, 0): "1d546786b3156763",
+    (96, 1068, 0): "42a8e5c82d3d9139",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_MAX_CLIQUE_PARTITIONS))
+def test_group_max_clique_partitions_pinned(shape):
+    # a change to the clique search must not move these partitions silently
+    _, topo, paths = routed_instance(*shape)
+    part = group_max_clique(build_conflict_graph(paths))
+    doc = json.dumps([part.scenarios, part.stats.clique_calls, part.stats.clique_fallbacks])
+    assert hashlib.sha256(doc.encode()).hexdigest()[:16] == PINNED_MAX_CLIQUE_PARTITIONS[shape]
 
 
 def test_grouping_deterministic():
