@@ -374,33 +374,61 @@ STAGES = {
 # report
 
 
+def _report_state(rundir: Path, name: str, kind: type = dict):
+    """Parsed state file `name` (a JSON object, or array for kind=list),
+    or None when the run has not written it."""
+    path = rundir / name
+    if not path.exists():
+        return None
+    try:
+        rec = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"state file {name} is not valid JSON: {exc}") from exc
+    if not isinstance(rec, kind):
+        raise ConfigError(f"state file {name} is not a JSON {'object' if kind is dict else 'array'}")
+    return rec
+
+
+def _fields(rec: dict, name: str, keys: tuple[str, ...]) -> dict:
+    """rec's values under keys, in order; a missing key is a config error naming the file."""
+    for key in keys:
+        if key not in rec:
+            raise ConfigError(f"state file {name} lacks key '{key}'")
+    return {key: rec[key] for key in keys}
+
+
 def build_report(rundir: Path) -> dict:
     out: dict = {}
-    if (rundir / "metrics.json").exists():
-        out["metrics"] = json.loads((rundir / "metrics.json").read_text())
-    if (rundir / "topology.json").exists():
-        out["topology"] = json.loads((rundir / "topology.json").read_text())
-    if (rundir / "placement.json").exists():
-        rec = json.loads((rundir / "placement.json").read_text())
-        out["placement"] = {"greedy_cost": rec["greedy_cost"], "final_cost": rec["final_cost"]}
-    if (rundir / "scenarios.json").exists():
-        rec = json.loads((rundir / "scenarios.json").read_text())
-        section = {"lower_bound": rec["lower_bound"], "gap": rec["gap"],
-                   "raw_bits": rec["raw_bits"], "compressed_bits": rec["compressed_bits"],
-                   "algorithm": rec["algorithm"]}
-        for algo, count in rec["counts"].items():
+    for section in ("metrics", "topology"):
+        rec = _report_state(rundir, f"{section}.json")
+        if rec is not None:
+            out[section] = rec
+    rec = _report_state(rundir, "placement.json")
+    if rec is not None:
+        out["placement"] = _fields(rec, "placement.json", ("greedy_cost", "final_cost"))
+    rec = _report_state(rundir, "scenarios.json")
+    if rec is not None:
+        section = _fields(rec, "scenarios.json", ("lower_bound", "gap", "raw_bits",
+                                                  "compressed_bits", "algorithm", "counts"))
+        counts = section.pop("counts")
+        stats = rec.get("stats", {})  # clique_calls, clique_fallbacks
+        for key, val in (("counts", counts), ("stats", stats)):
+            if not isinstance(val, dict):
+                raise ConfigError(f"state file scenarios.json: '{key}' is not an object")
+        for algo, count in counts.items():
             section[f"scenarios_{algo}"] = count
-        section.update(rec.get("stats", {}))  # clique_calls, clique_fallbacks
+        section.update(stats)
         out["grouping"] = section
-    if (rundir / "sim_report.json").exists():
-        rec = json.loads((rundir / "sim_report.json").read_text())
-        out["sim"] = {k: rec[k] for k in ("steps", "frame_length", "collisions", "energy")}
-    if (rundir / "cost_report.json").exists():
-        rec = json.loads((rundir / "cost_report.json").read_text())
-        out["cost"] = {k: rec[k] for k in
-                       ("data_plane_units", "control_plane_units", "control_fraction")}
-    if (rundir / "sweep.json").exists():
-        out["sweep_rows"] = json.loads((rundir / "sweep.json").read_text())
+    rec = _report_state(rundir, "sim_report.json")
+    if rec is not None:
+        out["sim"] = _fields(rec, "sim_report.json", ("steps", "frame_length", "collisions", "energy"))
+    rec = _report_state(rundir, "cost_report.json")
+    if rec is not None:
+        out["cost"] = _fields(rec, "cost_report.json",
+                              ("data_plane_units", "control_plane_units", "control_fraction"))
+    rec = _report_state(rundir, "sweep.json", list)
+    if rec is not None:
+        out["sweep_rows"] = rec
     return out
 
 

@@ -5,6 +5,11 @@ connection costs weight * (column distance between its endpoint tiles
 + 1), the +1 charging the rung hop. Placement is a greedy
 descending-degree construction optionally refined by pairwise-swap
 simulated annealing.
+
+The annealer prices a proposed swap with one dense dot product over a
+symmetric (n+1) x (n+1) weight matrix, whose extra row and column of
+zeros belong to a phantom cluster standing in every empty tile slot;
+see place_anneal for the delta formula.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .appgraph import ClusterGraph
 from .topology import LadderTopology, tile_column
@@ -87,39 +94,48 @@ def place_anneal(
 ) -> TilePlacement:
     """Pairwise-swap simulated annealing seeded from place_greedy.
 
-    Swaps exchange the contents of two tile slots (a slot may be
-    empty), so clusters can migrate onto unused tiles. The temperature
-    cools geometrically once per epoch of n_clusters moves. Returns the
-    best placement seen; never worse than the initial one.
+    Swaps exchange the contents of two tile slots, so clusters can
+    migrate onto unused tiles: an empty slot holds the phantom cluster
+    n_clusters, whose row and column of the weight matrix are zero. The
+    temperature cools geometrically once per epoch of n_clusters moves.
+    Returns the best placement seen; never worse than the initial one.
     Deterministic for a fixed seed. iters=0 returns the initial
     placement unchanged.
+
+    Swapping cluster c1 on column a with c2 on column b changes the cost
+    by (W[c1] - W[c2]) . (|col - b| - |col - a|) + 2 W[c1, c2] |a - b|,
+    where W holds both directions of each cluster pair in one symmetric
+    entry and col is every cluster's column. The rung hops cancel, and
+    the c1-c2 edge, which keeps its length, is added back. A self-swap,
+    a swap of two empty slots and a swap within one column all give 0.
+    The arithmetic is exact integer arithmetic, and a swap is applied
+    only once it is accepted.
     """
     if initial is None:
         initial = place_greedy(g, topo)
     if iters is None:
         iters = 200 * g.n_clusters
-    epoch = max(1, g.n_clusters)
-    cols = [tile_column(topo, t) for t in range(topo.n_tiles)]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n_clusters)]
+    n = g.n_clusters
+    epoch = max(1, n)
+    weight = np.zeros((n + 1, n + 1), dtype=np.int64)
     for src, dst, w in g.edges:
-        adj[src].append((dst, w))
-        adj[dst].append((src, w))
+        weight[src, dst] += w
+        weight[dst, src] += w
+    w_row = list(weight)  # row views, indexed without numpy's dispatch
+    w_pair = weight.tolist()  # the same entries as Python ints
+    tile_col = [tile_column(topo, t) for t in range(topo.n_tiles)]
+    n_cols = tile_col[-1] + 1
+    dist = np.abs(np.subtract.outer(np.arange(n_cols), np.arange(n_cols)))  # dist[k][col] = |col - k|
 
-    # slot view: tile -> cluster or -1
-    slot = [-1] * topo.n_tiles
+    slot = [n] * topo.n_tiles  # tile -> cluster, n when empty
     for c, t in enumerate(initial.assignment):
         slot[t] = c
-    tile_of = list(initial.assignment)
-
-    def edge_cost_at(c: int, col: int) -> int:
-        total = 0
-        for other, w in adj[c]:
-            total += w * (abs(col - cols[tile_of[other]]) + 1)
-        return total
+    tile_of = list(initial.assignment) + [0]  # the phantom's tile and column never matter
+    col = np.array([tile_col[t] for t in tile_of], dtype=np.int64)
 
     cost = placement_cost(g, topo, initial)
     best_cost = cost
-    best = list(tile_of)
+    best = tile_of[:n]
     if t0 is None:
         t0 = cost / 10.0
     temp = t0
@@ -129,37 +145,17 @@ def place_anneal(
         t1 = rng.randrange(topo.n_tiles)
         t2 = rng.randrange(topo.n_tiles)
         c1, c2 = slot[t1], slot[t2]
-        if t1 != t2 and (c1 >= 0 or c2 >= 0):
-            # delta over edges touching the moved clusters; an edge between
-            # c1 and c2 is double-counted identically on both sides of the
-            # swap, so it cancels.
-            before = 0
-            if c1 >= 0:
-                before += edge_cost_at(c1, cols[t1])
-            if c2 >= 0:
-                before += edge_cost_at(c2, cols[t2])
+        a, b = tile_col[t1], tile_col[t2]
+        delta = int(np.dot(w_row[c1] - w_row[c2], dist[b][col] - dist[a][col]))
+        delta += 2 * w_pair[c1][c2] * abs(a - b)
+        if delta <= 0 or (temp > 1e-12 and rng.random() < math.exp(-delta / temp)):
             slot[t1], slot[t2] = c2, c1
-            if c1 >= 0:
-                tile_of[c1] = t2
-            if c2 >= 0:
-                tile_of[c2] = t1
-            after = 0
-            if c1 >= 0:
-                after += edge_cost_at(c1, cols[t2])
-            if c2 >= 0:
-                after += edge_cost_at(c2, cols[t1])
-            delta = after - before
-            if delta <= 0 or (temp > 1e-12 and rng.random() < math.exp(-delta / temp)):
-                cost += delta
-                if cost < best_cost:
-                    best_cost = cost
-                    best = list(tile_of)
-            else:
-                slot[t1], slot[t2] = c1, c2
-                if c1 >= 0:
-                    tile_of[c1] = t1
-                if c2 >= 0:
-                    tile_of[c2] = t2
+            tile_of[c1], tile_of[c2] = t2, t1
+            col[c1], col[c2] = b, a
+            cost += delta
+            if cost < best_cost:
+                best_cost = cost
+                best = tile_of[:n]
         if (it + 1) % epoch == 0:
             temp *= cooling
     return TilePlacement(assignment=tuple(best))

@@ -12,6 +12,8 @@ conflict graph: the plain backtracking oracle is too slow for the
 from __future__ import annotations
 
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import strategies as st
@@ -241,6 +243,52 @@ def conflict_edges_from_oracle(paths, topo) -> set[frozenset]:
         if oracle_intersect(paths[i], paths[j], topo):
             edges.add(frozenset((i, j)))
     return edges
+
+
+def oracle_anneal(g, topo, seed, initial) -> tuple[int, ...]:
+    """place_anneal's schedule with its default t0/cooling/iters, pricing
+    each swap by walking the moved clusters' neighbours before and after
+    a tentative move that a rejection undoes. Same RNG draws, so the
+    same assignment."""
+    adj = [[] for _ in range(g.n_clusters)]
+    for src, dst, w in g.edges:
+        adj[src].append((dst, w))
+        adj[dst].append((src, w))
+    slot = [-1] * topo.n_tiles
+    for c, t in enumerate(initial):
+        slot[t] = c
+    tile_of = list(initial)
+
+    def local_cost(c):
+        return sum(w * (abs(tile_of[c] // 2 - tile_of[o] // 2) + 1) for o, w in adj[c])
+
+    cost = sum(w * (abs(tile_of[s] // 2 - tile_of[d] // 2) + 1) for s, d, w in g.edges)
+    best_cost, best = cost, list(tile_of)
+    temp = cost / 10.0
+    rng = random.Random(seed)
+    for it in range(200 * g.n_clusters):
+        t1, t2 = rng.randrange(topo.n_tiles), rng.randrange(topo.n_tiles)
+        c1, c2 = slot[t1], slot[t2]
+        movers = [c for c in (c1, c2) if c >= 0]
+        if t1 != t2 and movers:
+            before = sum(local_cost(c) for c in movers)
+            slot[t1], slot[t2] = c2, c1
+            for c, t in ((c1, t2), (c2, t1)):
+                if c >= 0:
+                    tile_of[c] = t
+            delta = sum(local_cost(c) for c in movers) - before
+            if delta <= 0 or (temp > 1e-12 and rng.random() < math.exp(-delta / temp)):
+                cost += delta
+                if cost < best_cost:
+                    best_cost, best = cost, list(tile_of)
+            else:
+                slot[t1], slot[t2] = c1, c2
+                for c, t in ((c1, t1), (c2, t2)):
+                    if c >= 0:
+                        tile_of[c] = t
+        if (it + 1) % max(1, g.n_clusters) == 0:
+            temp *= 0.97
+    return tuple(best)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,43 @@ def test_report_without_sim_section(tmp_path, capsys):
     assert "grouping" in doc
 
 
+@pytest.mark.parametrize("state, key", [
+    ("scenarios.json", "lower_bound"),
+    ("sim_report.json", "energy"),
+])
+def test_report_on_state_missing_a_key_is_config_error(tmp_path, capsys, state, key):
+    n12 = {**BASE_CONFIG, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}}
+    cfg = write_config(tmp_path, n12)
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    rec = json.loads((rundir / state).read_text())
+    del rec[key]
+    (rundir / state).write_text(json.dumps(rec))
+    capsys.readouterr()
+    assert main(["report", "--rundir", str(rundir)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert state in err and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("state, text", [
+    ("placement.json", "{"),
+    ("metrics.json", "[1, 2]"),
+    ("scenarios.json", None),  # 'counts' replaced by a number
+])
+def test_report_on_malformed_state_is_config_error(tmp_path, capsys, state, text):
+    cfg = write_config(tmp_path)
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    if text is None:
+        rec = json.loads((rundir / state).read_text())
+        rec["counts"] = 3
+        text = json.dumps(rec)
+    (rundir / state).write_text(text)
+    capsys.readouterr()
+    assert main(["report", "--rundir", str(rundir)]) == EXIT_CONFIG
+    assert state in capsys.readouterr().err
+
+
 def test_sweep_and_csv_round_trip(tmp_path, capsys):
     rundir = tmp_path / "sweep"
     assert main(["sweep", "--rundir", str(rundir), "--sizes", "10,12",

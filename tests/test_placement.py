@@ -1,8 +1,12 @@
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import oracle_anneal
 from ladderbus.appgraph import generate_synthetic, make_cluster_graph
 from ladderbus.placement import TilePlacement, place_anneal, place_greedy, placement_cost
 from ladderbus.topology import build_topology
@@ -99,6 +103,36 @@ def test_anneal_never_worse_than_input():
         annealed = place_anneal(g, topo, seed=rng.randint(0, 10**6), initial=greedy)
         assert placement_cost(g, topo, annealed) <= placement_cost(g, topo, greedy)
         annealed.validate(g, topo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 14), st.integers(0, 8), st.integers(0, 10**6), st.data())
+def test_anneal_with_empty_slots_matches_neighbour_walk(n, spare, seed, data):
+    # spare tiles, and odd tile counts whose last column has one tile, leave
+    # empty slots that swaps move clusters into and out of
+    e = data.draw(st.integers(0, n * (n - 1)))
+    g = generate_synthetic(n, e, seed=seed)
+    topo = build_topology(n + spare)
+    greedy = place_greedy(g, topo)
+    annealed = place_anneal(g, topo, seed=seed, initial=greedy)
+    annealed.validate(g, topo)
+    assert placement_cost(g, topo, annealed) <= placement_cost(g, topo, greedy)
+    assert annealed.assignment == oracle_anneal(g, topo, seed, greedy.assignment)
+
+
+@pytest.mark.parametrize("shape, n_tiles, seed, kwargs, digest", [
+    ((24, 128), 24, 1, {}, "b6ab3bf04f9aced0"),
+    ((96, 1068), 96, 1, {}, "28fb70e31c166028"),
+    ((33, 200), 33, 4, {}, "48d1067bf23e66c9"),  # odd tile count
+    ((40, 292), 48, 2, {}, "cb3d059af333ab1f"),  # spare tiles
+    ((24, 128), 31, 3, {"t0": 5.0, "cooling": 0.9, "iters": 3000}, "2c1c271c7368d7b8"),
+])
+def test_anneal_pinned_assignments(shape, n_tiles, seed, kwargs, digest):
+    # sha256 prefixes of the assignments; any change to the move rule, the
+    # RNG sequence or the accept test changes them
+    g = generate_synthetic(*shape, seed=0)
+    p = place_anneal(g, build_topology(n_tiles), seed=seed, **kwargs)
+    assert hashlib.sha256(repr(p.assignment).encode()).hexdigest()[:16] == digest
 
 
 def test_anneal_deterministic():
