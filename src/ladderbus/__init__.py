@@ -18,7 +18,7 @@ from .placement import TilePlacement, place_anneal, place_greedy, placement_cost
 from .routing import RoutedPath, extract_paths, route_connection
 from .grouping import (
     ConflictGraph,
-    ScenarioSet,
+    Partition,
     build_conflict_graph,
     group_greedy,
     group_max_clique,

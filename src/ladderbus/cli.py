@@ -63,6 +63,11 @@ DEFAULT_CONFIG = {
 }
 
 
+# keys that take only integers, each with its least value; null keeps a key's default
+_INTEGER_MIN = {"topology.n_tiles": 2, "topology.n_lanes": 1, "placement.iters": 0,
+                "controllers.count": 1, "sim.frames": 0}
+
+
 class ConfigError(Exception):
     pass
 
@@ -98,8 +103,9 @@ def _type_matches(value, default) -> bool:
 
 
 def _check_config(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "") -> None:
-    """Reject keys DEFAULT_CONFIG does not have and values whose JSON type
-    differs from their default's; the graph subtree is free-form."""
+    """Reject keys DEFAULT_CONFIG does not have, values whose JSON type
+    differs from their default's, and a key of _INTEGER_MIN holding a
+    fraction or less than its least value; the graph subtree is free-form."""
     for key, val in cfg.items():
         dotted = prefix + key
         if key not in defaults:
@@ -107,6 +113,12 @@ def _check_config(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "") 
         if not _type_matches(val, defaults[key]):
             raise ConfigError(f"config key '{dotted}' has value {json.dumps(val)}, "
                               f"not of the type of its default {json.dumps(defaults[key])}")
+        if dotted in _INTEGER_MIN and val is not None:
+            if not isinstance(val, int):
+                raise ConfigError(f"config key '{dotted}' has value {json.dumps(val)}, not an integer")
+            if val < _INTEGER_MIN[dotted]:
+                raise ConfigError(f"config key '{dotted}' has value {val}, "
+                                  f"below its least value {_INTEGER_MIN[dotted]}")
         if dotted != "graph" and isinstance(val, dict):
             _check_config(val, defaults[key], dotted + ".")
 
@@ -144,8 +156,43 @@ def _save_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _load_json(path: Path, stage: str):
-    return json.loads(_read_state_text(path.parent, path.name, stage))
+def _read_state_text(rundir: Path, name: str, stage: str) -> str:
+    path = rundir / name
+    if not path.exists():
+        raise ConfigError(f"missing state file {name}; run the '{stage}' stage first")
+    return path.read_text()
+
+
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer"}
+
+
+def _read_state(rundir: Path, name: str, stage: str | None = None, kind: type = dict):
+    """Parsed state file `name` (a JSON object, or array for kind=list). A file
+    the run has not written is None for the report (no stage) and a config
+    error naming the stage to run first for a stage."""
+    if stage is None and not (rundir / name).exists():
+        return None
+    try:
+        rec = json.loads(_read_state_text(rundir, name, stage))
+    except ValueError as exc:
+        raise ConfigError(f"state file {name} is not valid JSON: {exc}") from exc
+    if not isinstance(rec, kind):
+        raise ConfigError(f"state file {name} is not {_JSON_KINDS[kind]}")
+    return rec
+
+
+def _fields(rec, name: str, keys: tuple[str, ...], kind: type = object) -> dict:
+    """rec's values under keys, in order. rec not being an object, a missing key
+    or a value that is not a `kind` (booleans are no integers) is a config
+    error naming the file."""
+    if not isinstance(rec, dict):
+        raise ConfigError(f"state file {name} is not a JSON object")
+    for key in keys:
+        if key not in rec:
+            raise ConfigError(f"state file {name} lacks key '{key}'")
+        if not isinstance(rec[key], kind) or (kind is int and isinstance(rec[key], bool)):
+            raise ConfigError(f"state file {name}: '{key}' is {json.dumps(rec[key])}, not {_JSON_KINDS[kind]}")
+    return {key: rec[key] for key in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -191,22 +238,15 @@ def stage_metrics(cfg: dict, rundir: Path) -> None:
     })
 
 
-def _read_state_text(rundir: Path, name: str, stage: str) -> str:
-    path = rundir / name
-    if not path.exists():
-        raise ConfigError(f"missing state file {name}; run the '{stage}' stage first")
-    return path.read_text()
-
-
 def _topology_from_state(rundir: Path):
-    rec = _load_json(rundir / "topology.json", "place")
-    return build_topology(rec["n_tiles"], rec["n_lanes"], rec["lane_width_bits"])
+    rec = _read_state(rundir, "topology.json", "place")
+    return build_topology(**_fields(rec, "topology.json", ("n_tiles", "n_lanes", "lane_width_bits"), int))
 
 
 def stage_place(cfg: dict, rundir: Path) -> None:
     g = parse_cluster_graph(_read_state_text(rundir, "graph.json", "gen"))
     tcfg = cfg["topology"]
-    n_tiles = tcfg.get("n_tiles") or max(g.n_clusters, 2)
+    n_tiles = max(g.n_clusters, 2) if tcfg.get("n_tiles") is None else tcfg["n_tiles"]
     topo = build_topology(n_tiles, tcfg.get("n_lanes"), tcfg.get("lane_width_bits", 32))
     _save_json(rundir / "topology.json", topo.summary())
 
@@ -230,15 +270,19 @@ def stage_place(cfg: dict, rundir: Path) -> None:
 def stage_route(cfg: dict, rundir: Path) -> None:
     g = parse_cluster_graph(_read_state_text(rundir, "graph.json", "gen"))
     topo = _topology_from_state(rundir)
-    rec = _load_json(rundir / "placement.json", "place")
-    placement = TilePlacement(assignment=tuple(rec["assignment"]))
+    rec = _read_state(rundir, "placement.json", "place")
+    assignment = _fields(rec, "placement.json", ("assignment",), list)["assignment"]
+    if not all(type(t) is int for t in assignment):
+        raise ConfigError("state file placement.json: 'assignment' holds a value that is not an integer")
+    placement = TilePlacement(assignment=tuple(assignment))
     paths = extract_paths(g, topo, placement)
     _save_json(rundir / "paths.json", {"paths": [path_record(p) for p in paths]})
 
 
 def _paths_from_state(rundir: Path):
-    rec = _load_json(rundir / "paths.json", "route")
-    return [path_from_record(r) for r in rec["paths"]]
+    recs = _fields(_read_state(rundir, "paths.json", "route"), "paths.json", ("paths",), list)["paths"]
+    keys = ("edge", "src", "dst", "lane", "cmin", "cmax")
+    return [path_from_record(_fields(r, f"paths.json (path {i})", keys, int)) for i, r in enumerate(recs)]
 
 
 def _check_algorithms(names: list[str]) -> None:
@@ -265,30 +309,32 @@ def stage_group(cfg: dict, rundir: Path) -> None:
     if gcfg.get("compare", True):
         other = "greedy" if algo == "maxclique" else "maxclique"
         counts[other] = grouping.group_paths(other, conflicts).n_scenarios
-    sset = grouping.build_scenario_set(partition, paths, topo)
-    doc = grouping.scenario_set_record(sset)
+    vectors = [grouping.scenario_switch_vector(s, paths, topo) for s in partition.scenarios]
+    doc = grouping.scenario_set_record(partition, vectors)
     doc["counts"] = counts
     doc["lower_bound"] = grouping.scenario_lower_bound(paths)
-    doc["gap"] = sset.n_scenarios - doc["lower_bound"]
-    doc["raw_bits"] = grouping.raw_scenario_bits(sset.n_scenarios, topo)
-    doc["compressed_bits"] = grouping.compressed_scenario_bits(sset, topo)
+    doc["gap"] = partition.n_scenarios - doc["lower_bound"]
+    doc["raw_bits"] = grouping.raw_scenario_bits(partition.n_scenarios, topo)
+    doc["compressed_bits"] = grouping.compressed_scenario_bits(doc, topo)
     _save_json(rundir / "scenarios.json", doc)
 
 
 def _scenarios_from_state(rundir: Path, topo, n_paths: int):
-    rec = _load_json(rundir / "scenarios.json", "group")
+    rec = _read_state(rundir, "scenarios.json", "group")
+    _fields(rec, "scenarios.json", ("scenarios",), list)
     return grouping.scenario_set_from_record(rec, topo.n_switches, n_paths)
 
 
 def _controller_count(cfg: dict, topo) -> int:
-    return cfg["controllers"].get("count") or controlgen.default_controller_count(topo)
+    count = cfg["controllers"].get("count")
+    return controlgen.default_controller_count(topo) if count is None else count
 
 
 def stage_emit_ctrl(cfg: dict, rundir: Path) -> None:
     topo = _topology_from_state(rundir)
-    sset = _scenarios_from_state(rundir, topo, len(_paths_from_state(rundir)))
+    _partition, vectors = _scenarios_from_state(rundir, topo, len(_paths_from_state(rundir)))
     regions = controlgen.partition_regions(topo, _controller_count(cfg, topo))
-    programs = controlgen.encode_scenarios(sset, regions, topo)
+    programs = controlgen.encode_scenarios(vectors, regions, topo)
     progdir = rundir / "programs"
     progdir.mkdir(exist_ok=True)
     for prog in programs:
@@ -305,7 +351,7 @@ def stage_emit_ctrl(cfg: dict, rundir: Path) -> None:
 
 
 def _programs_from_state(rundir: Path):
-    meta = _load_json(rundir / "controllers.json", "emit-ctrl")
+    meta = _fields(_read_state(rundir, "controllers.json", "emit-ctrl"), "controllers.json", ("count",), int)
     programs = []
     for i in range(meta["count"]):
         text = _read_state_text(rundir, f"programs/ctrl_{i:03d}.txt", "emit-ctrl")
@@ -316,14 +362,14 @@ def _programs_from_state(rundir: Path):
 def stage_sim(cfg: dict, rundir: Path) -> None:
     topo = _topology_from_state(rundir)
     paths = _paths_from_state(rundir)
-    sset = _scenarios_from_state(rundir, topo, len(paths))
+    scenarios = _scenarios_from_state(rundir, topo, len(paths))[0].scenarios
     programs = _programs_from_state(rundir)
     n_frames = cfg["sim"].get("frames", 1)
     if cfg["sim"].get("trace"):
         with open(rundir / "trace.log", "w") as trace:
-            report = sim.run_frames(topo, programs, paths, sset, n_frames, trace=trace)
+            report = sim.run_frames(topo, programs, paths, scenarios, n_frames, trace=trace)
     else:
-        report = sim.run_frames(topo, programs, paths, sset, n_frames)
+        report = sim.run_frames(topo, programs, paths, scenarios, n_frames)
     _save_json(rundir / "sim_report.json", {
         "steps": report.steps,
         "n_frames": report.n_frames,
@@ -343,7 +389,8 @@ def stage_sim(cfg: dict, rundir: Path) -> None:
 
 def stage_cost(cfg: dict, rundir: Path) -> None:
     topo = _topology_from_state(rundir)
-    scen = _load_json(rundir / "scenarios.json", "group")
+    scen = _fields(_read_state(rundir, "scenarios.json", "group"), "scenarios.json",
+                   ("raw_bits", "compressed_bits"), int)
     model = costmodel.calibrate(costmodel.reference_observations())
     n_ctrl = _controller_count(cfg, topo)
     rep = costmodel.cost_report(topo, scen["raw_bits"], n_ctrl, model)
@@ -374,59 +421,32 @@ STAGES = {
 # report
 
 
-def _report_state(rundir: Path, name: str, kind: type = dict):
-    """Parsed state file `name` (a JSON object, or array for kind=list),
-    or None when the run has not written it."""
-    path = rundir / name
-    if not path.exists():
-        return None
-    try:
-        rec = json.loads(path.read_text())
-    except ValueError as exc:
-        raise ConfigError(f"state file {name} is not valid JSON: {exc}") from exc
-    if not isinstance(rec, kind):
-        raise ConfigError(f"state file {name} is not a JSON {'object' if kind is dict else 'array'}")
-    return rec
-
-
-def _fields(rec: dict, name: str, keys: tuple[str, ...]) -> dict:
-    """rec's values under keys, in order; a missing key is a config error naming the file."""
-    for key in keys:
-        if key not in rec:
-            raise ConfigError(f"state file {name} lacks key '{key}'")
-    return {key: rec[key] for key in keys}
-
-
 def build_report(rundir: Path) -> dict:
     out: dict = {}
     for section in ("metrics", "topology"):
-        rec = _report_state(rundir, f"{section}.json")
+        rec = _read_state(rundir, f"{section}.json")
         if rec is not None:
             out[section] = rec
-    rec = _report_state(rundir, "placement.json")
+    rec = _read_state(rundir, "placement.json")
     if rec is not None:
         out["placement"] = _fields(rec, "placement.json", ("greedy_cost", "final_cost"))
-    rec = _report_state(rundir, "scenarios.json")
+    rec = _read_state(rundir, "scenarios.json")
     if rec is not None:
-        section = _fields(rec, "scenarios.json", ("lower_bound", "gap", "raw_bits",
-                                                  "compressed_bits", "algorithm", "counts"))
-        counts = section.pop("counts")
-        stats = rec.get("stats", {})  # clique_calls, clique_fallbacks
-        for key, val in (("counts", counts), ("stats", stats)):
-            if not isinstance(val, dict):
-                raise ConfigError(f"state file scenarios.json: '{key}' is not an object")
+        section = _fields(rec, "scenarios.json", ("lower_bound", "gap", "raw_bits", "compressed_bits", "algorithm"))
+        counts = _fields(rec, "scenarios.json", ("counts",), dict)["counts"]
+        stats = _fields({"stats": {}, **rec}, "scenarios.json", ("stats",), dict)["stats"]  # optional
         for algo, count in counts.items():
             section[f"scenarios_{algo}"] = count
         section.update(stats)
         out["grouping"] = section
-    rec = _report_state(rundir, "sim_report.json")
+    rec = _read_state(rundir, "sim_report.json")
     if rec is not None:
         out["sim"] = _fields(rec, "sim_report.json", ("steps", "frame_length", "collisions", "energy"))
-    rec = _report_state(rundir, "cost_report.json")
+    rec = _read_state(rundir, "cost_report.json")
     if rec is not None:
         out["cost"] = _fields(rec, "cost_report.json",
                               ("data_plane_units", "control_plane_units", "control_fraction"))
-    rec = _report_state(rundir, "sweep.json", list)
+    rec = _read_state(rundir, "sweep.json", kind=list)
     if rec is not None:
         out["sweep_rows"] = rec
     return out
@@ -505,6 +525,12 @@ def main(argv: list[str] | None = None) -> int:
                 seeds = [int(v) for v in args.seeds.split(",")]
             except ValueError as exc:
                 raise ConfigError(f"bad sweep parameter: {exc}") from exc
+            # what the generator and the ladder can build
+            if min(sizes) < 2:
+                raise ConfigError(f"bad sweep parameter --sizes: {min(sizes)} (a ladder needs at least 2 clusters)")
+            for d in densities:
+                if not 0 <= d <= 1:
+                    raise ConfigError(f"bad sweep parameter --densities: {d:g} (a density lies in 0..1)")
             algos = args.algorithms.split(",")
             _check_algorithms(algos)
             rows = costmodel.scaling_sweep(sizes, densities, seeds, algos, jobs=args.jobs)

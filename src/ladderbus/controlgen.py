@@ -6,7 +6,9 @@ word holding the 2-bit states of exactly its switches, and steps
 through a loop-nest schedule replicated identically on every
 controller (global lockstep): an infinite outer loop over (scenario,
 repeat) entries, plus at most one guarded entry appended to the frame
-when a runtime flag is raised.
+when a runtime flag is raised. The compiler takes only switch vectors,
+one per scenario in scenario order, and a schedule needs only the
+scenario count; which paths a scenario holds is not its concern.
 
 Word layout: the region's switches sorted by (lane, column); switch j
 of that order occupies bits [2j, 2j+1] (LSB first).
@@ -32,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grouping import ScenarioSet
 from .topology import LadderTopology, round_half_up_sqrt
 
 
@@ -130,23 +131,24 @@ def _check_regions(regions: list[ControllerRegion], topo: LadderTopology) -> Non
 
 
 def encode_scenarios(
-    sset: ScenarioSet,
+    vectors: list[tuple[int, ...]],
     regions: list[ControllerRegion],
     topo: LadderTopology,
     schedule: Schedule | None = None,
 ) -> list[ControllerProgram]:
-    """Project every scenario's switch vector onto each region's memory."""
-    for vec in sset.switch_vectors:
+    """Project every scenario's switch vector (one per scenario, in scenario
+    order) onto each region's memory."""
+    for vec in vectors:
         if len(vec) != topo.n_switches:
             raise ValueError("switch vector length does not match topology")
     _check_regions(regions, topo)
     if schedule is None:
-        schedule = build_schedule(sset)
+        schedule = build_schedule(len(vectors))
     programs = []
     for region in regions:
         indices = region.switch_indices(topo)
         memory = tuple(sum((vec[idx] & 0b11) << (2 * j) for j, idx in enumerate(indices))
-                       for vec in sset.switch_vectors)
+                       for vec in vectors)
         programs.append(ControllerProgram(region=region, memory=memory, schedule=schedule))
     return programs
 
@@ -168,12 +170,11 @@ def decode_programs(programs: list[ControllerProgram], topo: LadderTopology) -> 
 
 
 def build_schedule(
-    sset: ScenarioSet,
+    n: int,
     frame_order: list[int] | None = None,
     conditional: tuple[int, int] | None = None,
 ) -> Schedule:
-    """One pass over all scenarios per frame, repeat 1 each, outer loop infinite."""
-    n = sset.n_scenarios
+    """One pass over all n scenarios per frame, repeat 1 each, outer loop infinite."""
     if frame_order is None:
         frame_order = list(range(n))
     if sorted(frame_order) != list(range(n)):

@@ -13,7 +13,11 @@ input alone, never on machine speed.
 scenario_lower_bound is the structural bound B, the size of the largest
 rung star or lane cover: both are cliques, so every grouping needs at
 least B scenarios.
-Switch vectors are built once, for the partition that is stored.
+Partition is the one scenario-set type. The scenarios.json record pairs
+the stored partition with one switch vector per scenario, run-length
+encoded once; compressed_scenario_bits counts that record's runs.
+Loading the record gives back (partition, vectors): the controller
+compiler takes the vectors, the simulator the memberships.
 
 The conflict graph is built from the ladder's structure, not from
 pairs: per-column buckets of the paths ending on that column's rung,
@@ -64,20 +68,6 @@ class Partition:
 
     scenarios: tuple[tuple[int, ...], ...]
     stats: GroupingStats
-
-    @property
-    def n_scenarios(self) -> int:
-        return len(self.scenarios)
-
-
-@dataclass(frozen=True)
-class ScenarioSet:
-    """Ordered partition of path ids plus one switch vector per scenario."""
-
-    scenarios: tuple[tuple[int, ...], ...]
-    switch_vectors: tuple[tuple[int, ...], ...]  # SwitchState value per switch index
-    algorithm: str = ""
-    stats: GroupingStats | None = None
 
     @property
     def n_scenarios(self) -> int:
@@ -148,12 +138,6 @@ def scenario_switch_vector(
                     raise ValueError(f"switch ({p.lane},{col}) demanded in states {have} and {want}")
         vec[lo:hi] = run
     return tuple(vec)
-
-
-def build_scenario_set(partition: Partition, paths: list[RoutedPath], topo: LadderTopology) -> ScenarioSet:
-    """The stored form of a partition: one switch vector per scenario."""
-    vectors = tuple(scenario_switch_vector(s, paths, topo) for s in partition.scenarios)
-    return ScenarioSet(partition.scenarios, vectors, partition.stats.algorithm, partition.stats)
 
 
 def validate_scenario_set(scenarios, g: ConflictGraph) -> None:
@@ -459,34 +443,33 @@ def raw_scenario_bits(n_scenarios: int, topo: LadderTopology) -> int:
     return n_scenarios * 2 * topo.n_switches
 
 
-def compressed_scenario_bits(sset: ScenarioSet, topo: LadderTopology) -> int:
-    """Run-length encoded size: each run costs 2 state bits plus a length
-    field wide enough to span the whole vector."""
+def compressed_scenario_bits(rec: dict, topo: LadderTopology) -> int:
+    """Run-length encoded size of a scenario_set_record: each run costs 2
+    state bits plus a length field wide enough to span the whole vector."""
     length_bits = max((topo.n_switches - 1).bit_length(), 1)
-    return sum(len(rle_encode(vec)) for vec in sset.switch_vectors) * (2 + length_bits)
+    return sum(len(s["switches_rle"]) for s in rec["scenarios"]) * (2 + length_bits)
 
 
-def scenario_set_record(sset: ScenarioSet) -> dict:
-    """Serialized pipeline-state form."""
-    rec = {
-        "algorithm": sset.algorithm,
+def scenario_set_record(partition: Partition, vectors) -> dict:
+    """Serialized pipeline-state form of a partition and its switch vectors,
+    one per scenario."""
+    return {
+        "algorithm": partition.stats.algorithm,
         "scenarios": [
             {"paths": list(s), "switches_rle": rle_encode(vec)}
-            for s, vec in zip(sset.scenarios, sset.switch_vectors)
+            for s, vec in zip(partition.scenarios, vectors)
         ],
+        "stats": {
+            "clique_calls": partition.stats.clique_calls,
+            "clique_fallbacks": partition.stats.clique_fallbacks,
+        },
     }
-    if sset.stats is not None:
-        rec["stats"] = {
-            "clique_calls": sset.stats.clique_calls,
-            "clique_fallbacks": sset.stats.clique_fallbacks,
-        }
-    return rec
 
 
-def scenario_set_from_record(rec: dict, n_switches: int, n_paths: int) -> ScenarioSet:
+def scenario_set_from_record(rec: dict, n_switches: int, n_paths: int) -> tuple[Partition, list[tuple[int, ...]]]:
     """Inverse of scenario_set_record for a ladder of n_switches switches and
-    n_paths routed paths; raises ValueError naming the first scenario that
-    does not fit them."""
+    n_paths routed paths: (partition, switch vectors). Raises ValueError
+    naming the first scenario that does not fit them."""
     for k, s in enumerate(rec["scenarios"]):
         if not isinstance(s, dict) or not all(isinstance(s.get(key), list) for key in ("paths", "switches_rle")):
             raise ValueError(f"scenario {k}: needs the lists 'paths' and 'switches_rle'")
@@ -501,9 +484,9 @@ def scenario_set_from_record(rec: dict, n_switches: int, n_paths: int) -> Scenar
         if total != n_switches:
             raise ValueError(f"scenario {k}: switch runs cover {total} switches, not the ladder's {n_switches}")
     scenarios = tuple(tuple(s["paths"]) for s in rec["scenarios"])
-    vectors = tuple(rle_decode(s["switches_rle"]) for s in rec["scenarios"])
-    algorithm = rec.get("algorithm", "")
-    stats = rec.get("stats")
-    if stats is not None:
-        stats = GroupingStats(algorithm, stats["clique_calls"], stats["clique_fallbacks"])
-    return ScenarioSet(scenarios, vectors, algorithm, stats)
+    vectors = [rle_decode(s["switches_rle"]) for s in rec["scenarios"]]
+    stats = rec.get("stats", {"clique_calls": 0, "clique_fallbacks": 0})
+    counts = [stats.get(key) if isinstance(stats, dict) else None for key in ("clique_calls", "clique_fallbacks")]
+    if not all(type(c) is int for c in counts):
+        raise ValueError("'stats' needs the integers 'clique_calls' and 'clique_fallbacks'")
+    return Partition(scenarios, GroupingStats(rec.get("algorithm", ""), *counts)), vectors

@@ -3,7 +3,9 @@
 One simulator step applies one scenario: the global switch vector is
 reassembled from every controller's memory word (exercising the
 region encoding), and each of the scenario's connections is checked to
-be delivered over a chain with exactly one driver. Any resource claimed
+be delivered over a chain with exactly one driver. The simulator takes
+only the scenarios' memberships (path ids per scenario); their switch
+vectors come from the programs alone. Any resource claimed
 by two connections in the same step is a collision. Energy is a
 structural proxy: the number of activated segments and rungs, summed
 over steps.
@@ -29,7 +31,6 @@ from typing import IO
 import numpy as np
 
 from .controlgen import ControllerProgram, decode_programs
-from .grouping import ScenarioSet
 from .routing import RoutedPath
 from .topology import LadderTopology, SwitchState, tile_column
 
@@ -105,12 +106,13 @@ def run_frames(
     topo: LadderTopology,
     programs: list[ControllerProgram],
     paths: list[RoutedPath],
-    sset: ScenarioSet,
+    scenarios: tuple[tuple[int, ...], ...],
     n_frames: int,
     cond_flags: list[bool] | None = None,
     trace: IO[str] | None = None,
 ) -> SimReport:
-    """Execute n_frames of the replicated schedule and audit every step."""
+    """Execute n_frames of the replicated schedule and audit every step;
+    scenarios holds each scenario's path ids, in the programs' scenario order."""
     # reassemble from controller memories so the region encoding is on the
     # executed path; decoding rejects programs that do not cover the ladder
     vectors = decode_programs(programs, topo)
@@ -118,7 +120,7 @@ def run_frames(
     for prog in programs[1:]:
         if prog.schedule != schedule:
             raise ValueError("inconsistent schedules across controllers (lockstep required)")
-    n_scen = sset.n_scenarios
+    n_scen = len(scenarios)
     if len(vectors) != n_scen:
         raise ValueError("program memory does not match scenario count")
     indices = [idx for idx, _rep in schedule.entries]
@@ -141,7 +143,7 @@ def run_frames(
         flag = bool(cond_flags[frame]) if frame < len(cond_flags) else False
         for scen_idx in schedule.steps(flag_raised=flag):
             if scen_idx not in outcomes:
-                outcomes[scen_idx] = _audit(topo, vectors[scen_idx], sset.scenarios[scen_idx], geometry)
+                outcomes[scen_idx] = _audit(topo, vectors[scen_idx], scenarios[scen_idx], geometry)
             collided, delivered_ids, active = outcomes[scen_idx]
             report.collisions += len(collided)
             for res, count in collided:

@@ -27,7 +27,7 @@ from ladderbus import (
     max_clique,
     place_anneal,
 )
-from ladderbus.grouping import GroupingStats, Partition, build_scenario_set
+from ladderbus.grouping import GroupingStats, Partition
 from ladderbus.routing import RoutedPath, extract_paths
 from ladderbus.topology import SwitchState, tile_column
 
@@ -332,7 +332,7 @@ class CorpusInstance:
         self.paths = extract_paths(self.graph, self.topo, self.placement)
         conflicts = build_conflict_graph(self.paths)
         self.sset_greedy = group_greedy(conflicts)
-        self.sset_maxclique = build_scenario_set(group_max_clique(conflicts), self.paths, self.topo)
+        self.sset_maxclique = group_max_clique(conflicts)
 
     @property
     def key(self):

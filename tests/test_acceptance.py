@@ -28,6 +28,7 @@ from ladderbus.grouping import (
     group_max_clique,
     max_clique,
     scenario_lower_bound,
+    scenario_switch_vector,
 )
 from ladderbus.placement import place_anneal
 from ladderbus.routing import extract_paths
@@ -177,11 +178,12 @@ def test_criterion_8_simulation_soundness(corpus):
     n_frames = 2
     for inst in corpus:
         sset = inst.sset_maxclique
+        vectors = [scenario_switch_vector(s, inst.paths, inst.topo) for s in sset.scenarios]
         regions = partition_regions(inst.topo, default_controller_count(inst.topo))
-        programs = encode_scenarios(sset, regions, inst.topo)
+        programs = encode_scenarios(vectors, regions, inst.topo)
         decoded = decode_programs(programs, inst.topo)
-        assert [tuple(v) for v in decoded] == [tuple(v) for v in sset.switch_vectors], inst.key
-        report = run_frames(inst.topo, programs, inst.paths, sset, n_frames=n_frames)
+        assert [tuple(v) for v in decoded] == [tuple(v) for v in vectors], inst.key
+        report = run_frames(inst.topo, programs, inst.paths, sset.scenarios, n_frames=n_frames)
         assert report.collisions == 0, inst.key
         assert report.frame_length == sset.n_scenarios, inst.key
         assert all(c == n_frames for c in report.delivered.values()), inst.key

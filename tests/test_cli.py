@@ -303,6 +303,42 @@ def test_report_on_malformed_state_is_config_error(tmp_path, capsys, state, text
     assert state in capsys.readouterr().err
 
 
+def _del_path_3_lane(rec):
+    del rec["paths"][3]["lane"]
+
+
+def _set_assignment_0_a(rec):
+    rec["assignment"][0] = "a"
+
+
+@pytest.mark.parametrize("state, stage, corrupt, message", [
+    ("topology.json", "route", lambda rec: rec.pop("n_tiles"), "topology.json lacks key 'n_tiles'"),
+    ("topology.json", "route", lambda rec: rec.update(n_tiles="12"),
+     "topology.json: 'n_tiles' is \"12\", not an integer"),
+    ("placement.json", "route", None, "placement.json is not valid JSON"),
+    ("placement.json", "route", _set_assignment_0_a, "placement.json: 'assignment' holds a value"),
+    ("paths.json", "group", _del_path_3_lane, "paths.json (path 3) lacks key 'lane'"),
+    ("scenarios.json", "emit-ctrl", lambda rec: rec.pop("scenarios"), "scenarios.json lacks key 'scenarios'"),
+    ("controllers.json", "sim", lambda rec: rec.pop("count"), "controllers.json lacks key 'count'"),
+    ("scenarios.json", "cost", lambda rec: rec.pop("raw_bits"), "scenarios.json lacks key 'raw_bits'"),
+], ids=["no-n_tiles", "n_tiles-string", "placement-not-json", "assignment-string", "path-without-lane",
+        "no-scenarios", "no-count", "no-raw_bits"])
+def test_stage_on_malformed_state_is_config_error(tmp_path, capsys, state, stage, corrupt, message):
+    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    if corrupt is None:
+        (rundir / state).write_text("not json\n")
+    else:
+        rec = json.loads((rundir / state).read_text())
+        corrupt(rec)
+        (rundir / state).write_text(json.dumps(rec))
+    capsys.readouterr()
+    assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: state file {message}" in err, err
+
+
 def test_sweep_and_csv_round_trip(tmp_path, capsys):
     rundir = tmp_path / "sweep"
     assert main(["sweep", "--rundir", str(rundir), "--sizes", "10,12",
@@ -320,6 +356,15 @@ def test_sweep_unknown_algorithm_is_config_error(tmp_path, capsys):
                  "--densities", "0.15", "--seeds", "0", "--algorithms", "greedy,bogus"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "bogus" in err and "greedy" in err and "maxclique" in err
+    assert not (rundir / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--sizes", "1"), ("--densities", "2")])
+def test_sweep_instance_the_generator_cannot_build_is_config_error(tmp_path, capsys, flag, value):
+    rundir = tmp_path / "sweep"
+    args = {"--sizes": "10", "--densities": "0.15", "--seeds": "0", flag: value}
+    assert main(["sweep", "--rundir", str(rundir), *(a for kv in args.items() for a in kv)]) == EXIT_CONFIG
+    assert f"bad sweep parameter {flag}: {value} " in capsys.readouterr().err
     assert not (rundir / "sweep.csv").exists()
 
 
@@ -355,6 +400,10 @@ def test_unknown_config_key_in_override_is_config_error(tmp_path, capsys):
     ("controllers.count=four", "controllers.count"),
     ("sim.frames=null", "sim.frames"),
     ("grouping.algorithm=3", "grouping.algorithm"),
+    ("topology.n_tiles=30.5", "topology.n_tiles"),  # the counts take integers only
+    ("topology.n_lanes=2.0", "topology.n_lanes"),
+    ("placement.iters=1.5", "placement.iters"),
+    ("controllers.count=2.5", "controllers.count"),
     ("sim=3", "sim"),
     ("graph=[]", "graph"),
 ])
@@ -362,6 +411,18 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, override, 
     cfg = write_config(tmp_path)
     assert main(["run", "--config", cfg, "--rundir", str(tmp_path / "run"), "--set", override]) == EXIT_CONFIG
     assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "graph.json").exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("controllers.count=0", "'controllers.count' has value 0, below its least value 1"),
+    ("topology.n_tiles=0", "'topology.n_tiles' has value 0, below its least value 2"),
+    ("sim.frames=-1", "'sim.frames' has value -1, below its least value 0"),
+], ids=["count-0", "n_tiles-0", "frames-minus-1"])
+def test_config_count_below_its_least_value_is_config_error(tmp_path, capsys, override, message):
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", cfg, "--rundir", str(tmp_path / "run"), "--set", override]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "run" / "graph.json").exists()
 
 

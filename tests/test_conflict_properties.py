@@ -1,8 +1,12 @@
 """Property tests: the structural conflict build agrees with the pairwise
 resource-set oracle, validation reads its masks, the structural bound
 lies below the oracle's clique number, max_clique returns the oracle's
-lexicographically first maximum clique, and scenario switch vectors
-agree with the per-switch oracle."""
+lexicographically first maximum clique, scenario switch vectors
+agree with the per-switch oracle, and a scenarios.json record gives back
+the partition and those vectors."""
+
+import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +21,16 @@ from conftest import (
 )
 
 from ladderbus.grouping import (
+    GROUPING_ALGORITHMS,
     build_conflict_graph,
+    compressed_scenario_bits,
     group_greedy,
     group_max_clique,
+    group_paths,
     max_clique,
     scenario_lower_bound,
+    scenario_set_from_record,
+    scenario_set_record,
     scenario_switch_vector,
     validate_scenario_set,
 )
@@ -96,3 +105,19 @@ def test_scenario_switch_vector_matches_oracle(instance, data):
         assert str(raised.value) == str(exc)
     else:
         assert scenario_switch_vector(members, paths, topo) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(ladder_paths(), st.sampled_from(GROUPING_ALGORITHMS))
+def test_scenario_record_json_round_trip(instance, algorithm):
+    topo, paths = instance
+    partition = group_paths(algorithm, build_conflict_graph(paths))
+    vectors = [scenario_switch_vector(s, paths, topo) for s in partition.scenarios]
+    rec = json.loads(json.dumps(scenario_set_record(partition, vectors)))
+    back, back_vectors = scenario_set_from_record(rec, topo.n_switches, len(paths))
+    assert back == partition  # memberships and stats, algorithm included
+    expected = [oracle_switch_vector(topo, s, paths) for s in partition.scenarios]
+    assert back_vectors == vectors == expected
+    runs = sum(len(list(itertools.groupby(vec))) for vec in expected)
+    length_bits = max((topo.n_switches - 1).bit_length(), 1)
+    assert compressed_scenario_bits(rec, topo) == runs * (2 + length_bits)

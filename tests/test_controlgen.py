@@ -16,7 +16,7 @@ from ladderbus.controlgen import (
     parse_program,
     partition_regions,
 )
-from ladderbus.grouping import ScenarioSet, build_conflict_graph, build_scenario_set, group_max_clique
+from ladderbus.grouping import build_conflict_graph, group_max_clique, scenario_switch_vector
 from ladderbus.placement import place_anneal
 from ladderbus.routing import extract_paths
 from ladderbus.topology import build_topology
@@ -27,7 +27,8 @@ def pipeline(n, e, seed):
     topo = build_topology(max(n, 2))
     placement = place_anneal(g, topo, seed=seed + 1)
     paths = extract_paths(g, topo, placement)
-    return topo, paths, build_scenario_set(group_max_clique(build_conflict_graph(paths)), paths, topo)
+    partition = group_max_clique(build_conflict_graph(paths))
+    return topo, paths, [scenario_switch_vector(s, paths, topo) for s in partition.scenarios]
 
 
 def test_partition_single_region():
@@ -73,33 +74,33 @@ def test_partition_covers_all_columns():
 
 
 def test_encode_single_region_is_identity_projection():
-    topo, paths, sset = pipeline(10, 20, seed=0)
-    programs = encode_scenarios(sset, partition_regions(topo, 1), topo)
+    topo, paths, vectors = pipeline(10, 20, seed=0)
+    programs = encode_scenarios(vectors, partition_regions(topo, 1), topo)
     decoded = decode_programs(programs, topo)
-    assert [tuple(v) for v in decoded] == [tuple(v) for v in sset.switch_vectors]
+    assert [tuple(v) for v in decoded] == [tuple(v) for v in vectors]
 
 
 def test_encode_all_idle_scenario_zero_word():
     # same-column paths need no switch drive: all words zero
-    topo, paths, sset = pipeline(2, 2, seed=0)
+    topo, paths, vectors = pipeline(2, 2, seed=0)
     assert all(p.cmin == p.cmax for p in paths)
-    programs = encode_scenarios(sset, partition_regions(topo, 1), topo)
+    programs = encode_scenarios(vectors, partition_regions(topo, 1), topo)
     assert all(w == 0 for prog in programs for w in prog.memory)
 
 
 def test_encode_round_trip_multi_region():
     for seed in range(5):
-        topo, paths, sset = pipeline(24, 128, seed=seed)
+        topo, paths, vectors = pipeline(24, 128, seed=seed)
         regions = partition_regions(topo, 3)
-        programs = encode_scenarios(sset, regions, topo)
+        programs = encode_scenarios(vectors, regions, topo)
         decoded = decode_programs(programs, topo)
-        assert [tuple(v) for v in decoded] == [tuple(v) for v in sset.switch_vectors]
+        assert [tuple(v) for v in decoded] == [tuple(v) for v in vectors]
 
 
 def test_encode_word_width():
-    topo, paths, sset = pipeline(12, 30, seed=1)
+    topo, paths, vectors = pipeline(12, 30, seed=1)
     regions = partition_regions(topo, 2)
-    programs = encode_scenarios(sset, regions, topo)
+    programs = encode_scenarios(vectors, regions, topo)
     for prog in programs:
         assert prog.region.word_bits == 2 * prog.region.n_switches
         for w in prog.memory:
@@ -107,53 +108,53 @@ def test_encode_word_width():
 
 
 def test_control_memory_bits_total():
-    topo, paths, sset = pipeline(12, 30, seed=1)
-    programs = encode_scenarios(sset, partition_regions(topo, 2), topo)
-    assert control_memory_bits(programs) == sset.n_scenarios * 2 * topo.n_switches
+    topo, paths, vectors = pipeline(12, 30, seed=1)
+    programs = encode_scenarios(vectors, partition_regions(topo, 2), topo)
+    assert control_memory_bits(programs) == len(vectors) * 2 * topo.n_switches
 
 
 def test_schedule_default_frame_length():
-    topo, paths, sset = pipeline(16, 50, seed=2)
-    sched = build_schedule(sset)
-    assert sched.frame_length == sset.n_scenarios
-    assert sched.steps() == list(range(sset.n_scenarios))
+    topo, paths, vectors = pipeline(16, 50, seed=2)
+    sched = build_schedule(len(vectors))
+    assert sched.frame_length == len(vectors)
+    assert sched.steps() == list(range(len(vectors)))
 
 
 def test_schedule_custom_order():
-    topo, paths, sset = pipeline(8, 10, seed=3)
-    k = sset.n_scenarios
+    topo, paths, vectors = pipeline(8, 10, seed=3)
+    k = len(vectors)
     order = list(reversed(range(k)))
-    sched = build_schedule(sset, frame_order=order)
+    sched = build_schedule(k, frame_order=order)
     assert sched.steps() == order
 
 
 def test_schedule_rejects_bad_permutation():
-    topo, paths, sset = pipeline(8, 10, seed=3)
+    topo, paths, vectors = pipeline(8, 10, seed=3)
     with pytest.raises(ValueError):
-        build_schedule(sset, frame_order=[0] * sset.n_scenarios)
+        build_schedule(len(vectors), frame_order=[0] * len(vectors))
 
 
 def test_schedule_conditional_step():
-    topo, paths, sset = pipeline(8, 10, seed=3)
-    sched = build_schedule(sset, conditional=(0, 0))
-    assert sched.steps(flag_raised=False) == list(range(sset.n_scenarios))
-    assert sched.steps(flag_raised=True) == list(range(sset.n_scenarios)) + [0]
+    topo, paths, vectors = pipeline(8, 10, seed=3)
+    sched = build_schedule(len(vectors), conditional=(0, 0))
+    assert sched.steps(flag_raised=False) == list(range(len(vectors)))
+    assert sched.steps(flag_raised=True) == list(range(len(vectors))) + [0]
     with pytest.raises(ValueError):
-        build_schedule(sset, conditional=(0, sset.n_scenarios))
+        build_schedule(len(vectors), conditional=(0, len(vectors)))
 
 
 def test_all_programs_share_frame_length():
-    topo, paths, sset = pipeline(24, 100, seed=4)
-    programs = encode_scenarios(sset, partition_regions(topo, 4), topo)
+    topo, paths, vectors = pipeline(24, 100, seed=4)
+    programs = encode_scenarios(vectors, partition_regions(topo, 4), topo)
     lengths = {p.schedule.frame_length for p in programs}
     assert len(lengths) == 1
 
 
 def test_program_file_round_trip():
-    topo, paths, sset = pipeline(14, 41, seed=5)
+    topo, paths, vectors = pipeline(14, 41, seed=5)
     programs = encode_scenarios(
-        sset, partition_regions(topo, default_controller_count(topo)), topo,
-        schedule=build_schedule(sset, conditional=(1, 0)),
+        vectors, partition_regions(topo, default_controller_count(topo)), topo,
+        schedule=build_schedule(len(vectors), conditional=(1, 0)),
     )
     for prog in programs:
         text = format_program(prog)
@@ -169,22 +170,22 @@ def test_program_file_rejects_bad_header():
 
 
 def test_encode_rejects_bad_regions():
-    topo, paths, sset = pipeline(10, 20, seed=0)
+    topo, paths, vectors = pipeline(10, 20, seed=0)
     regions = partition_regions(topo, 2)[:1]  # drop one region
     with pytest.raises(ValueError):
-        encode_scenarios(sset, regions, topo)
+        encode_scenarios(vectors, regions, topo)
 
 
 def test_decode_rejects_programs_missing_a_region():
-    topo, paths, sset = pipeline(24, 128, seed=3)
-    programs = encode_scenarios(sset, partition_regions(topo, default_controller_count(topo)), topo)
+    topo, paths, vectors = pipeline(24, 128, seed=3)
+    programs = encode_scenarios(vectors, partition_regions(topo, default_controller_count(topo)), topo)
     with pytest.raises(ValueError, match="partition"):
         decode_programs(programs[:-1], topo)
 
 
 def test_decode_rejects_wrong_lane_count():
-    topo, paths, sset = pipeline(24, 128, seed=3)
-    programs = encode_scenarios(sset, partition_regions(topo, 2), topo)
+    topo, paths, vectors = pipeline(24, 128, seed=3)
+    programs = encode_scenarios(vectors, partition_regions(topo, 2), topo)
     narrow = dataclasses.replace(programs[0], region=dataclasses.replace(programs[0].region, n_lanes=topo.n_lanes - 1))
     with pytest.raises(ValueError, match="lanes"):
         decode_programs([narrow, programs[1]], topo)
@@ -205,15 +206,14 @@ def vector_sets(draw):
 @given(vector_sets())
 def test_encode_format_parse_decode_round_trip(instance):
     topo, vectors, n_regions = instance
-    sset = ScenarioSet(scenarios=tuple(() for _ in vectors), switch_vectors=vectors)
-    programs = encode_scenarios(sset, partition_regions(topo, n_regions), topo)
+    programs = encode_scenarios(vectors, partition_regions(topo, n_regions), topo)
     parsed = [parse_program(format_program(p)) for p in programs]
     assert decode_programs(parsed, topo) == list(vectors)
 
 
 def _program_text():
-    topo, paths, sset = pipeline(14, 41, seed=5)
-    return format_program(encode_scenarios(sset, partition_regions(topo, 2), topo)[0])
+    topo, paths, vectors = pipeline(14, 41, seed=5)
+    return format_program(encode_scenarios(vectors, partition_regions(topo, 2), topo)[0])
 
 
 def test_parse_rejects_step_without_repeat():

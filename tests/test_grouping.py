@@ -20,7 +20,6 @@ from ladderbus.grouping import (
     ConflictGraph,
     GroupingStats,
     build_conflict_graph,
-    build_scenario_set,
     compressed_scenario_bits,
     group_greedy,
     group_max_clique,
@@ -390,10 +389,10 @@ def test_switch_vector_rejects_reversed_interval():
 
 def test_scenario_vectors_idle_elsewhere():
     _, topo, paths = routed_instance(10, 20, seed=1)
-    sset = build_scenario_set(group_max_clique(build_conflict_graph(paths)), paths, topo)
     from ladderbus.routing import path_switch_states
 
-    for members, vec in zip(sset.scenarios, sset.switch_vectors):
+    for members in group_max_clique(build_conflict_graph(paths)).scenarios:
+        vec = scenario_switch_vector(members, paths, topo)
         expected = {}
         for pid in members:
             p = paths[pid]
@@ -411,17 +410,21 @@ def test_rle_round_trip():
 
 def test_scenario_record_round_trip():
     _, topo, paths = routed_instance(12, 30, seed=2)
-    sset = build_scenario_set(group_max_clique(build_conflict_graph(paths)), paths, topo)
-    rec = scenario_set_record(sset)
-    back = scenario_set_from_record(rec, topo.n_switches, len(paths))
-    assert back.scenarios == sset.scenarios
-    assert back.switch_vectors == sset.switch_vectors
-    assert back.stats == sset.stats == GroupingStats("maxclique", clique_calls=rec["stats"]["clique_calls"])
-    assert scenario_set_record(back) == rec
+    partition = group_max_clique(build_conflict_graph(paths))
+    vectors = [scenario_switch_vector(s, paths, topo) for s in partition.scenarios]
+    rec = scenario_set_record(partition, vectors)
+    back, back_vectors = scenario_set_from_record(rec, topo.n_switches, len(paths))
+    assert back.scenarios == partition.scenarios
+    assert back_vectors == vectors
+    assert back.stats == partition.stats == GroupingStats("maxclique", clique_calls=rec["stats"]["clique_calls"])
+    assert scenario_set_record(back, back_vectors) == rec
+    with pytest.raises(ValueError, match="'stats' needs"):
+        scenario_set_from_record({**rec, "stats": {"clique_calls": 1}}, topo.n_switches, len(paths))
 
 
 def test_bit_accounting():
     _, topo, paths = routed_instance(12, 30, seed=2)
-    sset = build_scenario_set(group_max_clique(build_conflict_graph(paths)), paths, topo)
-    assert raw_scenario_bits(sset.n_scenarios, topo) == sset.n_scenarios * 2 * topo.n_switches
-    assert 0 < compressed_scenario_bits(sset, topo)
+    partition = group_max_clique(build_conflict_graph(paths))
+    rec = scenario_set_record(partition, [scenario_switch_vector(s, paths, topo) for s in partition.scenarios])
+    assert raw_scenario_bits(partition.n_scenarios, topo) == partition.n_scenarios * 2 * topo.n_switches
+    assert 0 < compressed_scenario_bits(rec, topo)

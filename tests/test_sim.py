@@ -17,33 +17,33 @@ from ladderbus.controlgen import (
     parse_program,
     partition_regions,
 )
-from ladderbus.grouping import (
-    ScenarioSet,
-    build_conflict_graph,
-    build_scenario_set,
-    group_max_clique,
-    scenario_switch_vector,
-)
+from ladderbus.grouping import build_conflict_graph, group_max_clique, scenario_switch_vector
 from ladderbus.placement import place_anneal
 from ladderbus.routing import RoutedPath, extract_paths
 from ladderbus.sim import run_frames
 from ladderbus.topology import SwitchState, build_topology
 
 
+def grouped(paths, topo):
+    """Max-clique scenarios of the paths and their switch vectors."""
+    scenarios = group_max_clique(build_conflict_graph(paths)).scenarios
+    return scenarios, [scenario_switch_vector(s, paths, topo) for s in scenarios]
+
+
 def pipeline(g, seed=0, n_regions=None):
     topo = build_topology(max(g.n_clusters, 2))
     placement = place_anneal(g, topo, seed=seed)
     paths = extract_paths(g, topo, placement)
-    sset = build_scenario_set(group_max_clique(build_conflict_graph(paths)), paths, topo)
+    scenarios, vectors = grouped(paths, topo)
     regions = partition_regions(topo, n_regions or default_controller_count(topo))
-    programs = encode_scenarios(sset, regions, topo)
-    return topo, paths, sset, programs
+    programs = encode_scenarios(vectors, regions, topo)
+    return topo, paths, scenarios, programs
 
 
 def test_single_path_energy_counts_path_resources():
     g = make_cluster_graph(2, [(0, 1, 1)])
-    topo, paths, sset, programs = pipeline(g)
-    report = run_frames(topo, programs, paths, sset, n_frames=1)
+    topo, paths, scenarios, programs = pipeline(g)
+    report = run_frames(topo, programs, paths, scenarios, n_frames=1)
     p = paths[0]
     segments = p.cmax - p.cmin
     rungs = len({p.cmin, p.cmax})
@@ -59,9 +59,9 @@ def test_same_column_path_one_rung_no_segments():
     topo = build_topology(2, 1)
     placement = place_anneal(g, topo, seed=0)
     paths = extract_paths(g, topo, placement)
-    sset = build_scenario_set(group_max_clique(build_conflict_graph(paths)), paths, topo)
-    programs = encode_scenarios(sset, partition_regions(topo, 1), topo)
-    report = run_frames(topo, programs, paths, sset, n_frames=1)
+    scenarios, vectors = grouped(paths, topo)
+    programs = encode_scenarios(vectors, partition_regions(topo, 1), topo)
+    report = run_frames(topo, programs, paths, scenarios, n_frames=1)
     assert report.energy == 1
     assert report.delivered == {0: 1}
 
@@ -74,9 +74,8 @@ def test_corrupted_scenario_detects_collision():
     paths = extract_paths(g, topo, placement)
     merged = tuple(sorted(p.edge_id for p in paths))
     vec = scenario_switch_vector(merged, paths, topo)
-    corrupted = ScenarioSet(scenarios=(merged,), switch_vectors=(vec,))
-    programs = encode_scenarios(corrupted, partition_regions(topo, 1), topo)
-    report = run_frames(topo, programs, paths, corrupted, n_frames=1)
+    programs = encode_scenarios([vec], partition_regions(topo, 1), topo)
+    report = run_frames(topo, programs, paths, (merged,), n_frames=1)
     assert report.collisions >= 1
     assert any(ev["resource"][0] == "rung" for ev in report.collision_events)
     # neither connection is cleanly delivered over a doubly-driven chain
@@ -94,8 +93,8 @@ def test_chain_with_two_drivers_delivers_neither():
         if linked:
             vec[topo.switch_index(1, 1)] = SwitchState.RIGHT_RUNG
             vec[topo.switch_index(1, 2)] = SwitchState.LEFT_RUNG
-        sset = ScenarioSet(scenarios=((0, 1),), switch_vectors=(tuple(vec),))
-        report = run_frames(topo, encode_scenarios(sset, partition_regions(topo, 1), topo), paths, sset, n_frames=1)
+        programs = encode_scenarios([tuple(vec)], partition_regions(topo, 1), topo)
+        report = run_frames(topo, programs, paths, ((0, 1),), n_frames=1)
         assert report.collisions == 0
         delivered.append(report.delivered)
     assert delivered == [{0: 1, 1: 1}, {0: 0, 1: 0}]
@@ -103,28 +102,28 @@ def test_chain_with_two_drivers_delivers_neither():
 
 def test_end_to_end_three_frames():
     g = generate_synthetic(40, 160, seed=1)
-    topo, paths, sset, programs = pipeline(g, seed=2)
-    report = run_frames(topo, programs, paths, sset, n_frames=3)
+    topo, paths, scenarios, programs = pipeline(g, seed=2)
+    report = run_frames(topo, programs, paths, scenarios, n_frames=3)
     assert report.collisions == 0
-    assert report.frame_length == sset.n_scenarios
-    assert report.steps == 3 * sset.n_scenarios
+    assert report.frame_length == len(scenarios)
+    assert report.steps == 3 * len(scenarios)
     assert all(count == 3 for count in report.delivered.values())
     assert len(report.delivered) == 160
 
 
 def test_deterministic_reports():
     g = generate_synthetic(14, 41, seed=3)
-    topo, paths, sset, programs = pipeline(g, seed=3)
-    r1 = run_frames(topo, programs, paths, sset, n_frames=2)
-    r2 = run_frames(topo, programs, paths, sset, n_frames=2)
+    topo, paths, scenarios, programs = pipeline(g, seed=3)
+    r1 = run_frames(topo, programs, paths, scenarios, n_frames=2)
+    r2 = run_frames(topo, programs, paths, scenarios, n_frames=2)
     assert r1 == r2
 
 
 def test_trace_energy_recount():
     g = generate_synthetic(24, 100, seed=5)
-    topo, paths, sset, programs = pipeline(g, seed=5)
+    topo, paths, scenarios, programs = pipeline(g, seed=5)
     buf = io.StringIO()
-    report = run_frames(topo, programs, paths, sset, n_frames=2, trace=buf)
+    report = run_frames(topo, programs, paths, scenarios, n_frames=2, trace=buf)
     recount = 0
     for line in buf.getvalue().splitlines():
         fields = dict(part.split("=", 1) for part in line.split())
@@ -141,15 +140,15 @@ def test_conditional_step_executes_when_flag_raised():
     topo = build_topology(10)
     placement = place_anneal(g, topo, seed=6)
     paths = extract_paths(g, topo, placement)
-    sset = build_scenario_set(group_max_clique(build_conflict_graph(paths)), paths, topo)
-    sched = build_schedule(sset, conditional=(0, 0))
-    programs = encode_scenarios(sset, partition_regions(topo, 2), topo, schedule=sched)
-    base = run_frames(topo, programs, paths, sset, n_frames=2, cond_flags=[False, False])
-    raised = run_frames(topo, programs, paths, sset, n_frames=2, cond_flags=[False, True])
-    assert base.steps == 2 * sset.n_scenarios
-    assert raised.steps == 2 * sset.n_scenarios + 1
+    scenarios, vectors = grouped(paths, topo)
+    sched = build_schedule(len(scenarios), conditional=(0, 0))
+    programs = encode_scenarios(vectors, partition_regions(topo, 2), topo, schedule=sched)
+    base = run_frames(topo, programs, paths, scenarios, n_frames=2, cond_flags=[False, False])
+    raised = run_frames(topo, programs, paths, scenarios, n_frames=2, cond_flags=[False, True])
+    assert base.steps == 2 * len(scenarios)
+    assert raised.steps == 2 * len(scenarios) + 1
     # the guarded step re-delivers scenario 0's connections once more
-    extra = set(sset.scenarios[0])
+    extra = set(scenarios[0])
     for pid, count in raised.delivered.items():
         assert count == (3 if pid in extra else 2)
     assert raised.collisions == 0
@@ -157,31 +156,31 @@ def test_conditional_step_executes_when_flag_raised():
 
 def test_mismatched_schedules_rejected():
     g = generate_synthetic(10, 20, seed=7)
-    topo, paths, sset, programs = pipeline(g, seed=7, n_regions=2)
+    topo, paths, scenarios, programs = pipeline(g, seed=7, n_regions=2)
     hacked = programs[1].__class__(
         region=programs[1].region,
         memory=programs[1].memory,
-        schedule=build_schedule(sset, frame_order=list(reversed(range(sset.n_scenarios)))),
+        schedule=build_schedule(len(scenarios), frame_order=list(reversed(range(len(scenarios))))),
     )
     with pytest.raises(ValueError, match="lockstep"):
-        run_frames(topo, [programs[0], hacked], paths, sset, n_frames=1)
+        run_frames(topo, [programs[0], hacked], paths, scenarios, n_frames=1)
 
 
 def test_unknown_scenario_index_rejected():
     g = generate_synthetic(8, 12, seed=8)
-    topo, paths, sset, programs = pipeline(g, seed=8)
-    bad_sched = build_schedule(sset)
-    bad_sched = bad_sched.__class__(entries=bad_sched.entries + ((sset.n_scenarios, 1),))
+    topo, paths, scenarios, programs = pipeline(g, seed=8)
+    bad_sched = build_schedule(len(scenarios))
+    bad_sched = bad_sched.__class__(entries=bad_sched.entries + ((len(scenarios), 1),))
     bad = [p.__class__(region=p.region, memory=p.memory, schedule=bad_sched) for p in programs]
     with pytest.raises(ValueError, match="unknown scenario"):
-        run_frames(topo, bad, paths, sset, n_frames=1)
+        run_frames(topo, bad, paths, scenarios, n_frames=1)
 
 
 def test_zero_scenarios_trivially_clean():
     g = make_cluster_graph(4, [])
-    topo, paths, sset, programs = pipeline(g)
-    assert sset.n_scenarios == 0
-    report = run_frames(topo, programs, paths, sset, n_frames=2)
+    topo, paths, scenarios, programs = pipeline(g)
+    assert scenarios == ()
+    report = run_frames(topo, programs, paths, scenarios, n_frames=2)
     assert report.steps == 0
     assert report.collisions == 0
     assert report.energy == 0
@@ -190,16 +189,16 @@ def test_zero_scenarios_trivially_clean():
 @pytest.mark.parametrize("guarded", ["n_scenarios", -1])
 def test_out_of_range_conditional_scenario_rejected(guarded):
     g = generate_synthetic(8, 12, seed=8)
-    topo, paths, sset, programs = pipeline(g, seed=8)
-    idx = sset.n_scenarios if guarded == "n_scenarios" else guarded
+    topo, paths, scenarios, programs = pipeline(g, seed=8)
+    idx = len(scenarios) if guarded == "n_scenarios" else guarded
     parsed = [parse_program(format_program(p).replace("end\n", f"cond 0 {idx}\nend\n")) for p in programs]
     with pytest.raises(ValueError, match="unknown scenario index"):
-        run_frames(topo, parsed, paths, sset, n_frames=1, cond_flags=[True])
+        run_frames(topo, parsed, paths, scenarios, n_frames=1, cond_flags=[True])
 
 
 def test_decode_rejects_disagreeing_memories_even_when_first_is_empty():
     g = generate_synthetic(10, 20, seed=7)
-    topo, paths, sset, programs = pipeline(g, seed=7, n_regions=2)
+    topo, paths, scenarios, programs = pipeline(g, seed=7, n_regions=2)
     empty = dataclasses.replace(programs[0], memory=())
     with pytest.raises(ValueError, match="disagree"):
         decode_programs([empty, programs[1]], topo)
@@ -211,10 +210,9 @@ def test_left_rung_on_column_zero_rejected():
     paths = extract_paths(g, topo, place_anneal(g, topo, seed=0))
     vec = [SwitchState.IDLE] * topo.n_switches
     vec[topo.switch_index(1, 0)] = SwitchState.LEFT_RUNG
-    sset = ScenarioSet(scenarios=((0,),), switch_vectors=(tuple(vec),))
-    programs = encode_scenarios(sset, partition_regions(topo, 2), topo)
+    programs = encode_scenarios([tuple(vec)], partition_regions(topo, 2), topo)
     with pytest.raises(ValueError, match="lane 1, column 0"):
-        run_frames(topo, programs, paths, sset, n_frames=1)
+        run_frames(topo, programs, paths, ((0,),), n_frames=1)
 
 
 @pytest.mark.parametrize("bad, named", [
@@ -228,10 +226,9 @@ def test_illegal_edge_state_names_lowest_lane_then_column_zero(bad, named):
     vec = [SwitchState.IDLE] * topo.n_switches
     for (lane, column), state in bad.items():
         vec[topo.switch_index(lane, column)] = state
-    sset = ScenarioSet(scenarios=((0,),), switch_vectors=(tuple(vec),))
-    programs = encode_scenarios(sset, partition_regions(topo, 1), topo)
+    programs = encode_scenarios([tuple(vec)], partition_regions(topo, 1), topo)
     with pytest.raises(ValueError, match=named):
-        run_frames(topo, programs, paths, sset, n_frames=1)
+        run_frames(topo, programs, paths, ((0,),), n_frames=1)
 
 
 def _legal_states(column, n_columns):
@@ -273,22 +270,21 @@ def sim_instances(draw):
             vec = [draw(st.sampled_from(_legal_states(idx % cols, cols))) if state == SwitchState.IDLE else state
                    for idx, state in enumerate(vec)]
         vectors.append(tuple(int(state) for state in vec))
-    sset = ScenarioSet(scenarios=scenarios, switch_vectors=tuple(vectors))
     order = draw(st.permutations(range(k)))
     cond = draw(st.none() | st.integers(0, k - 1))
     n_ctrl = draw(st.integers(1, cols))
     n_frames = draw(st.integers(0, 3))
     flags = draw(st.lists(st.booleans(), max_size=3))
-    return topo, paths, sset, order, cond, n_ctrl, n_frames, flags
+    return topo, paths, scenarios, vectors, order, cond, n_ctrl, n_frames, flags
 
 
 @settings(max_examples=200, deadline=None)
 @given(sim_instances())
 def test_run_frames_matches_step_oracle(instance):
-    topo, paths, sset, order, cond, n_ctrl, n_frames, flags = instance
-    schedule = build_schedule(sset, frame_order=list(order), conditional=None if cond is None else (0, cond))
-    programs = encode_scenarios(sset, partition_regions(topo, n_ctrl), topo, schedule=schedule)
-    report = run_frames(topo, programs, paths, sset, n_frames, cond_flags=flags)
+    topo, paths, scenarios, vectors, order, cond, n_ctrl, n_frames, flags = instance
+    schedule = build_schedule(len(scenarios), frame_order=list(order), conditional=None if cond is None else (0, cond))
+    programs = encode_scenarios(vectors, partition_regions(topo, n_ctrl), topo, schedule=schedule)
+    report = run_frames(topo, programs, paths, scenarios, n_frames, cond_flags=flags)
 
     steps = []
     for frame in range(n_frames):
@@ -298,7 +294,7 @@ def test_run_frames_matches_step_oracle(instance):
     delivered = {p.edge_id: 0 for p in paths}
     events, active_per_step = [], []
     for step, scen in enumerate(steps):
-        collided, delivered_ids, active = oracle_sim_step(topo, sset.switch_vectors[scen], sset.scenarios[scen], paths)
+        collided, delivered_ids, active = oracle_sim_step(topo, vectors[scen], scenarios[scen], paths)
         events += [{"step": step, "scenario": scen, "resource": list(res), "claims": n} for res, n in collided]
         for pid in delivered_ids:
             delivered[pid] += 1
