@@ -125,7 +125,7 @@ def dump_cluster_graph(g: ClusterGraph) -> str:
         "n_clusters": g.n_clusters,
         "edges": [list(e) for e in g.edges],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def generate_synthetic(

@@ -1,11 +1,11 @@
 """Pipeline driver: gen -> place -> route -> group -> emit-ctrl -> sim -> cost.
 
-Every stage persists its output as one document in the run directory,
-so any stage can be re-run from the persisted state of its
-predecessors and a finished directory is a complete, reproducible
-record. All randomness derives from the single root seed in the
-config. Exit codes: 0 success, 2 config error, 3 stage failure,
-4 invariant violation (e.g. simulated collision).
+Every stage persists its output as one document in the run directory, so
+any stage can be re-run from its predecessors' persisted state, and a
+finished directory is a complete, reproducible record. A command reads
+each state file at most once (RunState). All randomness derives from the
+single root seed in the config. Exit codes: 0 success, 2 config error,
+3 stage failure, 4 invariant violation (e.g. simulated collision).
 
 Usage:
     ladderbus run --config cfg.json --rundir out/
@@ -30,6 +30,8 @@ import argparse
 import copy
 import json
 import sys
+from contextlib import nullcontext
+from functools import cached_property
 from pathlib import Path
 
 from . import controlgen, costmodel, grouping, sim
@@ -153,7 +155,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
 
 
 def _save_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n")
 
 
 def _read_state_text(rundir: Path, name: str, stage: str) -> str:
@@ -199,8 +201,57 @@ def _fields(rec, name: str, keys: tuple[str, ...], kind: type = object) -> dict:
 # stages
 
 
-def stage_gen(cfg: dict, rundir: Path) -> None:
-    spec = cfg.get("graph") or {}
+class RunState:
+    """The run directory and one cached, checked reader per state file. No stage
+    writes a file an earlier stage of the command has read, so none goes stale."""
+
+    def __init__(self, rundir: Path):
+        self.rundir = rundir
+
+    @cached_property
+    def graph(self):
+        return parse_cluster_graph(_read_state_text(self.rundir, "graph.json", "gen"))
+
+    @cached_property
+    def topology(self):
+        rec = _read_state(self.rundir, "topology.json", "place")
+        return build_topology(**_fields(rec, "topology.json", ("n_tiles", "n_lanes", "lane_width_bits"), int))
+
+    @cached_property
+    def placement(self):
+        rec = _read_state(self.rundir, "placement.json", "place")
+        assignment = _fields(rec, "placement.json", ("assignment",), list)["assignment"]
+        if not all(type(t) is int for t in assignment):
+            raise ConfigError("state file placement.json: 'assignment' holds a value that is not an integer")
+        return TilePlacement(assignment=tuple(assignment))
+
+    @cached_property
+    def paths(self):
+        recs = _fields(_read_state(self.rundir, "paths.json", "route"), "paths.json", ("paths",), list)["paths"]
+        keys = ("edge", "src", "dst", "lane", "cmin", "cmax")
+        return [path_from_record(_fields(r, f"paths.json (path {i})", keys, int)) for i, r in enumerate(recs)]
+
+    @cached_property
+    def scenarios(self) -> dict:
+        """The scenarios.json record, its scenario list and memory bits checked."""
+        rec = _read_state(self.rundir, "scenarios.json", "group")
+        _fields(rec, "scenarios.json", ("scenarios",), list)
+        _fields(rec, "scenarios.json", ("raw_bits", "compressed_bits"), int)
+        return rec
+
+    @cached_property
+    def scenario_set(self):  # (partition, switch vectors)
+        return grouping.scenario_set_from_record(self.scenarios, self.topology.n_switches, len(self.paths))
+
+    @cached_property
+    def programs(self):
+        meta = _fields(_read_state(self.rundir, "controllers.json", "emit-ctrl"), "controllers.json", ("count",), int)
+        return [controlgen.parse_program(_read_state_text(self.rundir, f"programs/ctrl_{i:03d}.txt", "emit-ctrl"))
+                for i in range(meta["count"])]
+
+
+def stage_gen(cfg: dict, state: RunState) -> None:
+    spec = cfg["graph"]
     if "file" in spec:
         try:
             text = Path(spec["file"]).read_text()
@@ -219,16 +270,16 @@ def stage_gen(cfg: dict, rundir: Path) -> None:
         else:
             raise ConfigError("graph.synthetic needs n_edges or density")
         seed = syn.get("seed", cfg["seed"])
-        g = generate_synthetic(n, n_edges, seed, name=cfg.get("name") or "")
+        g = generate_synthetic(n, n_edges, seed, name=cfg["name"])
     else:
         raise ConfigError("config needs graph.file or graph.synthetic")
-    (rundir / "graph.json").write_text(dump_cluster_graph(g))
+    (state.rundir / "graph.json").write_text(dump_cluster_graph(g))
 
 
-def stage_metrics(cfg: dict, rundir: Path) -> None:
-    g = parse_cluster_graph(_read_state_text(rundir, "graph.json", "gen"))
+def stage_metrics(cfg: dict, state: RunState) -> None:
+    g = state.graph
     m = graph_metrics(g)
-    _save_json(rundir / "metrics.json", {
+    _save_json(state.rundir / "metrics.json", {
         "name": g.name,
         "n_clusters": g.n_clusters,
         "n_edges": g.n_edges,
@@ -238,51 +289,42 @@ def stage_metrics(cfg: dict, rundir: Path) -> None:
     })
 
 
-def _topology_from_state(rundir: Path):
-    rec = _read_state(rundir, "topology.json", "place")
-    return build_topology(**_fields(rec, "topology.json", ("n_tiles", "n_lanes", "lane_width_bits"), int))
+def _controller_count(cfg: dict, topo) -> int:
+    count = cfg["controllers"]["count"]
+    if count is not None and count > topo.n_columns:
+        raise ConfigError(f"config key 'controllers.count' has value {count}, "
+                          f"above the ladder's {topo.n_columns} columns")
+    return controlgen.default_controller_count(topo) if count is None else count
 
 
-def stage_place(cfg: dict, rundir: Path) -> None:
-    g = parse_cluster_graph(_read_state_text(rundir, "graph.json", "gen"))
+def stage_place(cfg: dict, state: RunState) -> None:
+    g = state.graph
     tcfg = cfg["topology"]
-    n_tiles = max(g.n_clusters, 2) if tcfg.get("n_tiles") is None else tcfg["n_tiles"]
-    topo = build_topology(n_tiles, tcfg.get("n_lanes"), tcfg.get("lane_width_bits", 32))
-    _save_json(rundir / "topology.json", topo.summary())
+    n_tiles = max(g.n_clusters, 2) if tcfg["n_tiles"] is None else tcfg["n_tiles"]
+    topo = build_topology(n_tiles, tcfg["n_lanes"], tcfg["lane_width_bits"])
+    _controller_count(cfg, topo)  # a count the ladder cannot hold stops the run before grouping
+    _save_json(state.rundir / "topology.json", topo.summary())
 
     pcfg = cfg["placement"]
     greedy = place_greedy(g, topo)
     greedy_cost = placement_cost(g, topo, greedy)
-    if pcfg.get("anneal", True):
+    if pcfg["anneal"]:
         final = place_anneal(
-            g, topo, seed=cfg["seed"] + 1, t0=pcfg.get("t0"),
-            cooling=pcfg.get("cooling", 0.97), iters=pcfg.get("iters"), initial=greedy,
+            g, topo, seed=cfg["seed"] + 1, t0=pcfg["t0"],
+            cooling=pcfg["cooling"], iters=pcfg["iters"], initial=greedy,
         )
     else:
         final = greedy
-    _save_json(rundir / "placement.json", {
+    _save_json(state.rundir / "placement.json", {
         "assignment": list(final.assignment),
         "greedy_cost": greedy_cost,
         "final_cost": placement_cost(g, topo, final),
     })
 
 
-def stage_route(cfg: dict, rundir: Path) -> None:
-    g = parse_cluster_graph(_read_state_text(rundir, "graph.json", "gen"))
-    topo = _topology_from_state(rundir)
-    rec = _read_state(rundir, "placement.json", "place")
-    assignment = _fields(rec, "placement.json", ("assignment",), list)["assignment"]
-    if not all(type(t) is int for t in assignment):
-        raise ConfigError("state file placement.json: 'assignment' holds a value that is not an integer")
-    placement = TilePlacement(assignment=tuple(assignment))
-    paths = extract_paths(g, topo, placement)
-    _save_json(rundir / "paths.json", {"paths": [path_record(p) for p in paths]})
-
-
-def _paths_from_state(rundir: Path):
-    recs = _fields(_read_state(rundir, "paths.json", "route"), "paths.json", ("paths",), list)["paths"]
-    keys = ("edge", "src", "dst", "lane", "cmin", "cmax")
-    return [path_from_record(_fields(r, f"paths.json (path {i})", keys, int)) for i, r in enumerate(recs)]
+def stage_route(cfg: dict, state: RunState) -> None:
+    paths = extract_paths(state.graph, state.topology, state.placement)
+    _save_json(state.rundir / "paths.json", {"paths": [path_record(p) for p in paths]})
 
 
 def _check_algorithms(names: list[str]) -> None:
@@ -293,11 +335,10 @@ def _check_algorithms(names: list[str]) -> None:
         raise ConfigError(str(exc)) from exc
 
 
-def stage_group(cfg: dict, rundir: Path) -> None:
-    topo = _topology_from_state(rundir)
-    paths = _paths_from_state(rundir)
+def stage_group(cfg: dict, state: RunState) -> None:
+    topo, paths = state.topology, state.paths
     gcfg = cfg["grouping"]
-    algo = gcfg.get("algorithm", "maxclique")
+    algo = gcfg["algorithm"]
     _check_algorithms([algo])
     conflicts = grouping.build_conflict_graph(paths)
     partition = grouping.group_paths(algo, conflicts)
@@ -306,7 +347,7 @@ def stage_group(cfg: dict, rundir: Path) -> None:
     except ValueError as exc:
         raise InvariantViolation(f"grouping produced an invalid scenario set: {exc}") from exc
     counts = {algo: partition.n_scenarios}
-    if gcfg.get("compare", True):
+    if gcfg["compare"]:
         other = "greedy" if algo == "maxclique" else "maxclique"
         counts[other] = grouping.group_paths(other, conflicts).n_scenarios
     vectors = [grouping.scenario_switch_vector(s, paths, topo) for s in partition.scenarios]
@@ -316,30 +357,19 @@ def stage_group(cfg: dict, rundir: Path) -> None:
     doc["gap"] = partition.n_scenarios - doc["lower_bound"]
     doc["raw_bits"] = grouping.raw_scenario_bits(partition.n_scenarios, topo)
     doc["compressed_bits"] = grouping.compressed_scenario_bits(doc, topo)
-    _save_json(rundir / "scenarios.json", doc)
+    _save_json(state.rundir / "scenarios.json", doc)
 
 
-def _scenarios_from_state(rundir: Path, topo, n_paths: int):
-    rec = _read_state(rundir, "scenarios.json", "group")
-    _fields(rec, "scenarios.json", ("scenarios",), list)
-    return grouping.scenario_set_from_record(rec, topo.n_switches, n_paths)
-
-
-def _controller_count(cfg: dict, topo) -> int:
-    count = cfg["controllers"].get("count")
-    return controlgen.default_controller_count(topo) if count is None else count
-
-
-def stage_emit_ctrl(cfg: dict, rundir: Path) -> None:
-    topo = _topology_from_state(rundir)
-    _partition, vectors = _scenarios_from_state(rundir, topo, len(_paths_from_state(rundir)))
+def stage_emit_ctrl(cfg: dict, state: RunState) -> None:
+    topo = state.topology
+    _partition, vectors = state.scenario_set
     regions = controlgen.partition_regions(topo, _controller_count(cfg, topo))
     programs = controlgen.encode_scenarios(vectors, regions, topo)
-    progdir = rundir / "programs"
+    progdir = state.rundir / "programs"
     progdir.mkdir(exist_ok=True)
     for prog in programs:
         (progdir / f"ctrl_{prog.region.controller_id:03d}.txt").write_text(controlgen.format_program(prog))
-    _save_json(rundir / "controllers.json", {
+    _save_json(state.rundir / "controllers.json", {
         "count": len(programs),
         "memory_bits": controlgen.control_memory_bits(programs),
         "regions": [
@@ -350,27 +380,13 @@ def stage_emit_ctrl(cfg: dict, rundir: Path) -> None:
     })
 
 
-def _programs_from_state(rundir: Path):
-    meta = _fields(_read_state(rundir, "controllers.json", "emit-ctrl"), "controllers.json", ("count",), int)
-    programs = []
-    for i in range(meta["count"]):
-        text = _read_state_text(rundir, f"programs/ctrl_{i:03d}.txt", "emit-ctrl")
-        programs.append(controlgen.parse_program(text))
-    return programs
-
-
-def stage_sim(cfg: dict, rundir: Path) -> None:
-    topo = _topology_from_state(rundir)
-    paths = _paths_from_state(rundir)
-    scenarios = _scenarios_from_state(rundir, topo, len(paths))[0].scenarios
-    programs = _programs_from_state(rundir)
-    n_frames = cfg["sim"].get("frames", 1)
-    if cfg["sim"].get("trace"):
-        with open(rundir / "trace.log", "w") as trace:
-            report = sim.run_frames(topo, programs, paths, scenarios, n_frames, trace=trace)
-    else:
-        report = sim.run_frames(topo, programs, paths, scenarios, n_frames)
-    _save_json(rundir / "sim_report.json", {
+def stage_sim(cfg: dict, state: RunState) -> None:
+    topo, paths = state.topology, state.paths
+    scenarios, programs = state.scenario_set[0].scenarios, state.programs
+    n_frames = cfg["sim"]["frames"]
+    with open(state.rundir / "trace.log", "w") if cfg["sim"]["trace"] else nullcontext() as trace:
+        report = sim.run_frames(topo, programs, paths, scenarios, n_frames, trace=trace)
+    _save_json(state.rundir / "sim_report.json", {
         "steps": report.steps,
         "n_frames": report.n_frames,
         "frame_length": report.frame_length,
@@ -387,14 +403,12 @@ def stage_sim(cfg: dict, rundir: Path) -> None:
             raise InvariantViolation(f"connection {edge} delivered {count} time(s) in {n_frames} frame(s)")
 
 
-def stage_cost(cfg: dict, rundir: Path) -> None:
-    topo = _topology_from_state(rundir)
-    scen = _fields(_read_state(rundir, "scenarios.json", "group"), "scenarios.json",
-                   ("raw_bits", "compressed_bits"), int)
+def stage_cost(cfg: dict, state: RunState) -> None:
+    topo, scen = state.topology, state.scenarios
     model = costmodel.calibrate(costmodel.reference_observations())
     n_ctrl = _controller_count(cfg, topo)
     rep = costmodel.cost_report(topo, scen["raw_bits"], n_ctrl, model)
-    _save_json(rundir / "cost_report.json", {
+    _save_json(state.rundir / "cost_report.json", {
         "data_plane_units": rep.data_plane_units,
         "control_plane_units": rep.control_plane_units,
         "control_fraction": rep.control_fraction,
@@ -545,9 +559,10 @@ def main(argv: list[str] | None = None) -> int:
         rundir.mkdir(parents=True, exist_ok=True)
         _save_json(rundir / "config.json", cfg)
         stages = STAGE_ORDER if args.command == "run" else [args.command]
+        state = RunState(rundir)
         for name in stages:
             try:
-                STAGES[name](cfg, rundir)
+                STAGES[name](cfg, state)
             except (ConfigError, InvariantViolation):
                 raise
             except (ValueError, GraphFormatError, OSError, KeyError) as exc:

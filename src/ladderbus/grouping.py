@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import or_
 
 from .routing import RoutedPath, path_switch_states
@@ -422,13 +422,7 @@ def scenario_lower_bound(paths: list[RoutedPath]) -> int:
 
 def rle_encode(vec) -> list[list[int]]:
     """[[state, run], ...] covering the vector in order."""
-    runs: list[list[int]] = []
-    for v in vec:
-        if runs and runs[-1][0] == v:
-            runs[-1][1] += 1
-        else:
-            runs.append([int(v), 1])
-    return runs
+    return [[int(v), len(list(run))] for v, run in groupby(vec)]
 
 
 def rle_decode(runs) -> tuple[int, ...]:

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ladderbus.appgraph import (
     GraphFormatError,
@@ -149,3 +151,22 @@ def test_metrics_consistency_random():
 def test_roundtrip_preserves_edge_order():
     g = generate_synthetic(10, 30, seed=5)
     assert parse_cluster_graph(dump_cluster_graph(g)).edges == g.edges
+
+
+@st.composite
+def cluster_graphs(draw):
+    """Valid cluster graphs: any n >= 1, distinct non-loop pairs, weights >= 0, any name."""
+    n = draw(st.integers(1, 8))
+    pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = draw(st.lists(st.integers(0, 2**40), min_size=len(chosen), max_size=len(chosen)))
+    name = draw(st.one_of(st.text(), st.sampled_from(['"quoted"', "back\\slash", "caf\u00e9 \u2192 \u30e9\u30c0\u30fc"])))
+    return make_cluster_graph(n, [(s, d, w) for (s, d), w in zip(chosen, weights)], name=name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cluster_graphs())
+@example(make_cluster_graph(1, [], name=""))
+@example(make_cluster_graph(3, [(0, 1, 0), (2, 0, 0)], name='a "b" \\ c\u00e9'))
+def test_dump_parse_round_trip(g):
+    assert parse_cluster_graph(dump_cluster_graph(g)) == g

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,21 @@ def test_stagewise_equals_end_to_end(tmp_path):
     for stage in STAGE_ORDER:
         assert main([stage, "--config", cfg, "--rundir", str(staged)]) == EXIT_OK
     assert read_all_state(full) == read_all_state(staged)
+
+
+def test_run_reads_each_state_file_once(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    reads = Counter()
+    read_text = Path.read_text
+
+    def counted(path, *args, **kwargs):
+        reads[path.name] += 1
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    assert main(["run", "--config", cfg, "--rundir", str(tmp_path / "run")]) == EXIT_OK
+    state = ["graph.json", "topology.json", "placement.json", "paths.json", "scenarios.json", "controllers.json"]
+    assert {name: reads[name] for name in state} == dict.fromkeys(state, 1)
 
 
 def test_rerunning_one_stage_preserves_state(tmp_path):
@@ -424,6 +440,14 @@ def test_config_count_below_its_least_value_is_config_error(tmp_path, capsys, ov
     assert main(["run", "--config", cfg, "--rundir", str(tmp_path / "run"), "--set", override]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run" / "graph.json").exists()
+
+
+def test_controller_count_above_the_column_count_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir), "--set", "controllers.count=1000"]) == EXIT_CONFIG
+    assert "'controllers.count' has value 1000, above the ladder's 6 columns" in capsys.readouterr().err
+    assert (rundir / "graph.json").exists() and not (rundir / "topology.json").exists()  # stopped in place
 
 
 def test_config_overrides(tmp_path):

@@ -402,10 +402,15 @@ def test_scenario_vectors_idle_elsewhere():
             assert state == expected.get(idx, 0)
 
 
-def test_rle_round_trip():
-    vec = (0, 0, 0, 1, 1, 2, 0, 0, 3)
-    assert rle_decode(rle_encode(vec)) == vec
-    assert rle_encode(()) == []
+@pytest.mark.parametrize("vec, runs", [
+    ((), []),
+    ((2,) * 5, [[2, 5]]),
+    ((1, 0) * 3, [[1, 1], [0, 1]] * 3),
+    ((0, 0, 0, 1, 1, 2, 0, 0, 3), [[0, 3], [1, 2], [2, 1], [0, 2], [3, 1]]),
+], ids=["empty", "one-run", "alternating", "all-four-states"])
+def test_rle_round_trip(vec, runs):
+    assert rle_encode(vec) == runs
+    assert rle_decode(runs) == vec
 
 
 def test_scenario_record_round_trip():
