@@ -58,10 +58,17 @@ class GraphMetrics:
     max_total_degree: int
 
 
-def _validate_edges(n_clusters, edges, where=""):
+def _checked_graph(n_clusters: int, edges, name: str) -> ClusterGraph:
+    """ClusterGraph of [src, dst, weight] integer triples, each triple
+    type-checked and validated in one pass."""
+    if n_clusters < 1:
+        raise GraphFormatError(f"n_clusters must be >= 1, got {n_clusters}")
     seen = set()
-    for i, (src, dst, w) in enumerate(edges):
-        loc = f"{where}edge {i} ({src},{dst})"
+    for i, e in enumerate(edges):
+        if (not isinstance(e, list)) or len(e) != 3 or not all(isinstance(v, int) and not isinstance(v, bool) for v in e):
+            raise GraphFormatError(f"edge {i}: expected [src, dst, weight] integer triple, got {e!r}")
+        src, dst, w = e
+        loc = f"edge {i} ({src},{dst})"
         if not (0 <= src < n_clusters) or not (0 <= dst < n_clusters):
             raise GraphFormatError(f"{loc}: cluster id out of range 0..{n_clusters - 1}")
         if src == dst:
@@ -71,15 +78,12 @@ def _validate_edges(n_clusters, edges, where=""):
         if w < 0:
             raise GraphFormatError(f"{loc}: negative weight {w}")
         seen.add((src, dst))
+    return ClusterGraph(n_clusters=n_clusters, edges=tuple(map(tuple, edges)), name=name)
 
 
 def make_cluster_graph(n_clusters: int, edges, name: str = "") -> ClusterGraph:
-    """Build a validated ClusterGraph from raw edge triples."""
-    if n_clusters < 1:
-        raise GraphFormatError(f"n_clusters must be >= 1, got {n_clusters}")
-    edges = tuple((int(s), int(d), int(w)) for s, d, w in edges)
-    _validate_edges(n_clusters, edges)
-    return ClusterGraph(n_clusters=n_clusters, edges=edges, name=name)
+    """Build a validated ClusterGraph from raw edge triples, each value taken by int()."""
+    return _checked_graph(n_clusters, [[int(v) for v in e] for e in edges], name)
 
 
 _SCHEMA_FIELDS = {"name", "n_clusters", "edges"}
@@ -107,15 +111,13 @@ def parse_cluster_graph(text: str) -> ClusterGraph:
     n = doc["n_clusters"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise GraphFormatError("'n_clusters' must be an integer")
-    raw_edges = doc["edges"]
-    if not isinstance(raw_edges, list):
+    edges = doc["edges"]
+    if not isinstance(edges, list):
         raise GraphFormatError("'edges' must be a list")
-    edges = []
-    for i, e in enumerate(raw_edges):
-        if (not isinstance(e, list)) or len(e) != 3 or not all(isinstance(v, int) and not isinstance(v, bool) for v in e):
-            raise GraphFormatError(f"edge {i}: expected [src, dst, weight] integer triple, got {e!r}")
-        edges.append((e[0], e[1], e[2]))
-    return make_cluster_graph(n, edges, name=str(doc.get("name", "")))
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise GraphFormatError("'name' must be a string")
+    return _checked_graph(n, edges, name)
 
 
 def dump_cluster_graph(g: ClusterGraph) -> str:

@@ -545,6 +545,8 @@ def main(argv: list[str] | None = None) -> int:
             for d in densities:
                 if not 0 <= d <= 1:
                     raise ConfigError(f"bad sweep parameter --densities: {d:g} (a density lies in 0..1)")
+            if args.jobs < 1:
+                raise ConfigError(f"bad sweep parameter --jobs: {args.jobs} (at least 1 worker process)")
             algos = args.algorithms.split(",")
             _check_algorithms(algos)
             rows = costmodel.scaling_sweep(sizes, densities, seeds, algos, jobs=args.jobs)

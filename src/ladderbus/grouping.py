@@ -3,13 +3,17 @@
 Vertices of the conflict graph are routed paths; an edge marks resource
 contention, so a scenario is an independent set and a full grouping is
 a coloring. The groupers color a ConflictGraph into a Partition:
-first-fit greedy over paths in edge-id order, and iterated
-maximum-clique extraction (each clique member must land in a distinct
-scenario). Each clique is found in two passes, a colour-bounded branch
-and bound for the clique number ω and then a member-by-member choice,
-in id order, of the lexicographically first ω-clique; the search is
-exact within a fixed count of search nodes, so a grouping depends on its
-input alone, never on machine speed.
+first-fit, and iterated maximum-clique extraction (each clique member
+must land in a distinct scenario). First-fit is class-at-a-time greedy
+colouring: scenario k is the greedy independent set, in edge-id order,
+of the paths scenarios 0..k-1 left, which is the same partition as
+placing each path, in id order, in the first scenario it does not
+intersect; the clique search bounds its branches with the same
+colouring, _colour_classes. Each clique is found in two passes, a
+colour-bounded branch and bound for the clique number ω and then a
+member-by-member choice, in id order, of the lexicographically first
+ω-clique; the search is exact within a fixed count of search nodes, so
+a grouping depends on its input alone, never on machine speed.
 scenario_lower_bound is the structural bound B, the size of the largest
 rung star or lane cover: both are cliques, so every grouping needs at
 least B scenarios.
@@ -23,8 +27,8 @@ The conflict graph is built from the ladder's structure, not from
 pairs: per-column buckets of the paths ending on that column's rung,
 plus per-lane prefix masks over cmin and suffix masks over cmax.
 Adjacency is kept as per-vertex bitmasks (Python ints), which makes
-first-fit, clique-search set algebra and scenario validation cheap
-enough for ten-thousand-path instances.
+first-fit (one mask step per path), clique-search set algebra and
+scenario validation cheap enough for ten-thousand-path instances.
 """
 
 from __future__ import annotations
@@ -158,20 +162,36 @@ def validate_scenario_set(scenarios, g: ConflictGraph) -> None:
 # grouping algorithms
 
 
+def _colour_classes(adj, p: int) -> list[int]:
+    """Greedy colouring of the vertices p, one class at a time: each class is
+    the greedy independent set, filled in bit order, of the vertices earlier
+    classes left. Returns the colour classes as masks."""
+    classes = []
+    while p:
+        c, q = 0, p
+        while q:
+            low = q & -q
+            c |= low
+            q = (q ^ low) & ~adj[low.bit_length() - 1]
+        classes.append(c)
+        p ^= c
+    return classes
+
+
 def group_greedy(g: ConflictGraph) -> Partition:
-    """First-fit: each path joins the first scenario it does not intersect."""
-    scenario_ids: list[list[int]] = []
-    conflict_masks: list[int] = []  # OR of members' adjacency; bit v set = v conflicts
-    for v in range(g.n):
-        for s, mask in enumerate(conflict_masks):
-            if not (mask >> v) & 1:
-                scenario_ids[s].append(v)
-                conflict_masks[s] |= g.adj[v]
-                break
-        else:
-            scenario_ids.append([v])
-            conflict_masks.append(g.adj[v])
-    return Partition(tuple(map(tuple, scenario_ids)), GroupingStats("greedy"))  # members join in id order
+    """First-fit, one scenario at a time: scenario k is the greedy independent
+    set, built in id order, of the paths scenarios 0..k-1 left. This is
+    exactly per-path first-fit, where each path joins the first scenario it
+    does not intersect."""
+    scenarios = []
+    for c in _colour_classes(g.adj, (1 << g.n) - 1):
+        members = []
+        while c:
+            low = c & -c
+            members.append(low.bit_length() - 1)
+            c ^= low
+        scenarios.append(tuple(members))
+    return Partition(tuple(scenarios), GroupingStats("greedy"))
 
 
 def _greedy_clique(adj: tuple[int, ...], cand: int) -> list[int]:
@@ -197,21 +217,6 @@ class _BudgetExpired(Exception):
 
 
 CLIQUE_TICK_LIMIT = 1 << 18  # search nodes per clique call
-
-
-def _colour_classes(adj, p: int) -> list[int]:
-    """Greedy colouring of p, each class filled in bit order: its colour
-    classes as masks."""
-    classes = []
-    while p:
-        c, q = 0, p
-        while q:
-            low = q & -q
-            c |= low
-            q = (q ^ low) & ~adj[low.bit_length() - 1]
-        classes.append(c)
-        p ^= c
-    return classes
 
 
 class _CliqueSearch:

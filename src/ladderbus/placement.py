@@ -52,16 +52,27 @@ def placement_cost(g: ClusterGraph, topo: LadderTopology, p: TilePlacement) -> i
     return cost
 
 
+def _check_int64_prices(g: ClusterGraph, topo: LadderTopology) -> None:
+    """Both placers price in int64, which wraps where Python ints would grow.
+    A column price or an annealing delta stays below 4 * total weight *
+    column count, so a graph that could reach 2^63 is rejected, not priced
+    wrongly."""
+    if 4 * sum(w for _src, _dst, w in g.edges) * topo.n_columns >= 1 << 63:
+        raise ValueError(f"edge weights too large to price exactly in int64 on {topo.n_columns} columns")
+
+
 def place_greedy(g: ClusterGraph, topo: LadderTopology) -> TilePlacement:
     """Descending total-degree insertion, each cluster onto the cheapest free tile.
 
-    A tile's price depends only on its column, so each column with a free
-    tile is priced once. Ties break toward the lowest tile id: the lowest
-    free tile of the first cheapest column. Equal-degree clusters are
-    visited in id order.
+    A tile's price depends only on its column, so the columns with a free
+    tile are priced together: (|free column - placed neighbour's column|
+    + 1) times the neighbour's weight, summed by one matrix product. Ties
+    break toward the lowest tile id: the lowest free tile of the first
+    cheapest column. Equal-degree clusters are visited in id order.
     """
     if g.n_clusters > topo.n_tiles:
         raise ValueError(f"{g.n_clusters} clusters exceed {topo.n_tiles} tiles")
+    _check_int64_prices(g, topo)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n_clusters)]
     for src, dst, w in g.edges:
         adj[src].append((dst, w))
@@ -73,13 +84,19 @@ def place_greedy(g: ClusterGraph, topo: LadderTopology) -> TilePlacement:
     free: dict[int, list[int]] = {}  # column -> its free tiles, both ascending
     for t in range(topo.n_tiles):
         free.setdefault(cols[t], []).append(t)
+    free_cols = np.array(sorted(free), dtype=np.int64)
     assignment = [-1] * g.n_clusters
     for c in order:
         placed = [(cols[assignment[other]], w) for other, w in adj[c] if assignment[other] >= 0]
-        best_col = min(free, key=lambda col: sum(w * (abs(col - at) + 1) for at, w in placed))
+        at = np.array([col for col, _w in placed], dtype=np.int64)
+        weights = np.array([w for _col, w in placed], dtype=np.int64)
+        price = (np.abs(free_cols[:, None] - at) + 1) @ weights
+        k = int(price.argmin())  # argmin: the first, so the lowest, cheapest column
+        best_col = int(free_cols[k])
         assignment[c] = free[best_col].pop(0)
         if not free[best_col]:
             del free[best_col]
+            free_cols = np.delete(free_cols, k)
     return TilePlacement(assignment=tuple(assignment))
 
 
@@ -111,6 +128,7 @@ def place_anneal(
     The arithmetic is exact integer arithmetic, and a swap is applied
     only once it is accepted.
     """
+    _check_int64_prices(g, topo)
     if initial is None:
         initial = place_greedy(g, topo)
     if iters is None:

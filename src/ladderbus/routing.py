@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .appgraph import ClusterGraph
 from .placement import TilePlacement
 from .topology import LadderTopology, SwitchState, tile_column
@@ -34,44 +36,40 @@ def route_connection(
     topo: LadderTopology,
     src_tile: int,
     dst_tile: int,
-    lane_load: list[list[int]],
+    lane_load: np.ndarray,
     edge_id: int = 0,
 ) -> RoutedPath:
     """Route one connection on the least-loaded lane; updates lane_load.
 
-    lane_load[lane][i] counts paths already using the horizontal segment
-    between columns i and i+1 on that lane. The chosen lane minimizes
-    the summed load over the connection's interval, ties to the lowest
-    lane id. Same-column connections use only the rung and add no load.
+    lane_load is an (n_lanes, n_columns - 1) integer array; lane_load[lane, i]
+    counts paths already using the horizontal segment between columns i and
+    i+1 on that lane. The chosen lane minimizes the summed load over the
+    connection's interval, ties to the lowest lane id. Same-column
+    connections use only the rung, stay on lane 0 and add no load.
     """
     if src_tile == dst_tile:
         raise ValueError(f"connection from tile {src_tile} to itself")
     c1 = tile_column(topo, src_tile)
     c2 = tile_column(topo, dst_tile)
     cmin, cmax = min(c1, c2), max(c1, c2)
-    best_lane, best_load = 0, None
-    for lane in range(topo.n_lanes):
-        load = sum(lane_load[lane][cmin:cmax])
-        if best_load is None or load < best_load:
-            best_lane, best_load = lane, load
-    for i in range(cmin, cmax):
-        lane_load[best_lane][i] += 1
+    lane = 0
+    if cmin < cmax:
+        lane = int(lane_load[:, cmin:cmax].sum(axis=1).argmin())  # argmin: the first minimum
+        lane_load[lane, cmin:cmax] += 1
     return RoutedPath(
         edge_id=edge_id, src_tile=src_tile, dst_tile=dst_tile,
-        lane=best_lane, cmin=cmin, cmax=cmax,
+        lane=lane, cmin=cmin, cmax=cmax,
     )
 
 
 def extract_paths(g: ClusterGraph, topo: LadderTopology, p: TilePlacement) -> list[RoutedPath]:
     """One RoutedPath per cluster-graph edge, in edge-id order."""
     p.validate(g, topo)
-    lane_load = [[0] * max(topo.n_columns - 1, 0) for _ in range(topo.n_lanes)]
-    paths = []
-    for edge_id, (src, dst, _w) in enumerate(g.edges):
-        paths.append(
-            route_connection(topo, p.tile_of(src), p.tile_of(dst), lane_load, edge_id=edge_id)
-        )
-    return paths
+    lane_load = np.zeros((topo.n_lanes, max(topo.n_columns - 1, 0)), dtype=np.int64)
+    return [
+        route_connection(topo, p.tile_of(src), p.tile_of(dst), lane_load, edge_id=edge_id)
+        for edge_id, (src, dst, _w) in enumerate(g.edges)
+    ]
 
 
 def path_switch_states(path: RoutedPath) -> list[int]:

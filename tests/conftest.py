@@ -245,6 +245,38 @@ def conflict_edges_from_oracle(paths, topo) -> set[frozenset]:
     return edges
 
 
+def oracle_first_fit(paths, topo) -> tuple[tuple[int, ...], ...]:
+    """Per-path first-fit over the oracle's conflict edges: each path, in id
+    order, joins the first scenario none of whose members it intersects."""
+    edges = conflict_edges_from_oracle(paths, topo)
+    scenarios: list[list[int]] = []
+    for v in range(len(paths)):
+        for members in scenarios:
+            if all(frozenset((u, v)) not in edges for u in members):
+                members.append(v)
+                break
+        else:
+            scenarios.append([v])
+    return tuple(map(tuple, scenarios))
+
+
+def oracle_route(edges, tiles, topo) -> list[tuple[int, int, int]]:
+    """(lane, cmin, cmax) per connection, in edge order, with the columns
+    taken from the tiles: the lane with the least summed load over the
+    segments cmin..cmax-1, ties to the lowest lane; the chosen lane's
+    segments then carry one more path. A same-column connection sums to 0
+    everywhere, so it lands on lane 0 and loads nothing."""
+    load = [[0] * (topo.n_columns - 1) for _ in range(topo.n_lanes)]
+    routed = []
+    for src, dst, _w in edges:
+        lo, hi = sorted((tiles[src] // 2, tiles[dst] // 2))
+        lane = min(range(topo.n_lanes), key=lambda k: (sum(load[k][lo:hi]), k))
+        for i in range(lo, hi):
+            load[lane][i] += 1
+        routed.append((lane, lo, hi))
+    return routed
+
+
 def oracle_anneal(g, topo, seed, initial) -> tuple[int, ...]:
     """place_anneal's schedule with its default t0/cooling/iters, pricing
     each swap by walking the moved clusters' neighbours before and after

@@ -58,6 +58,37 @@ def test_parse_error_reports_edge_location():
         parse_cluster_graph(doc(3, [(0, 1, 1), (2, 2, 1)]))
 
 
+@pytest.mark.parametrize("name", [[1, 2], 7, None, {"a": 1}, True])
+def test_parse_rejects_non_string_name(name):
+    with pytest.raises(GraphFormatError, match="'name' must be a string"):
+        parse_cluster_graph(doc(2, [(0, 1, 1)], name=name))
+
+
+def test_parse_name_is_optional():
+    assert parse_cluster_graph(json.dumps({"n_clusters": 2, "edges": [[0, 1, 1]]})).name == ""
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([[0, 9, 1], [0, 1]], r"^edge 0 \(0,9\): cluster id out of range 0\.\.2$"),
+    ([[0, 1, 1], [0, 1]], r"^edge 1: expected \[src, dst, weight\] integer triple, got \[0, 1\]$"),
+    ([[0, 1, 1], [1, 2, True], [2, 2, 1]], r"^edge 1: expected \[src, dst, weight\] integer triple"),
+    ([[0, 1, 1], [1, 0, -2], "x"], r"^edge 1 \(1,0\): negative weight -2$"),
+])
+def test_parse_reports_the_first_faulty_edge_of_any_kind(edges, message):
+    # one pass over the edges: type, range, self-loop, duplicate and weight
+    # faults are found in edge order
+    with pytest.raises(GraphFormatError, match=message):
+        parse_cluster_graph(json.dumps({"n_clusters": 3, "edges": edges}))
+
+
+def test_make_cluster_graph_validates_like_parse():
+    assert make_cluster_graph(3, [(0, 1, 2), (2, 1, 0)]).edges == ((0, 1, 2), (2, 1, 0))
+    with pytest.raises(GraphFormatError, match=r"^edge 1 \(1,1\): self-loop$"):
+        make_cluster_graph(3, [(0, 1, 1), (1, 1, 1)])
+    with pytest.raises(GraphFormatError, match="integer triple"):
+        make_cluster_graph(3, [(0, 1)])
+
+
 def test_parse_synth40_shaped_file(tmp_path):
     g = generate_synthetic(40, 160, seed=1)
     text = dump_cluster_graph(g)

@@ -384,6 +384,15 @@ def test_sweep_instance_the_generator_cannot_build_is_config_error(tmp_path, cap
     assert not (rundir / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
+    rundir = tmp_path / "sweep"
+    assert main(["sweep", "--rundir", str(rundir), "--sizes", "10", "--densities", "0.15",
+                 "--seeds", "0", "--jobs", jobs]) == EXIT_CONFIG
+    assert f"bad sweep parameter --jobs: {jobs} " in capsys.readouterr().err
+    assert not (rundir / "sweep.csv").exists()
+
+
 def test_unknown_grouping_algorithm_is_config_error(tmp_path):
     cfg = write_config(tmp_path)
     for command in ("run", "group"):

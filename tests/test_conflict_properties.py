@@ -1,9 +1,10 @@
 """Property tests: the structural conflict build agrees with the pairwise
 resource-set oracle, validation reads its masks, the structural bound
-lies below the oracle's clique number, max_clique returns the oracle's
-lexicographically first maximum clique, scenario switch vectors
-agree with the per-switch oracle, and a scenarios.json record gives back
-the partition and those vectors."""
+lies below the oracle's clique number, group_greedy is the oracle's
+per-path first-fit, max_clique returns the oracle's lexicographically
+first maximum clique, scenario switch vectors agree with the per-switch
+oracle, and a scenarios.json record gives back the partition and those
+vectors."""
 
 import itertools
 import json
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     conflict_edges_from_oracle,
     ladder_paths,
+    oracle_first_fit,
     oracle_intersect,
     oracle_max_clique,
     oracle_switch_vector,
@@ -68,6 +70,15 @@ def test_validate_accepts_greedy_and_rejects_a_conflicting_move(instance):
     scenarios[0].append(moved)
     with pytest.raises(ValueError, match="intersect"):
         validate_scenario_set(scenarios, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_paths())
+def test_greedy_is_per_path_first_fit(instance):
+    topo, paths = instance
+    partition = group_greedy(build_conflict_graph(paths))
+    assert partition.scenarios == oracle_first_fit(paths, topo)
+    assert partition.stats.algorithm == "greedy"
 
 
 @settings(max_examples=150, deadline=None)

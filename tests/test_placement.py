@@ -69,6 +69,40 @@ def test_greedy_rejects_too_many_clusters():
         place_greedy(g, build_topology(4, 2))
 
 
+def column_pricing_placement(g, topo):
+    """place_greedy as a plain loop: each column with a free tile priced by a
+    Python sum, the first cheapest column in ascending order, its lowest
+    free tile."""
+    adj = [[] for _ in range(g.n_clusters)]
+    for src, dst, w in g.edges:
+        adj[src].append((dst, w))
+        adj[dst].append((src, w))
+    degrees = g.total_degrees()
+    free = {}
+    for t in range(topo.n_tiles):
+        free.setdefault(t // 2, []).append(t)
+    assignment = [-1] * g.n_clusters
+    for c in sorted(range(g.n_clusters), key=lambda c: (-degrees[c], c)):
+        placed = [(assignment[other] // 2, w) for other, w in adj[c] if assignment[other] >= 0]
+        best_col = min(free, key=lambda col: sum(w * (abs(col - at) + 1) for at, w in placed))
+        assignment[c] = free[best_col].pop(0)
+        if not free[best_col]:
+            del free[best_col]
+    return tuple(assignment)
+
+
+def test_greedy_matches_column_pricing_loop_on_corpus(corpus):
+    for inst in corpus:
+        assert place_greedy(inst.graph, inst.topo).assignment == column_pricing_placement(inst.graph, inst.topo), inst.key
+
+
+@pytest.mark.parametrize("n, spare, seed", [(7, 3, 0), (13, 1, 1), (20, 9, 2), (33, 0, 3)])
+def test_greedy_matches_column_pricing_loop_with_spare_tiles(n, spare, seed):
+    g = generate_synthetic(n, n * (n - 1) // 4, seed=seed)
+    topo = build_topology(n + spare)
+    assert place_greedy(g, topo).assignment == column_pricing_placement(g, topo)
+
+
 def test_anneal_n5_matches_exhaustive():
     g = generate_synthetic(5, 8, seed=0)
     topo = build_topology(6, 2)
@@ -163,3 +197,14 @@ def test_placement_validate_catches_bad_maps():
         TilePlacement(assignment=(0,)).validate(g, topo)  # missing cluster
     with pytest.raises(ValueError):
         TilePlacement(assignment=(0, 9)).validate(g, topo)  # tile out of range
+
+
+@pytest.mark.parametrize("placer", [place_greedy, lambda g, topo: place_anneal(g, topo, initial=TilePlacement((0, 2)))],
+                         ids=["greedy", "anneal"])
+def test_weights_int64_cannot_price_exactly_are_rejected(placer):
+    # 2 columns: a total weight of 2^60 could reach 2^63 in an annealing delta
+    topo = build_topology(4, 2)
+    with pytest.raises(ValueError, match="too large to price exactly in int64"):
+        placer(make_cluster_graph(2, [(0, 1, 1 << 60)]), topo)
+    g = make_cluster_graph(2, [(0, 1, (1 << 60) - 1)])
+    assert placement_cost(g, topo, placer(g, topo)) == (1 << 60) - 1  # both clusters on column 0

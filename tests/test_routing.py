@@ -2,13 +2,16 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import conflict_edges_from_oracle, oracle_intersect
+from conftest import conflict_edges_from_oracle, oracle_intersect, oracle_route
 
 from ladderbus.appgraph import generate_synthetic, make_cluster_graph
 from ladderbus.grouping import build_conflict_graph
-from ladderbus.placement import place_anneal
+from ladderbus.placement import TilePlacement, place_anneal
 from ladderbus.routing import (
     RoutedPath,
     extract_paths,
@@ -21,7 +24,7 @@ from ladderbus.topology import SwitchState, build_topology
 
 
 def fresh_load(topo):
-    return [[0] * (topo.n_columns - 1) for _ in range(topo.n_lanes)]
+    return np.zeros((topo.n_lanes, topo.n_columns - 1), dtype=np.int64)
 
 
 def test_route_same_column_ties_to_lane_zero():
@@ -51,7 +54,7 @@ def test_route_updates_load_and_interval():
     load = fresh_load(topo)
     p = route_connection(topo, 8, 0, load)  # columns 4 -> 0
     assert (p.cmin, p.cmax) == (0, 4)
-    assert load[p.lane][0:4] == [1, 1, 1, 1]
+    assert load[p.lane][0:4].tolist() == [1, 1, 1, 1]
 
 
 def test_extract_paths_one_per_edge():
@@ -85,6 +88,21 @@ def test_extract_lane_choices_match_independent_replay():
         assert (path.cmin, path.cmax) == (lo, hi)
         for i in range(lo, hi):
             load[best][i] += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 6), st.integers(1, 4), st.integers(0, 10**6), st.data())
+def test_extract_paths_matches_oracle_route(n, spare, n_lanes, seed, data):
+    # random graphs on random injective placements, spare tiles included;
+    # few lanes and columns make equal lane loads, so ties, common
+    g = generate_synthetic(n, data.draw(st.integers(0, n * (n - 1))), seed=seed)
+    topo = build_topology(n + spare, n_lanes)
+    tiles = data.draw(st.permutations(range(topo.n_tiles)))[:n]
+    paths = extract_paths(g, topo, TilePlacement(assignment=tuple(tiles)))
+    assert [(p.lane, p.cmin, p.cmax) for p in paths] == oracle_route(g.edges, tiles, topo)
+    assert [(p.edge_id, p.src_tile, p.dst_tile) for p in paths] == [
+        (i, tiles[src], tiles[dst]) for i, (src, dst, _w) in enumerate(g.edges)]
+    assert all(type(p.lane) is int for p in paths)  # numpy integers would not serialize
 
 
 def intersect(a, b):
