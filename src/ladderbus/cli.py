@@ -240,7 +240,7 @@ class RunState:
         return rec
 
     @cached_property
-    def scenario_set(self):  # (partition, switch vectors)
+    def scenario_set(self):  # (partition, switch-state matrix)
         return grouping.scenario_set_from_record(self.scenarios, self.topology.n_switches, len(self.paths))
 
     @cached_property
@@ -350,8 +350,8 @@ def stage_group(cfg: dict, state: RunState) -> None:
     if gcfg["compare"]:
         other = "greedy" if algo == "maxclique" else "maxclique"
         counts[other] = grouping.group_paths(other, conflicts).n_scenarios
-    vectors = [grouping.scenario_switch_vector(s, paths, topo) for s in partition.scenarios]
-    doc = grouping.scenario_set_record(partition, vectors)
+    matrix = grouping.scenario_switch_matrix(partition.scenarios, paths, topo)
+    doc = grouping.scenario_set_record(partition, matrix)
     doc["counts"] = counts
     doc["lower_bound"] = grouping.scenario_lower_bound(paths)
     doc["gap"] = partition.n_scenarios - doc["lower_bound"]
@@ -362,9 +362,9 @@ def stage_group(cfg: dict, state: RunState) -> None:
 
 def stage_emit_ctrl(cfg: dict, state: RunState) -> None:
     topo = state.topology
-    _partition, vectors = state.scenario_set
+    _partition, matrix = state.scenario_set
     regions = controlgen.partition_regions(topo, _controller_count(cfg, topo))
-    programs = controlgen.encode_scenarios(vectors, regions, topo)
+    programs = controlgen.encode_scenarios(matrix, regions, topo)
     progdir = state.rundir / "programs"
     progdir.mkdir(exist_ok=True)
     for prog in programs:
@@ -531,8 +531,6 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         if args.command == "sweep":
-            rundir = Path(args.rundir)
-            rundir.mkdir(parents=True, exist_ok=True)
             try:
                 sizes = [int(v) for v in args.sizes.split(",")]
                 densities = [float(v) for v in args.densities.split(",")]
@@ -549,6 +547,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"bad sweep parameter --jobs: {args.jobs} (at least 1 worker process)")
             algos = args.algorithms.split(",")
             _check_algorithms(algos)
+            rundir = Path(args.rundir)
+            rundir.mkdir(parents=True, exist_ok=True)
             rows = costmodel.scaling_sweep(sizes, densities, seeds, algos, jobs=args.jobs)
             _save_json(rundir / "sweep.json", rows)
             (rundir / "sweep.csv").write_text(costmodel.sweep_to_csv(rows))

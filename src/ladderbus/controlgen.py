@@ -6,12 +6,16 @@ word holding the 2-bit states of exactly its switches, and steps
 through a loop-nest schedule replicated identically on every
 controller (global lockstep): an infinite outer loop over (scenario,
 repeat) entries, plus at most one guarded entry appended to the frame
-when a runtime flag is raised. The compiler takes only switch vectors,
-one per scenario in scenario order, and a schedule needs only the
-scenario count; which paths a scenario holds is not its concern.
+when a runtime flag is raised. The compiler takes only the switch
+vectors, one int8 matrix row per scenario in scenario order, and a
+schedule needs only the scenario count; which paths a scenario holds is
+not its concern.
 
 Word layout: the region's switches sorted by (lane, column); switch j
-of that order occupies bits [2j, 2j+1] (LSB first).
+of that order occupies bits [2j, 2j+1] (LSB first). The compiler packs
+four switches per byte in that order, byte 0 lowest, and reads each
+scenario's bytes as one little-endian integer; decoding unpacks the
+same bytes.
 
 Program text format (byte-stable, one file per controller; the optional
 ``cond`` line holds a flag id and a scenario id)::
@@ -33,6 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .topology import LadderTopology, round_half_up_sqrt
 
@@ -130,43 +136,55 @@ def _check_regions(regions: list[ControllerRegion], topo: LadderTopology) -> Non
         raise ValueError("regions do not partition the columns")
 
 
+_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)  # bit offset of a byte's 4 switches, in word order
+
+
 def encode_scenarios(
-    vectors: list[tuple[int, ...]],
+    matrix: np.ndarray,
     regions: list[ControllerRegion],
     topo: LadderTopology,
     schedule: Schedule | None = None,
 ) -> list[ControllerProgram]:
-    """Project every scenario's switch vector (one per scenario, in scenario
-    order) onto each region's memory."""
-    for vec in vectors:
-        if len(vec) != topo.n_switches:
-            raise ValueError("switch vector length does not match topology")
+    """Project every scenario's switch vector (row k of the (n_scenarios,
+    n_switches) matrix is scenario k's) onto each region's memory."""
+    if matrix.ndim != 2 or matrix.shape[1] != topo.n_switches:
+        raise ValueError("switch vector length does not match topology")
     _check_regions(regions, topo)
+    n_scen = matrix.shape[0]
     if schedule is None:
-        schedule = build_schedule(len(vectors))
+        schedule = build_schedule(n_scen)
     programs = []
     for region in regions:
-        indices = region.switch_indices(topo)
-        memory = tuple(sum((vec[idx] & 0b11) << (2 * j) for j, idx in enumerate(indices))
-                       for vec in vectors)
+        n_bytes = -(-region.n_switches // 4)
+        states = np.zeros((n_scen, 4 * n_bytes), dtype=np.uint8)  # zero-padded to whole bytes
+        states[:, :region.n_switches] = matrix[:, region.switch_indices(topo)] & 0b11
+        packed = np.bitwise_or.reduce(states.reshape(n_scen, n_bytes, 4) << _SHIFTS, axis=2).tobytes()
+        memory = tuple(int.from_bytes(packed[k * n_bytes:(k + 1) * n_bytes], "little") for k in range(n_scen))
         programs.append(ControllerProgram(region=region, memory=memory, schedule=schedule))
     return programs
 
 
-def decode_programs(programs: list[ControllerProgram], topo: LadderTopology) -> list[tuple[int, ...]]:
-    """Reassemble global switch vectors from all regions' memories."""
+def decode_programs(programs: list[ControllerProgram], topo: LadderTopology) -> np.ndarray:
+    """Reassemble the (n_scenarios, n_switches) switch-state matrix from all
+    regions' memories. Raises ValueError naming the controller and scenario
+    of a word outside 0 .. 2**word_bits - 1."""
     _check_regions([prog.region for prog in programs], topo)
     n_scen = len(programs[0].memory)
     if any(len(prog.memory) != n_scen for prog in programs):
         raise ValueError("programs disagree on scenario count")
-    vectors = [[0] * topo.n_switches for _ in range(n_scen)]
+    matrix = np.zeros((n_scen, topo.n_switches), dtype=np.int8)
     for prog in programs:
-        indices = prog.region.switch_indices(topo)
-        for vec, word in zip(vectors, prog.memory):
-            for idx in indices:
-                vec[idx] = word & 0b11
-                word >>= 2
-    return [tuple(vec) for vec in vectors]
+        region = prog.region
+        for k, word in enumerate(prog.memory):
+            if not 0 <= word < 1 << region.word_bits:
+                raise ValueError(f"controller {region.controller_id}, scenario {k}: "
+                                 f"memory word {word:x} does not fit in {region.word_bits} bits")
+        n_bytes = -(-region.n_switches // 4)
+        raw = b"".join(word.to_bytes(n_bytes, "little") for word in prog.memory)
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(n_scen, n_bytes, 1)
+        states = ((packed >> _SHIFTS) & 0b11).reshape(n_scen, 4 * n_bytes)
+        matrix[:, region.switch_indices(topo)] = states[:, :region.n_switches]
+    return matrix
 
 
 def build_schedule(

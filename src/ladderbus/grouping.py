@@ -17,11 +17,13 @@ a grouping depends on its input alone, never on machine speed.
 scenario_lower_bound is the structural bound B, the size of the largest
 rung star or lane cover: both are cliques, so every grouping needs at
 least B scenarios.
-Partition is the one scenario-set type. The scenarios.json record pairs
-the stored partition with one switch vector per scenario, run-length
-encoded once; compressed_scenario_bits counts that record's runs.
-Loading the record gives back (partition, vectors): the controller
-compiler takes the vectors, the simulator the memberships.
+Partition is the one scenario-set type. Its switch vectors are one
+(n_scenarios, n_switches) int8 matrix, row k the 2-bit states scenario k
+sets (scenario_switch_matrix). The scenarios.json record pairs the stored
+partition with each row run-length encoded; compressed_scenario_bits
+counts that record's runs. Loading the record gives back (partition,
+matrix): the controller compiler takes the matrix, the simulator the
+memberships.
 
 The conflict graph is built from the ladder's structure, not from
 pairs: per-column buckets of the paths ending on that column's rung,
@@ -35,8 +37,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate
 from operator import or_
+
+import numpy as np
 
 from .routing import RoutedPath, path_switch_states
 from .topology import LadderTopology, SwitchState
@@ -121,27 +125,39 @@ def build_conflict_graph(paths: list[RoutedPath]) -> ConflictGraph:
 
 def scenario_switch_vector(
     path_ids, paths: list[RoutedPath], topo: LadderTopology
-) -> tuple[int, ...]:
-    """Full switch-state vector realizing every path of one scenario.
+) -> np.ndarray:
+    """Full switch-state vector realizing every path of one scenario, as one
+    int8 row of n_switches states. Each path writes its lane slice, the run
+    of path_switch_states: RIGHT_RUNG, LEFT_RIGHT inside, LEFT_RUNG.
 
     Raises if two paths demand one switch in different states (cannot
     happen for a conflict-free scenario), naming the later path's lowest such column.
     """
-    vec = [int(SwitchState.IDLE)] * topo.n_switches
+    vec = np.zeros(topo.n_switches, dtype=np.int8)  # all IDLE
     for pid in path_ids:
         p = paths[pid]
-        run = path_switch_states(p)
-        if not run:
-            continue
+        if p.cmin == p.cmax:
+            continue  # a same-column path drives no switch
         if p.cmin > p.cmax:
             raise ValueError(f"path {pid}: column interval [{p.cmin}, {p.cmax}] is reversed")
-        lo, hi = topo.switch_index(p.lane, p.cmin), topo.switch_index(p.lane, p.cmax) + 1
-        if any(vec[lo:hi]):
-            for col, have, want in zip(range(p.cmin, p.cmax + 1), vec[lo:hi], run):
+        lo, hi = topo.switch_index(p.lane, p.cmin), topo.switch_index(p.lane, p.cmax)
+        if np.count_nonzero(vec[lo:hi + 1]):
+            for col, have, want in zip(range(p.cmin, p.cmax + 1), vec[lo:hi + 1].tolist(), path_switch_states(p)):
                 if have != SwitchState.IDLE and have != want:
                     raise ValueError(f"switch ({p.lane},{col}) demanded in states {have} and {want}")
-        vec[lo:hi] = run
-    return tuple(vec)
+        vec[lo] = SwitchState.RIGHT_RUNG
+        vec[lo + 1:hi] = SwitchState.LEFT_RIGHT
+        vec[hi] = SwitchState.LEFT_RUNG
+    return vec
+
+
+def scenario_switch_matrix(scenarios, paths: list[RoutedPath], topo: LadderTopology) -> np.ndarray:
+    """(n_scenarios, n_switches) int8 matrix whose row k is scenario k's
+    switch vector; a set of no scenarios is a (0, n_switches) matrix."""
+    matrix = np.zeros((len(scenarios), topo.n_switches), dtype=np.int8)
+    for k, members in enumerate(scenarios):
+        matrix[k] = scenario_switch_vector(members, paths, topo)
+    return matrix
 
 
 def validate_scenario_set(scenarios, g: ConflictGraph) -> None:
@@ -427,14 +443,17 @@ def scenario_lower_bound(paths: list[RoutedPath]) -> int:
 
 def rle_encode(vec) -> list[list[int]]:
     """[[state, run], ...] covering the vector in order."""
-    return [[int(v), len(list(run))] for v, run in groupby(vec)]
+    vec = np.asarray(vec)
+    if not vec.size:
+        return []
+    bounds = np.concatenate(([0], np.flatnonzero(vec[1:] != vec[:-1]) + 1, [vec.size]))  # run starts, then the end
+    return [[state, run] for state, run in zip(vec[bounds[:-1]].tolist(), np.diff(bounds).tolist())]
 
 
-def rle_decode(runs) -> tuple[int, ...]:
-    out: list[int] = []
-    for state, count in runs:
-        out.extend([state] * count)
-    return tuple(out)
+def rle_decode(runs) -> np.ndarray:
+    """The int8 vector of [[state, run], ...] runs, by one np.repeat."""
+    states, counts = np.array(runs, dtype=np.int64).reshape(-1, 2).T
+    return np.repeat(states, counts).astype(np.int8)
 
 
 def raw_scenario_bits(n_scenarios: int, topo: LadderTopology) -> int:
@@ -449,14 +468,14 @@ def compressed_scenario_bits(rec: dict, topo: LadderTopology) -> int:
     return sum(len(s["switches_rle"]) for s in rec["scenarios"]) * (2 + length_bits)
 
 
-def scenario_set_record(partition: Partition, vectors) -> dict:
-    """Serialized pipeline-state form of a partition and its switch vectors,
-    one per scenario."""
+def scenario_set_record(partition: Partition, matrix: np.ndarray) -> dict:
+    """Serialized pipeline-state form of a partition and its switch-state
+    matrix, one row per scenario."""
     return {
         "algorithm": partition.stats.algorithm,
         "scenarios": [
             {"paths": list(s), "switches_rle": rle_encode(vec)}
-            for s, vec in zip(partition.scenarios, vectors)
+            for s, vec in zip(partition.scenarios, matrix)
         ],
         "stats": {
             "clique_calls": partition.stats.clique_calls,
@@ -465,9 +484,9 @@ def scenario_set_record(partition: Partition, vectors) -> dict:
     }
 
 
-def scenario_set_from_record(rec: dict, n_switches: int, n_paths: int) -> tuple[Partition, list[tuple[int, ...]]]:
+def scenario_set_from_record(rec: dict, n_switches: int, n_paths: int) -> tuple[Partition, np.ndarray]:
     """Inverse of scenario_set_record for a ladder of n_switches switches and
-    n_paths routed paths: (partition, switch vectors). Raises ValueError
+    n_paths routed paths: (partition, switch-state matrix). Raises ValueError
     naming the first scenario that does not fit them."""
     for k, s in enumerate(rec["scenarios"]):
         if not isinstance(s, dict) or not all(isinstance(s.get(key), list) for key in ("paths", "switches_rle")):
@@ -483,9 +502,11 @@ def scenario_set_from_record(rec: dict, n_switches: int, n_paths: int) -> tuple[
         if total != n_switches:
             raise ValueError(f"scenario {k}: switch runs cover {total} switches, not the ladder's {n_switches}")
     scenarios = tuple(tuple(s["paths"]) for s in rec["scenarios"])
-    vectors = [rle_decode(s["switches_rle"]) for s in rec["scenarios"]]
+    matrix = np.zeros((len(scenarios), n_switches), dtype=np.int8)
+    for k, s in enumerate(rec["scenarios"]):
+        matrix[k] = rle_decode(s["switches_rle"])
     stats = rec.get("stats", {"clique_calls": 0, "clique_fallbacks": 0})
     counts = [stats.get(key) if isinstance(stats, dict) else None for key in ("clique_calls", "clique_fallbacks")]
     if not all(type(c) is int for c in counts):
         raise ValueError("'stats' needs the integers 'clique_calls' and 'clique_fallbacks'")
-    return Partition(scenarios, GroupingStats(rec.get("algorithm", ""), *counts)), vectors
+    return Partition(scenarios, GroupingStats(rec.get("algorithm", ""), *counts)), matrix

@@ -13,7 +13,8 @@ over steps.
 A step's outcome depends only on its scenario (decoded vector and
 members), so each scenario is audited once, the first time the schedule
 reaches it, and every step replays that result. The audit views the
-vector as a lanes x columns array. Chains only meet at rungs: on one
+scenario's row of the decoded int8 switch-state matrix as a lanes x
+columns array, without a copy. Chains only meet at rungs: on one
 lane, a RIGHT_RUNG switch followed by a run of LEFT_RIGHT switches and a
 LEFT_RUNG switch links the two rungs it turns onto. A member
 (lane, cmin, cmax) claims the rungs of cmin and cmax, the switches of
@@ -47,13 +48,13 @@ class SimReport:
     energy: int = 0
 
 
-def _audit(topo: LadderTopology, vector, members, geometry: dict):
+def _audit(topo: LadderTopology, vector: np.ndarray, members, geometry: dict):
     """(collided (resource, claims) pairs in rung, seg, sw order, each by lane
     and column; delivered ids; active segment and rung count) of one step
     applying this scenario. geometry maps a path id to (lane, cmin, cmax,
     source column, destination column)."""
     lanes, cols = topo.n_lanes, topo.n_columns
-    state = np.asarray(vector, dtype=np.int8).reshape(lanes, cols)
+    state = vector.reshape(lanes, cols)
     bad_first = np.isin(state[:, 0], (SwitchState.LEFT_RIGHT, SwitchState.LEFT_RUNG))
     bad_last = np.isin(state[:, -1], (SwitchState.LEFT_RIGHT, SwitchState.RIGHT_RUNG))
     bad = np.flatnonzero(bad_first | bad_last)
@@ -115,13 +116,13 @@ def run_frames(
     scenarios holds each scenario's path ids, in the programs' scenario order."""
     # reassemble from controller memories so the region encoding is on the
     # executed path; decoding rejects programs that do not cover the ladder
-    vectors = decode_programs(programs, topo)
+    matrix = decode_programs(programs, topo)
     schedule = programs[0].schedule
     for prog in programs[1:]:
         if prog.schedule != schedule:
             raise ValueError("inconsistent schedules across controllers (lockstep required)")
     n_scen = len(scenarios)
-    if len(vectors) != n_scen:
+    if len(matrix) != n_scen:
         raise ValueError("program memory does not match scenario count")
     indices = [idx for idx, _rep in schedule.entries]
     if schedule.conditional is not None:
@@ -143,7 +144,7 @@ def run_frames(
         flag = bool(cond_flags[frame]) if frame < len(cond_flags) else False
         for scen_idx in schedule.steps(flag_raised=flag):
             if scen_idx not in outcomes:
-                outcomes[scen_idx] = _audit(topo, vectors[scen_idx], scenarios[scen_idx], geometry)
+                outcomes[scen_idx] = _audit(topo, matrix[scen_idx], scenarios[scen_idx], geometry)
             collided, delivered_ids, active = outcomes[scen_idx]
             report.collisions += len(collided)
             for res, count in collided:

@@ -151,6 +151,22 @@ def oracle_switch_vector(topo, members, paths) -> tuple[int, ...]:
     return tuple(int(state) for state in vec)
 
 
+def oracle_region_words(topo, vectors, col_start: int, col_end: int) -> list[int]:
+    """Memory words of the controller over columns col_start..col_end, one
+    per switch vector, re-derived from the documented word layout: the
+    region's switches in (lane, column) order, switch j of that order
+    adding its 2-bit state shifted left by 2j."""
+    words = []
+    for vec in vectors:
+        word, j = 0, 0
+        for lane in range(topo.n_lanes):
+            for col in range(col_start, col_end + 1):
+                word += int(vec[lane * topo.n_columns + col]) << (2 * j)
+                j += 1
+        words.append(word)
+    return words
+
+
 def oracle_max_clique(n: int, edges: set[frozenset]) -> list[int]:
     """Lexicographically first maximum clique: subsets by descending size,
     each size in itertools.combinations' lexicographic order; n <= 14."""

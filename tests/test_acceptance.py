@@ -28,7 +28,7 @@ from ladderbus.grouping import (
     group_max_clique,
     max_clique,
     scenario_lower_bound,
-    scenario_switch_vector,
+    scenario_switch_matrix,
 )
 from ladderbus.placement import place_anneal
 from ladderbus.routing import extract_paths
@@ -178,11 +178,11 @@ def test_criterion_8_simulation_soundness(corpus):
     n_frames = 2
     for inst in corpus:
         sset = inst.sset_maxclique
-        vectors = [scenario_switch_vector(s, inst.paths, inst.topo) for s in sset.scenarios]
+        matrix = scenario_switch_matrix(sset.scenarios, inst.paths, inst.topo)
         regions = partition_regions(inst.topo, default_controller_count(inst.topo))
-        programs = encode_scenarios(vectors, regions, inst.topo)
+        programs = encode_scenarios(matrix, regions, inst.topo)
         decoded = decode_programs(programs, inst.topo)
-        assert [tuple(v) for v in decoded] == [tuple(v) for v in vectors], inst.key
+        assert decoded.tolist() == matrix.tolist(), inst.key
         report = run_frames(inst.topo, programs, inst.paths, sset.scenarios, n_frames=n_frames)
         assert report.collisions == 0, inst.key
         assert report.frame_length == sset.n_scenarios, inst.key

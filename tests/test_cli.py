@@ -373,6 +373,7 @@ def test_sweep_unknown_algorithm_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bogus" in err and "greedy" in err and "maxclique" in err
     assert not (rundir / "sweep.csv").exists()
+    assert not rundir.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--sizes", "1"), ("--densities", "2")])
@@ -382,6 +383,7 @@ def test_sweep_instance_the_generator_cannot_build_is_config_error(tmp_path, cap
     assert main(["sweep", "--rundir", str(rundir), *(a for kv in args.items() for a in kv)]) == EXIT_CONFIG
     assert f"bad sweep parameter {flag}: {value} " in capsys.readouterr().err
     assert not (rundir / "sweep.csv").exists()
+    assert not rundir.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -391,6 +393,7 @@ def test_sweep_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
                  "--seeds", "0", "--jobs", jobs]) == EXIT_CONFIG
     assert f"bad sweep parameter --jobs: {jobs} " in capsys.readouterr().err
     assert not (rundir / "sweep.csv").exists()
+    assert not rundir.exists()
 
 
 def test_unknown_grouping_algorithm_is_config_error(tmp_path):

@@ -33,6 +33,7 @@ from ladderbus.grouping import (
     scenario_lower_bound,
     scenario_set_from_record,
     scenario_set_record,
+    scenario_switch_matrix,
     scenario_switch_vector,
     validate_scenario_set,
 )
@@ -115,7 +116,7 @@ def test_scenario_switch_vector_matches_oracle(instance, data):
             scenario_switch_vector(members, paths, topo)
         assert str(raised.value) == str(exc)
     else:
-        assert scenario_switch_vector(members, paths, topo) == expected
+        assert scenario_switch_vector(members, paths, topo).tolist() == list(expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -123,12 +124,12 @@ def test_scenario_switch_vector_matches_oracle(instance, data):
 def test_scenario_record_json_round_trip(instance, algorithm):
     topo, paths = instance
     partition = group_paths(algorithm, build_conflict_graph(paths))
-    vectors = [scenario_switch_vector(s, paths, topo) for s in partition.scenarios]
-    rec = json.loads(json.dumps(scenario_set_record(partition, vectors)))
-    back, back_vectors = scenario_set_from_record(rec, topo.n_switches, len(paths))
+    matrix = scenario_switch_matrix(partition.scenarios, paths, topo)
+    rec = json.loads(json.dumps(scenario_set_record(partition, matrix)))
+    back, back_matrix = scenario_set_from_record(rec, topo.n_switches, len(paths))
     assert back == partition  # memberships and stats, algorithm included
     expected = [oracle_switch_vector(topo, s, paths) for s in partition.scenarios]
-    assert back_vectors == vectors == expected
+    assert back_matrix.tolist() == matrix.tolist() == [list(vec) for vec in expected]
     runs = sum(len(list(itertools.groupby(vec))) for vec in expected)
     length_bits = max((topo.n_switches - 1).bit_length(), 1)
     assert compressed_scenario_bits(rec, topo) == runs * (2 + length_bits)

@@ -1,12 +1,17 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from conftest import oracle_region_words
 
 from ladderbus.appgraph import generate_synthetic
 from ladderbus.controlgen import (
+    ControllerProgram,
+    ControllerRegion,
     build_schedule,
     control_memory_bits,
     decode_programs,
@@ -16,7 +21,7 @@ from ladderbus.controlgen import (
     parse_program,
     partition_regions,
 )
-from ladderbus.grouping import build_conflict_graph, group_max_clique, scenario_switch_vector
+from ladderbus.grouping import build_conflict_graph, group_max_clique, scenario_switch_matrix
 from ladderbus.placement import place_anneal
 from ladderbus.routing import extract_paths
 from ladderbus.topology import build_topology
@@ -28,7 +33,7 @@ def pipeline(n, e, seed):
     placement = place_anneal(g, topo, seed=seed + 1)
     paths = extract_paths(g, topo, placement)
     partition = group_max_clique(build_conflict_graph(paths))
-    return topo, paths, [scenario_switch_vector(s, paths, topo) for s in partition.scenarios]
+    return topo, paths, scenario_switch_matrix(partition.scenarios, paths, topo)
 
 
 def test_partition_single_region():
@@ -77,7 +82,7 @@ def test_encode_single_region_is_identity_projection():
     topo, paths, vectors = pipeline(10, 20, seed=0)
     programs = encode_scenarios(vectors, partition_regions(topo, 1), topo)
     decoded = decode_programs(programs, topo)
-    assert [tuple(v) for v in decoded] == [tuple(v) for v in vectors]
+    assert decoded.tolist() == vectors.tolist()
 
 
 def test_encode_all_idle_scenario_zero_word():
@@ -94,7 +99,7 @@ def test_encode_round_trip_multi_region():
         regions = partition_regions(topo, 3)
         programs = encode_scenarios(vectors, regions, topo)
         decoded = decode_programs(programs, topo)
-        assert [tuple(v) for v in decoded] == [tuple(v) for v in vectors]
+        assert decoded.tolist() == vectors.tolist()
 
 
 def test_encode_word_width():
@@ -206,9 +211,33 @@ def vector_sets(draw):
 @given(vector_sets())
 def test_encode_format_parse_decode_round_trip(instance):
     topo, vectors, n_regions = instance
-    programs = encode_scenarios(vectors, partition_regions(topo, n_regions), topo)
+    programs = encode_scenarios(np.array(vectors, dtype=np.int8).reshape(-1, topo.n_switches),
+                                partition_regions(topo, n_regions), topo)
     parsed = [parse_program(format_program(p)) for p in programs]
-    assert decode_programs(parsed, topo) == list(vectors)
+    assert decode_programs(parsed, topo).tolist() == [list(vec) for vec in vectors]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_sets())
+@example((build_topology(6, 3), (), 1))  # no scenarios
+@example((build_topology(6, 3), ((3, 1, 2, 0, 3, 3, 1, 0, 2),), 1))  # 9 switches: 1 in the last byte
+@example((build_topology(10, 1), ((1, 2, 3, 1, 2),), 2))  # regions of 3 and 2 switches
+def test_encode_matches_word_layout_oracle(instance):
+    topo, vectors, n_regions = instance
+    matrix = np.array(vectors, dtype=np.int8).reshape(-1, topo.n_switches)
+    programs = encode_scenarios(matrix, partition_regions(topo, n_regions), topo)
+    for prog in programs:
+        r = prog.region
+        assert list(prog.memory) == oracle_region_words(topo, vectors, r.col_start, r.col_end)
+
+
+@pytest.mark.parametrize("word", [11 | 1 << 40, 1 << 4, -1])
+def test_decode_rejects_word_outside_word_bits(word):
+    topo = build_topology(4, 1)  # 2 columns, 1 lane: one 4-bit region
+    region = ControllerRegion(controller_id=0, col_start=0, col_end=1, n_lanes=1)
+    prog = ControllerProgram(region=region, memory=(3, word), schedule=build_schedule(2))
+    with pytest.raises(ValueError, match=r"controller 0, scenario 1: .* does not fit in 4 bits"):
+        decode_programs([prog], topo)
 
 
 def _program_text():

@@ -5,6 +5,7 @@ import logging
 import random
 import time
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -30,6 +31,7 @@ from ladderbus.grouping import (
     scenario_lower_bound,
     scenario_set_from_record,
     scenario_set_record,
+    scenario_switch_matrix,
     scenario_switch_vector,
     validate_scenario_set,
 )
@@ -409,20 +411,21 @@ def test_scenario_vectors_idle_elsewhere():
     ((0, 0, 0, 1, 1, 2, 0, 0, 3), [[0, 3], [1, 2], [2, 1], [0, 2], [3, 1]]),
 ], ids=["empty", "one-run", "alternating", "all-four-states"])
 def test_rle_round_trip(vec, runs):
-    assert rle_encode(vec) == runs
-    assert rle_decode(runs) == vec
+    assert rle_encode(np.array(vec, dtype=np.int8)) == runs
+    assert rle_decode(runs).dtype == np.int8
+    assert rle_decode(runs).tolist() == list(vec)
 
 
 def test_scenario_record_round_trip():
     _, topo, paths = routed_instance(12, 30, seed=2)
     partition = group_max_clique(build_conflict_graph(paths))
-    vectors = [scenario_switch_vector(s, paths, topo) for s in partition.scenarios]
-    rec = scenario_set_record(partition, vectors)
-    back, back_vectors = scenario_set_from_record(rec, topo.n_switches, len(paths))
+    matrix = scenario_switch_matrix(partition.scenarios, paths, topo)
+    rec = scenario_set_record(partition, matrix)
+    back, back_matrix = scenario_set_from_record(rec, topo.n_switches, len(paths))
     assert back.scenarios == partition.scenarios
-    assert back_vectors == vectors
+    assert back_matrix.tolist() == matrix.tolist()
     assert back.stats == partition.stats == GroupingStats("maxclique", clique_calls=rec["stats"]["clique_calls"])
-    assert scenario_set_record(back, back_vectors) == rec
+    assert scenario_set_record(back, back_matrix) == rec
     with pytest.raises(ValueError, match="'stats' needs"):
         scenario_set_from_record({**rec, "stats": {"clique_calls": 1}}, topo.n_switches, len(paths))
 
@@ -430,6 +433,6 @@ def test_scenario_record_round_trip():
 def test_bit_accounting():
     _, topo, paths = routed_instance(12, 30, seed=2)
     partition = group_max_clique(build_conflict_graph(paths))
-    rec = scenario_set_record(partition, [scenario_switch_vector(s, paths, topo) for s in partition.scenarios])
+    rec = scenario_set_record(partition, scenario_switch_matrix(partition.scenarios, paths, topo))
     assert raw_scenario_bits(partition.n_scenarios, topo) == partition.n_scenarios * 2 * topo.n_switches
     assert 0 < compressed_scenario_bits(rec, topo)

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from ladderbus.controlgen import (
     parse_program,
     partition_regions,
 )
-from ladderbus.grouping import build_conflict_graph, group_max_clique, scenario_switch_vector
+from ladderbus.grouping import build_conflict_graph, group_max_clique, scenario_switch_matrix, scenario_switch_vector
 from ladderbus.placement import place_anneal
 from ladderbus.routing import RoutedPath, extract_paths
 from ladderbus.sim import run_frames
@@ -25,9 +26,9 @@ from ladderbus.topology import SwitchState, build_topology
 
 
 def grouped(paths, topo):
-    """Max-clique scenarios of the paths and their switch vectors."""
+    """Max-clique scenarios of the paths and their switch-state matrix."""
     scenarios = group_max_clique(build_conflict_graph(paths)).scenarios
-    return scenarios, [scenario_switch_vector(s, paths, topo) for s in scenarios]
+    return scenarios, scenario_switch_matrix(scenarios, paths, topo)
 
 
 def pipeline(g, seed=0, n_regions=None):
@@ -74,7 +75,7 @@ def test_corrupted_scenario_detects_collision():
     paths = extract_paths(g, topo, placement)
     merged = tuple(sorted(p.edge_id for p in paths))
     vec = scenario_switch_vector(merged, paths, topo)
-    programs = encode_scenarios([vec], partition_regions(topo, 1), topo)
+    programs = encode_scenarios(vec[None, :], partition_regions(topo, 1), topo)
     report = run_frames(topo, programs, paths, (merged,), n_frames=1)
     assert report.collisions >= 1
     assert any(ev["resource"][0] == "rung" for ev in report.collision_events)
@@ -87,13 +88,13 @@ def test_chain_with_two_drivers_delivers_neither():
     # idle switches of lane 1 then link rungs 1 and 2 into one chain
     topo = build_topology(6, 2)
     paths = [RoutedPath(0, 0, 2, lane=0, cmin=0, cmax=1), RoutedPath(1, 4, 5, lane=0, cmin=2, cmax=2)]
-    vec = list(scenario_switch_vector((0, 1), paths, topo))
+    vec = scenario_switch_vector((0, 1), paths, topo)
     delivered = []
     for linked in (False, True):
         if linked:
             vec[topo.switch_index(1, 1)] = SwitchState.RIGHT_RUNG
             vec[topo.switch_index(1, 2)] = SwitchState.LEFT_RUNG
-        programs = encode_scenarios([tuple(vec)], partition_regions(topo, 1), topo)
+        programs = encode_scenarios(vec[None, :], partition_regions(topo, 1), topo)
         report = run_frames(topo, programs, paths, ((0, 1),), n_frames=1)
         assert report.collisions == 0
         delivered.append(report.delivered)
@@ -208,9 +209,9 @@ def test_left_rung_on_column_zero_rejected():
     g = make_cluster_graph(2, [(0, 1, 1)])
     topo = build_topology(4, 2)
     paths = extract_paths(g, topo, place_anneal(g, topo, seed=0))
-    vec = [SwitchState.IDLE] * topo.n_switches
-    vec[topo.switch_index(1, 0)] = SwitchState.LEFT_RUNG
-    programs = encode_scenarios([tuple(vec)], partition_regions(topo, 2), topo)
+    vec = np.zeros((1, topo.n_switches), dtype=np.int8)  # all IDLE
+    vec[0, topo.switch_index(1, 0)] = SwitchState.LEFT_RUNG
+    programs = encode_scenarios(vec, partition_regions(topo, 2), topo)
     with pytest.raises(ValueError, match="lane 1, column 0"):
         run_frames(topo, programs, paths, ((0,),), n_frames=1)
 
@@ -223,10 +224,10 @@ def test_illegal_edge_state_names_lowest_lane_then_column_zero(bad, named):
     g = make_cluster_graph(2, [(0, 1, 1)])
     topo = build_topology(4, 2)
     paths = extract_paths(g, topo, place_anneal(g, topo, seed=0))
-    vec = [SwitchState.IDLE] * topo.n_switches
+    vec = np.zeros((1, topo.n_switches), dtype=np.int8)  # all IDLE
     for (lane, column), state in bad.items():
-        vec[topo.switch_index(lane, column)] = state
-    programs = encode_scenarios([tuple(vec)], partition_regions(topo, 1), topo)
+        vec[0, topo.switch_index(lane, column)] = state
+    programs = encode_scenarios(vec, partition_regions(topo, 1), topo)
     with pytest.raises(ValueError, match=named):
         run_frames(topo, programs, paths, ((0,),), n_frames=1)
 
@@ -283,7 +284,8 @@ def sim_instances(draw):
 def test_run_frames_matches_step_oracle(instance):
     topo, paths, scenarios, vectors, order, cond, n_ctrl, n_frames, flags = instance
     schedule = build_schedule(len(scenarios), frame_order=list(order), conditional=None if cond is None else (0, cond))
-    programs = encode_scenarios(vectors, partition_regions(topo, n_ctrl), topo, schedule=schedule)
+    programs = encode_scenarios(np.array(vectors, dtype=np.int8), partition_regions(topo, n_ctrl), topo,
+                                schedule=schedule)
     report = run_frames(topo, programs, paths, scenarios, n_frames, cond_flags=flags)
 
     steps = []
