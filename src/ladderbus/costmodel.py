@@ -7,20 +7,22 @@ five small applications on this bus:
     data plane    = a * n_tiles + b * (n_lanes * lane_width_bits)
     control plane = c * scenario_memory_bits + d * n_controllers
 
-Five calibration points support nothing richer; the model is a
-calibration of this design's scaling shape, not a CLB predictor for
-arbitrary FPGAs. The sweep runs the whole flow over synthetic cluster
-graphs and tabulates connection counts, scenario counts, bounds, the
-gap between the two and control-plane fractions.
+Each plane is a non-negative least-squares problem (Lawson & Hanson,
+1974) in two unknowns, solved exactly in rationals over every support
+and rounded to float once, so the coefficients are the correctly
+rounded optimum, the same bits on any machine. Five calibration points
+support nothing richer; the model is a calibration of this design's
+scaling shape, not a CLB predictor for arbitrary FPGAs. The sweep runs
+the whole flow over synthetic cluster graphs and tabulates connection
+counts, scenario counts, bounds, the gap between the two and
+control-plane fractions.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import nnls
+from fractions import Fraction
 
 from . import grouping
 from .appgraph import generate_synthetic
@@ -74,24 +76,57 @@ def _observation_shape(obs: CalibrationObservation) -> tuple[LadderTopology, int
     return topo, grouping.raw_scenario_bits(obs.n_scenarios, topo), default_controller_count(topo)
 
 
+def _nnls2(rows: list[tuple[int, int]], targets: list[Fraction]) -> tuple[float, float]:
+    """Exact min |A x - y|^2 over x >= 0 for integer rows A of two columns.
+
+    G = A^T A is exact in int and h = A^T y in Fraction. The optimum is the
+    unconstrained minimiser of the unknowns it leaves nonzero (both, the
+    first, the second or none), so it is the feasible one of those four
+    candidates with the least x^T G x - 2 h^T x. Each candidate solves
+    G_S x_S = h_S on its support, where that objective is -h^T x, so the
+    least objective is the largest h^T x. Each coefficient is then rounded
+    to float once.
+    """
+    g11 = sum(p * p for p, _ in rows)
+    g12 = sum(p * q for p, q in rows)
+    g22 = sum(q * q for _, q in rows)
+    det = g11 * g22 - g12 * g12
+    if det == 0:
+        raise ValueError("degenerate calibration system (observations not independent)")
+    h1 = sum(p * y for (p, _), y in zip(rows, targets))
+    h2 = sum(q * y for (_, q), y in zip(rows, targets))
+    # det != 0 makes G positive definite, so g11 and g22 are positive
+    candidates = [
+        ((g22 * h1 - g12 * h2) / det, (g11 * h2 - g12 * h1) / det),
+        (h1 / g11, 0),
+        (0, h2 / g22),
+        (0, 0),
+    ]
+    x1, x2 = max(
+        (x for x in candidates if x[0] >= 0 and x[1] >= 0),
+        key=lambda x: h1 * x[0] + h2 * x[1],
+    )
+    return float(x1), float(x2)
+
+
 def calibrate(observations: list[CalibrationObservation]) -> CostModel:
-    """Non-negative least squares per plane; deterministic."""
+    """Exact non-negative least squares per plane; the same floats on any machine."""
     if len(observations) < 2:
         raise ValueError(f"calibration needs at least 2 observations, got {len(observations)}")
     d_rows, d_targets, c_rows, c_targets = [], [], [], []
     for obs in observations:
+        for field in ("data_plane_units", "control_plane_units"):
+            value = getattr(obs, field)
+            if not math.isfinite(value):
+                raise ValueError(f"calibration observation {obs.name!r}: {field} must be finite, got {value}")
         topo, scenario_bits, n_ctrl = _observation_shape(obs)
-        d_rows.append([topo.n_tiles, topo.n_lanes * topo.lane_width_bits])
-        d_targets.append(obs.data_plane_units)
-        c_rows.append([scenario_bits, n_ctrl])
-        c_targets.append(obs.control_plane_units)
-    d_mat = np.asarray(d_rows, dtype=float)
-    c_mat = np.asarray(c_rows, dtype=float)
-    if np.linalg.matrix_rank(d_mat) < 2 or np.linalg.matrix_rank(c_mat) < 2:
-        raise ValueError("degenerate calibration system (observations not independent)")
-    (a, b), _ = nnls(d_mat, np.asarray(d_targets, dtype=float))
-    (c, d), _ = nnls(c_mat, np.asarray(c_targets, dtype=float))
-    return CostModel(a=float(a), b=float(b), c=float(c), d=float(d))
+        d_rows.append((topo.n_tiles, topo.n_lanes * topo.lane_width_bits))
+        d_targets.append(Fraction(obs.data_plane_units))
+        c_rows.append((scenario_bits, n_ctrl))
+        c_targets.append(Fraction(obs.control_plane_units))
+    a, b = _nnls2(d_rows, d_targets)
+    c, d = _nnls2(c_rows, c_targets)
+    return CostModel(a=a, b=b, c=c, d=d)
 
 
 def data_plane_cost(topo: LadderTopology, model: CostModel) -> float:
@@ -166,6 +201,9 @@ def scaling_sweep(
         for seed in seeds
     ]
     if jobs > 1:
+        # imported here: multiprocessing is start-up cost every other command would pay
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_sweep_worker, tasks))
     else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -337,6 +338,51 @@ def oracle_anneal(g, topo, seed, initial) -> tuple[int, ...]:
         if (it + 1) % max(1, g.n_clusters) == 0:
             temp *= 0.97
     return tuple(best)
+
+
+def oracle_nnls(rows, targets) -> tuple[float, ...] | None:
+    """min |A x - y|^2 over x >= 0, exactly: the normal equations of every
+    support (set of unknowns left nonzero) solved in Fraction by
+    Gauss-Jordan elimination, the feasible solution with the least residual
+    kept, each unknown rounded to float once. None when A^T A is singular."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    y = [Fraction(v) for v in targets]
+    k = len(a[0])
+    if _oracle_normal_solve(a, y, tuple(range(k))) is None:
+        return None
+    best = None
+    for m in range(k + 1):
+        for support in itertools.combinations(range(k), m):
+            x = _oracle_normal_solve(a, y, support)
+            if x is None or min(x, default=0) < 0:
+                continue
+            resid = sum((sum(r[j] * x[j] for j in range(k)) - t) ** 2 for r, t in zip(a, y))
+            if best is None or resid < best[0]:
+                best = (resid, x)
+    return tuple(float(v) for v in best[1])
+
+
+def _oracle_normal_solve(a, y, support) -> list[Fraction] | None:
+    """x with x_j = 0 off the support and (A_S^T A_S) x_S = A_S^T y on it;
+    None when that system is singular."""
+    m = len(support)
+    aug = [
+        [sum(r[i] * r[j] for r in a) for j in support] + [sum(r[i] * t for r, t in zip(a, y))]
+        for i in support
+    ]
+    for col in range(m):
+        pivot = next((i for i in range(col, m) if aug[i][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for i in range(m):
+            if i != col:
+                f = aug[i][col] / aug[col][col]
+                aug[i] = [u - f * v for u, v in zip(aug[i], aug[col])]
+    x = [Fraction(0)] * len(a[0])
+    for i, j in enumerate(support):
+        x[j] = aug[i][m] / aug[i][i]
+    return x
 
 
 # ---------------------------------------------------------------------------

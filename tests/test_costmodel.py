@@ -1,5 +1,16 @@
-import pytest
+import dataclasses
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ladderbus
 from ladderbus import costmodel, grouping
 from ladderbus.appgraph import generate_synthetic
 from ladderbus.controlgen import default_controller_count
@@ -16,6 +27,8 @@ from ladderbus.costmodel import (
     sweep_to_csv,
 )
 from ladderbus.topology import build_topology
+
+from conftest import oracle_nnls
 
 
 def synth_observation(name, n_tiles, n_scen, model):
@@ -61,6 +74,81 @@ def test_calibrate_rejects_degenerate_rows():
 def test_calibrated_coefficients_non_negative():
     m = calibrate(reference_observations())
     assert m.a >= 0 and m.b >= 0 and m.c >= 0 and m.d >= 0
+
+
+def test_calibrate_reference_is_the_correctly_rounded_optimum():
+    d_rows, d_targets, c_rows, c_targets = [], [], [], []
+    for obs in reference_observations():
+        topo = build_topology(obs.n_tiles)
+        d_rows.append((topo.n_tiles, topo.n_lanes * topo.lane_width_bits))
+        d_targets.append(obs.data_plane_units)
+        c_rows.append((grouping.raw_scenario_bits(obs.n_scenarios, topo), default_controller_count(topo)))
+        c_targets.append(obs.control_plane_units)
+    a, b = oracle_nnls(d_rows, d_targets)
+    c, d = oracle_nnls(c_rows, c_targets)
+    expected = CostModel(a=206.80653040236535, b=6.137377072888546,
+                         c=0.1459651793690874, d=27.262900218154726)
+    assert CostModel(a=a, b=b, c=c, d=d) == expected
+    assert calibrate(reference_observations()) == expected
+
+
+finite_targets = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), finite_targets),
+    min_size=2, max_size=6,
+))
+def test_nnls2_matches_exact_oracle(system):
+    rows = [r for r, _ in system]
+    targets = [t for _, t in system]
+    expected = oracle_nnls(rows, targets)
+    if expected is None:
+        with pytest.raises(ValueError, match="degenerate"):
+            costmodel._nnls2(rows, [Fraction(t) for t in targets])
+    else:
+        assert costmodel._nnls2(rows, [Fraction(t) for t in targets]) == expected
+
+
+@pytest.mark.parametrize("targets, expected", [
+    ([2.0, -1.0, 1.0], (1.5, 0.0)),  # unconstrained (2, -1): the second clamps to 0
+    ([-1.0, 2.0, 1.0], (0.0, 1.5)),  # unconstrained (-1, 2): the first clamps to 0
+    ([-1.0, -1.0, -1.0], (0.0, 0.0)),  # both clamp to 0
+    ([1.0, 2.0, 3.0], (1.0, 2.0)),  # interior, exact fit
+])
+def test_nnls2_on_each_support(targets, expected):
+    rows = [(1, 0), (0, 1), (1, 1)]
+    assert oracle_nnls(rows, targets) == expected
+    assert costmodel._nnls2(rows, [Fraction(t) for t in targets]) == expected
+
+
+def test_calibrate_clamps_both_planes_to_zero():
+    obs = [dataclasses.replace(o, data_plane_units=-1.0, control_plane_units=-5.0)
+           for o in reference_observations()]
+    assert calibrate(obs) == CostModel(a=0.0, b=0.0, c=0.0, d=0.0)
+
+
+@pytest.mark.parametrize("field", ["data_plane_units", "control_plane_units"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_calibrate_rejects_non_finite_units(field, value):
+    obs = reference_observations()
+    bad = dataclasses.replace(obs[2], **{field: value})
+    with pytest.raises(ValueError, match=f"'fashion_mnist'.*{field}"):
+        calibrate(obs[:2] + [bad] + obs[3:])
+
+
+def test_cli_import_loads_numpy_alone_and_no_process_pool():
+    # top-level packages new after the import, outside the standard library
+    # or among the process-pool modules
+    code = ("import sys; before = set(sys.modules); import ladderbus.cli; "
+            "loaded = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(loaded - set(sys.stdlib_module_names) - {'ladderbus', 'numpy'}"
+            " | loaded & {'multiprocessing', 'concurrent'}))")
+    src = str(Path(ladderbus.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_data_plane_cost_formula():
