@@ -227,9 +227,21 @@ class RunState:
 
     @cached_property
     def paths(self):
+        """The routed paths, each checked to lie on the ladder of topology.json."""
         recs = _fields(_read_state(self.rundir, "paths.json", "route"), "paths.json", ("paths",), list)["paths"]
         keys = ("edge", "src", "dst", "lane", "cmin", "cmax")
-        return [path_from_record(_fields(r, f"paths.json (path {i})", keys, int)) for i, r in enumerate(recs)]
+        paths = [path_from_record(_fields(r, f"paths.json (path {i})", keys, int)) for i, r in enumerate(recs)]
+        topo = self.topology
+        tiles, lanes, cols = topo.n_tiles, topo.n_lanes, topo.n_columns
+        for i, p in enumerate(paths):
+            if not (0 <= p.src_tile < tiles and 0 <= p.dst_tile < tiles and 0 <= p.lane < lanes
+                    and 0 <= p.cmin <= p.cmax < cols):
+                for key, value, lo, hi in (("src", p.src_tile, 0, tiles - 1), ("dst", p.dst_tile, 0, tiles - 1),
+                                           ("lane", p.lane, 0, lanes - 1), ("cmin", p.cmin, 0, p.cmax),
+                                           ("cmax", p.cmax, p.cmin, cols - 1)):
+                    if not lo <= value <= hi:
+                        raise ConfigError(f"state file paths.json (path {i}): '{key}' is {value}, outside {lo}..{hi}")
+        return paths
 
     @cached_property
     def scenarios(self) -> dict:

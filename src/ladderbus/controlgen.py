@@ -11,8 +11,10 @@ vectors, one int8 matrix row per scenario in scenario order, and a
 schedule needs only the scenario count; which paths a scenario holds is
 not its concern.
 
-Word layout: the region's switches sorted by (lane, column); switch j
-of that order occupies bits [2j, 2j+1] (LSB first). The compiler packs
+Word layout: the region's switches sorted by (lane, column), that is
+its columns of the matrix's lanes x columns view
+(LadderTopology.switch_grid) read lane by lane; switch j of that order
+occupies bits [2j, 2j+1] (LSB first). The compiler packs
 four switches per byte in that order, byte 0 lowest, and reads each
 scenario's bytes as one little-endian integer; decoding unpacks the
 same bytes.
@@ -61,15 +63,6 @@ class ControllerRegion:
     @property
     def word_bits(self) -> int:
         return 2 * self.n_switches
-
-    def switch_indices(self, topo: LadderTopology) -> list[int]:
-        """Global switch index of each of the region's switches, in word
-        order: (lane, column), so one range of consecutive indices per lane."""
-        return [
-            idx
-            for lane in range(self.n_lanes)
-            for idx in range(topo.switch_index(lane, self.col_start), topo.switch_index(lane, self.col_end) + 1)
-        ]
 
 
 @dataclass(frozen=True)
@@ -153,11 +146,13 @@ def encode_scenarios(
     n_scen = matrix.shape[0]
     if schedule is None:
         schedule = build_schedule(n_scen)
+    grid = topo.switch_grid(matrix)
     programs = []
     for region in regions:
         n_bytes = -(-region.n_switches // 4)
         states = np.zeros((n_scen, 4 * n_bytes), dtype=np.uint8)  # zero-padded to whole bytes
-        states[:, :region.n_switches] = matrix[:, region.switch_indices(topo)] & 0b11
+        region_states = grid[:, :, region.col_start:region.col_end + 1]
+        states[:, :region.n_switches] = region_states.reshape(n_scen, region.n_switches) & 0b11
         packed = np.bitwise_or.reduce(states.reshape(n_scen, n_bytes, 4) << _SHIFTS, axis=2).tobytes()
         memory = tuple(int.from_bytes(packed[k * n_bytes:(k + 1) * n_bytes], "little") for k in range(n_scen))
         programs.append(ControllerProgram(region=region, memory=memory, schedule=schedule))
@@ -173,6 +168,7 @@ def decode_programs(programs: list[ControllerProgram], topo: LadderTopology) -> 
     if any(len(prog.memory) != n_scen for prog in programs):
         raise ValueError("programs disagree on scenario count")
     matrix = np.zeros((n_scen, topo.n_switches), dtype=np.int8)
+    grid = topo.switch_grid(matrix)
     for prog in programs:
         region = prog.region
         for k, word in enumerate(prog.memory):
@@ -183,7 +179,8 @@ def decode_programs(programs: list[ControllerProgram], topo: LadderTopology) -> 
         raw = b"".join(word.to_bytes(n_bytes, "little") for word in prog.memory)
         packed = np.frombuffer(raw, dtype=np.uint8).reshape(n_scen, n_bytes, 1)
         states = ((packed >> _SHIFTS) & 0b11).reshape(n_scen, 4 * n_bytes)
-        matrix[:, region.switch_indices(topo)] = states[:, :region.n_switches]
+        grid[:, :, region.col_start:region.col_end + 1] = states[:, :region.n_switches].reshape(
+            n_scen, region.n_lanes, region.n_columns)
     return matrix
 
 

@@ -27,7 +27,9 @@ memberships.
 
 The conflict graph is built from the ladder's structure, not from
 pairs: per-column buckets of the paths ending on that column's rung,
-plus per-lane prefix masks over cmin and suffix masks over cmax.
+plus per-lane prefix masks over cmin and suffix masks over cmax. The
+graph keeps the rung buckets (ConflictGraph.rungs): each is a clique,
+and the largest one seeds the clique search.
 Adjacency is kept as per-vertex bitmasks (Python ints), which makes
 first-fit (one mask step per path), clique-search set algebra and
 scenario validation cheap enough for ten-thousand-path instances.
@@ -35,7 +37,6 @@ scenario validation cheap enough for ten-thousand-path instances.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
@@ -45,8 +46,6 @@ import numpy as np
 from .routing import RoutedPath, path_switch_states
 from .topology import LadderTopology, SwitchState
 
-log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class ConflictGraph:
@@ -55,6 +54,7 @@ class ConflictGraph:
     n: int
     m: int
     adj: tuple[int, ...]  # bitmask of neighbors per vertex
+    rungs: tuple[int, ...] = ()  # per column, the paths ending on its rung: each a clique
 
     def has_edge(self, i: int, j: int) -> bool:
         return i != j and bool((self.adj[i] >> j) & 1)
@@ -116,7 +116,7 @@ def build_conflict_graph(paths: list[RoutedPath]) -> ConflictGraph:
         for p in members:
             own = 1 << p.edge_id
             adj[p.edge_id] = (rung[p.cmin] | rung[p.cmax] | (starts[p.cmax] & ends[p.cmin])) & ~own
-    return ConflictGraph(n=len(paths), m=sum(a.bit_count() for a in adj) // 2, adj=tuple(adj))
+    return ConflictGraph(n=len(paths), m=sum(a.bit_count() for a in adj) // 2, adj=tuple(adj), rungs=tuple(rung))
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +134,24 @@ def scenario_switch_vector(
     happen for a conflict-free scenario), naming the later path's lowest such column.
     """
     vec = np.zeros(topo.n_switches, dtype=np.int8)  # all IDLE
+    grid = topo.switch_grid(vec)
     for pid in path_ids:
         p = paths[pid]
-        if p.cmin == p.cmax:
-            continue  # a same-column path drives no switch
         if p.cmin > p.cmax:
             raise ValueError(f"path {pid}: column interval [{p.cmin}, {p.cmax}] is reversed")
-        lo, hi = topo.switch_index(p.lane, p.cmin), topo.switch_index(p.lane, p.cmax)
-        if np.count_nonzero(vec[lo:hi + 1]):
-            for col, have, want in zip(range(p.cmin, p.cmax + 1), vec[lo:hi + 1].tolist(), path_switch_states(p)):
+        if not (0 <= p.lane < topo.n_lanes and 0 <= p.cmin and p.cmax < topo.n_columns):
+            raise ValueError(f"path {pid}: lane {p.lane}, columns [{p.cmin}, {p.cmax}] lie off the "
+                             f"{topo.n_lanes}-lane, {topo.n_columns}-column ladder")
+        if p.cmin == p.cmax:
+            continue  # a same-column path drives no switch
+        run = grid[p.lane, p.cmin:p.cmax + 1]
+        if np.count_nonzero(run):
+            for col, have, want in zip(range(p.cmin, p.cmax + 1), run.tolist(), path_switch_states(p)):
                 if have != SwitchState.IDLE and have != want:
                     raise ValueError(f"switch ({p.lane},{col}) demanded in states {have} and {want}")
-        vec[lo] = SwitchState.RIGHT_RUNG
-        vec[lo + 1:hi] = SwitchState.LEFT_RIGHT
-        vec[hi] = SwitchState.LEFT_RUNG
+        run[0] = SwitchState.RIGHT_RUNG
+        run[1:-1] = SwitchState.LEFT_RIGHT
+        run[-1] = SwitchState.LEFT_RUNG
     return vec
 
 
@@ -194,38 +198,23 @@ def _colour_classes(adj, p: int) -> list[int]:
     return classes
 
 
+def _members(mask: int) -> tuple[int, ...]:
+    """The vertex ids of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def group_greedy(g: ConflictGraph) -> Partition:
     """First-fit, one scenario at a time: scenario k is the greedy independent
     set, built in id order, of the paths scenarios 0..k-1 left. This is
     exactly per-path first-fit, where each path joins the first scenario it
     does not intersect."""
-    scenarios = []
-    for c in _colour_classes(g.adj, (1 << g.n) - 1):
-        members = []
-        while c:
-            low = c & -c
-            members.append(low.bit_length() - 1)
-            c ^= low
-        scenarios.append(tuple(members))
-    return Partition(tuple(scenarios), GroupingStats("greedy"))
-
-
-def _greedy_clique(adj: tuple[int, ...], cand: int) -> list[int]:
-    """Fast large clique to seed the branch-and-bound size bound: take the
-    candidate with most candidate neighbors (ties to the lowest id), repeat."""
-    clique = []
-    while cand:
-        pick, pick_deg = -1, -1
-        m = cand
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = (adj[u] & cand).bit_count()
-            if d > pick_deg:
-                pick, pick_deg = u, d
-        clique.append(pick)
-        cand &= adj[pick]
-    return sorted(clique)
+    scenarios = tuple(_members(c) for c in _colour_classes(g.adj, (1 << g.n) - 1))
+    return Partition(scenarios, GroupingStats("greedy"))
 
 
 class _BudgetExpired(Exception):
@@ -239,9 +228,10 @@ class _CliqueSearch:
     """Exact maximum-clique search in two passes over adjacency bitmasks.
 
     Pass 1 finds the clique number ω as in MCQ (Tomita and Seki 2003):
-    seeded with _greedy_clique, it branches on the candidates in reverse
-    greedy-colour order and stops at a candidate whose colour cannot lift
-    the clique above the best. Pass 2 then builds the lexicographically
+    seeded with the largest rung clique (the alive paths ending on one
+    column's rung), it branches on the candidates in reverse greedy-colour
+    order and stops at a candidate whose colour cannot lift the clique
+    above the best. Pass 2 then builds the lexicographically
     smallest ω-clique member by member, in ascending-id order: the next
     member is the smallest candidate that still extends to an ω-clique,
     which a popcount, the colour classes of the remaining candidates and
@@ -252,8 +242,8 @@ class _CliqueSearch:
     result never depends on machine speed.
     """
 
-    def __init__(self, adj):
-        self.adj = adj
+    def __init__(self, g: ConflictGraph):
+        self.adj, self.rungs = g.adj, g.rungs
         self.ticks = 0
         self.best: tuple[int, ...] = ()
         self.floor = self.cap = 0
@@ -316,17 +306,16 @@ class _CliqueSearch:
             p = sub
 
     def run(self, alive: int) -> tuple[tuple[int, ...], bool]:
-        """(clique, exact) over the alive vertices; a fallback is logged."""
+        """(clique, exact) over the alive vertices."""
         if alive == 0:
             raise ValueError("max_clique on an empty graph")
-        self.best = tuple(_greedy_clique(self.adj, alive))
+        self.best = _members(max((r & alive for r in self.rungs), key=int.bit_count, default=0))
         self.floor, self.cap = len(self.best), len(self.adj) + 1
         try:
             self._grow([], alive)
             self._first(alive)
             return self.best, True
         except _BudgetExpired:
-            log.warning("clique node budget expired; using best clique found (size %d)", len(self.best))
             return self.best, False
 
 
@@ -334,9 +323,11 @@ def max_clique(g: ConflictGraph) -> list[int]:
     """Maximum clique, lexicographically smallest among ties.
 
     Falls back to the largest clique found so far when the search reaches
-    CLIQUE_TICK_LIMIT nodes (logged); the fallback is still a valid clique.
+    CLIQUE_TICK_LIMIT nodes (counted in GroupingStats.clique_fallbacks by
+    group_max_clique); the fallback is still a valid clique, never smaller
+    than the largest rung clique.
     """
-    return list(_CliqueSearch(g.adj).run((1 << g.n) - 1)[0])
+    return list(_CliqueSearch(g).run((1 << g.n) - 1)[0])
 
 
 def group_max_clique(g: ConflictGraph) -> Partition:
@@ -354,7 +345,7 @@ def group_max_clique(g: ConflictGraph) -> Partition:
     alive = (1 << g.n) - 1
     calls = fallbacks = 0
     while alive:
-        clique, exact = _CliqueSearch(g.adj).run(alive)
+        clique, exact = _CliqueSearch(g).run(alive)
         calls += 1
         fallbacks += 0 if exact else 1
         clique_mask = sum(1 << v for v in clique)

@@ -14,14 +14,14 @@ A step's outcome depends only on its scenario (decoded vector and
 members), so each scenario is audited once, the first time the schedule
 reaches it, and every step replays that result. The audit views the
 scenario's row of the decoded int8 switch-state matrix as a lanes x
-columns array, without a copy. Chains only meet at rungs: on one
-lane, a RIGHT_RUNG switch followed by a run of LEFT_RIGHT switches and a
-LEFT_RUNG switch links the two rungs it turns onto. A member
-(lane, cmin, cmax) claims the rungs of cmin and cmax, the switches of
-its lane over [cmin, cmax] (a same-column member reserves its one
-switch: bufferless switches cannot be time-multiplexed within a
-scenario) and the segments over [cmin, cmax), so the claims are counted
-per column and per lane from interval end counts.
+columns array (LadderTopology.switch_grid), without a copy. Chains only
+meet at rungs: on one lane, a RIGHT_RUNG switch followed by a run of
+LEFT_RIGHT switches and a LEFT_RUNG switch links the two rungs it turns
+onto. A member (lane, cmin, cmax) claims the rungs of cmin and cmax,
+the switches of its lane over [cmin, cmax] (a same-column member
+reserves its one switch: bufferless switches cannot be time-multiplexed
+within a scenario) and the segments over [cmin, cmax), so the claims
+are counted per column and per lane from interval end counts.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _audit(topo: LadderTopology, vector: np.ndarray, members, geometry: dict):
     applying this scenario. geometry maps a path id to (lane, cmin, cmax,
     source column, destination column)."""
     lanes, cols = topo.n_lanes, topo.n_columns
-    state = vector.reshape(lanes, cols)
+    state = topo.switch_grid(vector)
     bad_first = np.isin(state[:, 0], (SwitchState.LEFT_RIGHT, SwitchState.LEFT_RUNG))
     bad_last = np.isin(state[:, -1], (SwitchState.LEFT_RIGHT, SwitchState.RIGHT_RUNG))
     bad = np.flatnonzero(bad_first | bad_last)

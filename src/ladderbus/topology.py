@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
+import numpy as np
+
 
 class SwitchState(IntEnum):
     """State of one three-way switch; exactly one per switch per scenario."""
@@ -59,18 +61,12 @@ class LadderTopology:
     def n_rungs(self) -> int:
         return self.n_columns
 
-    def switch_index(self, lane: int, column: int) -> int:
-        """Canonical dense index of switch (lane, column); lane-major, so one
-        lane's columns are consecutive indices (one slice of a switch vector)."""
-        if not (0 <= lane < self.n_lanes and 0 <= column < self.n_columns):
-            raise ValueError(f"switch ({lane},{column}) out of range")
-        return lane * self.n_columns + column
-
-    def switch_id(self, index: int) -> tuple[int, int]:
-        """Inverse of switch_index."""
-        if not (0 <= index < self.n_switches):
-            raise ValueError(f"switch index {index} out of range")
-        return divmod(index, self.n_columns)
+    def switch_grid(self, states: np.ndarray) -> np.ndarray:
+        """The (..., n_lanes, n_columns) view of a (..., n_switches) switch-state
+        array: switches are stored lane-major, so grid[lane, c] is flat
+        position lane * n_columns + c and one lane's columns are one slice.
+        The only definition of the switch layout."""
+        return states.reshape(*states.shape[:-1], self.n_lanes, self.n_columns)
 
     def summary(self) -> dict:
         """Structured record for reports and state files."""

@@ -355,6 +355,33 @@ def test_stage_on_malformed_state_is_config_error(tmp_path, capsys, state, stage
     assert f"config error: state file {message}" in err, err
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("lane", lambda path, topo: -1),
+    ("lane", lambda path, topo: topo["n_lanes"]),
+    ("cmin", lambda path, topo: -1),
+    ("cmin", lambda path, topo: path["cmax"] + 1),
+    ("cmax", lambda path, topo: topo["n_columns"]),
+    ("src", lambda path, topo: -1),
+    ("dst", lambda path, topo: topo["n_tiles"]),
+], ids=["lane-negative", "lane-past-last", "cmin-negative", "cmin-past-cmax", "cmax-past-last",
+        "src-negative", "dst-past-last"])
+def test_path_off_the_ladder_is_config_error(tmp_path, capsys, key, bad):
+    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    doc = json.loads((rundir / "paths.json").read_text())
+    topo = json.loads((rundir / "topology.json").read_text())
+    # a same-column path drives no switch, so no later stage would look at its lane
+    i = next(i for i, path in enumerate(doc["paths"]) if path["cmin"] == path["cmax"])
+    value = doc["paths"][i][key] = bad(doc["paths"][i], topo)
+    (rundir / "paths.json").write_text(json.dumps(doc))
+    for stage in ("group", "sim"):
+        capsys.readouterr()
+        assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: state file paths.json (path {i}): '{key}' is {value}, outside" in err, err
+
+
 def test_sweep_and_csv_round_trip(tmp_path, capsys):
     rundir = tmp_path / "sweep"
     assert main(["sweep", "--rundir", str(rundir), "--sizes", "10,12",

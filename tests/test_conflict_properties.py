@@ -2,10 +2,12 @@
 resource-set oracle, validation reads its masks, the structural bound
 lies below the oracle's clique number, group_greedy is the oracle's
 per-path first-fit, max_clique returns the oracle's lexicographically
-first maximum clique, scenario switch vectors agree with the per-switch
-oracle, and a scenarios.json record gives back the partition and those
-vectors."""
+first maximum clique and, cut short by its node budget, a clique no
+smaller than the largest rung star, scenario switch vectors agree with
+the per-switch oracle, and a scenarios.json record gives back the
+partition and those vectors."""
 
+import collections
 import itertools
 import json
 
@@ -22,6 +24,7 @@ from conftest import (
     oracle_switch_vector,
 )
 
+from ladderbus import grouping
 from ladderbus.grouping import (
     GROUPING_ALGORITHMS,
     build_conflict_graph,
@@ -100,6 +103,19 @@ def test_max_clique_is_lexicographically_first_maximum(instance):
     if paths:
         expected = oracle_max_clique(len(paths), conflict_edges_from_oracle(paths, topo))
         assert max_clique(build_conflict_graph(paths)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_paths())
+def test_budget_expired_clique_not_below_largest_rung(instance):
+    topo, paths = instance
+    if paths:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grouping, "CLIQUE_TICK_LIMIT", 1)  # cut at the search's second node
+            clique = max_clique(build_conflict_graph(paths))
+        assert all(oracle_intersect(paths[u], paths[v], topo) for u, v in itertools.combinations(clique, 2))
+        star = collections.Counter(c for p in paths for c in {p.cmin, p.cmax})
+        assert len(clique) >= max(star.values())
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,7 +1,7 @@
+import collections
 import hashlib
 import itertools
 import json
-import logging
 import random
 import time
 
@@ -174,20 +174,31 @@ def test_max_clique_deterministic():
     assert max_clique(g) == max_clique(g)
 
 
-def test_max_clique_budget_fallback_logged(caplog, monkeypatch):
+def test_max_clique_budget_fallback_counted(monkeypatch):
     rng = random.Random(77)
     n = 80
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.5]
     g = graph_from_edges(n, edges)
     monkeypatch.setattr(grouping, "CLIQUE_TICK_LIMIT", 100)
-    with caplog.at_level(logging.WARNING, logger="ladderbus.grouping"):
-        clique = max_clique(g)
-    assert any("budget" in rec.message for rec in caplog.records)
+    stats = group_max_clique(g).stats
+    assert 1 <= stats.clique_fallbacks <= stats.clique_calls
+    clique = max_clique(g)
     # fallback still returns a valid clique, and the same one every time
     edge_set = {frozenset(e) for e in edges}
     assert all(frozenset((u, v)) in edge_set for u, v in itertools.combinations(clique, 2))
     assert len(clique) >= 1
     assert max_clique(g) == clique
+
+
+def test_budget_expired_clique_not_below_largest_rung(monkeypatch):
+    # here a greedy most-neighbours clique has 59 members, the largest rung 69
+    _, _, paths = routed_instance(60, 772, seed=0)
+    g = build_conflict_graph(paths)
+    monkeypatch.setattr(grouping, "CLIQUE_TICK_LIMIT", 1)  # cut at the search's second node
+    clique = max_clique(g)
+    assert all(g.has_edge(u, v) for u, v in itertools.combinations(clique, 2))
+    star = collections.Counter(c for p in paths for c in {p.cmin, p.cmax})
+    assert len(clique) >= max(star.values())
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +410,7 @@ def test_scenario_vectors_idle_elsewhere():
         for pid in members:
             p = paths[pid]
             for c, state in enumerate(path_switch_states(p), start=p.cmin):
-                expected[topo.switch_index(p.lane, c)] = state
+                expected[p.lane * topo.n_columns + c] = state
         for idx, state in enumerate(vec):
             assert state == expected.get(idx, 0)
 

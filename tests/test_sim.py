@@ -92,8 +92,7 @@ def test_chain_with_two_drivers_delivers_neither():
     delivered = []
     for linked in (False, True):
         if linked:
-            vec[topo.switch_index(1, 1)] = SwitchState.RIGHT_RUNG
-            vec[topo.switch_index(1, 2)] = SwitchState.LEFT_RUNG
+            topo.switch_grid(vec)[1, 1:3] = SwitchState.RIGHT_RUNG, SwitchState.LEFT_RUNG
         programs = encode_scenarios(vec[None, :], partition_regions(topo, 1), topo)
         report = run_frames(topo, programs, paths, ((0, 1),), n_frames=1)
         assert report.collisions == 0
@@ -210,7 +209,7 @@ def test_left_rung_on_column_zero_rejected():
     topo = build_topology(4, 2)
     paths = extract_paths(g, topo, place_anneal(g, topo, seed=0))
     vec = np.zeros((1, topo.n_switches), dtype=np.int8)  # all IDLE
-    vec[0, topo.switch_index(1, 0)] = SwitchState.LEFT_RUNG
+    topo.switch_grid(vec)[0, 1, 0] = SwitchState.LEFT_RUNG
     programs = encode_scenarios(vec, partition_regions(topo, 2), topo)
     with pytest.raises(ValueError, match="lane 1, column 0"):
         run_frames(topo, programs, paths, ((0,),), n_frames=1)
@@ -226,7 +225,7 @@ def test_illegal_edge_state_names_lowest_lane_then_column_zero(bad, named):
     paths = extract_paths(g, topo, place_anneal(g, topo, seed=0))
     vec = np.zeros((1, topo.n_switches), dtype=np.int8)  # all IDLE
     for (lane, column), state in bad.items():
-        vec[0, topo.switch_index(lane, column)] = state
+        topo.switch_grid(vec)[0, lane, column] = state
     programs = encode_scenarios(vec, partition_regions(topo, 1), topo)
     with pytest.raises(ValueError, match=named):
         run_frames(topo, programs, paths, ((0,),), n_frames=1)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ladderbus.topology import (
@@ -68,15 +69,18 @@ def test_build_rejects_tiny():
         build_topology(4, 0)
 
 
-def test_switch_index_round_trip():
+def test_switch_grid_is_a_lane_major_view():
     t = build_topology(10, 3)
-    seen = set()
+    states = np.arange(2 * t.n_switches).reshape(2, t.n_switches)
+    grid = t.switch_grid(states)
+    assert grid.shape == (2, t.n_lanes, t.n_columns)
+    assert np.shares_memory(grid, states)
     for lane in range(t.n_lanes):
         for col in range(t.n_columns):
-            idx = t.switch_index(lane, col)
-            assert t.switch_id(idx) == (lane, col)
-            seen.add(idx)
-    assert seen == set(range(t.n_switches))
+            assert grid[1, lane, col] == states[1, lane * t.n_columns + col]
+    grid[0, 2, 4] = -1  # a write through the grid lands in the flat array
+    assert states[0, 2 * t.n_columns + 4] == -1
+    assert t.switch_grid(states[0]).shape == (t.n_lanes, t.n_columns)
 
 
 def test_summary_fields():
