@@ -14,7 +14,8 @@ Usage:
     ladderbus sweep --sizes 20,40 --densities 0.15 --seeds 0,1,2 --rundir out/
 
 Config (JSON; any subset of DEFAULT_CONFIG; an unknown key or a value of
-another JSON type than its default is a config error outside "graph"):
+another JSON type than its default is a config error, and "graph" holds
+one of "file" or "synthetic", as GRAPH_KEYS lays out):
     {"seed": 1,
      "graph": {"synthetic": {"n_clusters": 24, "n_edges": 128}},
      "topology": {"n_lanes": null, "lane_width_bits": 32},
@@ -51,7 +52,7 @@ EXIT_CONFIG = 2
 EXIT_STAGE = 3
 EXIT_INVARIANT = 4
 
-STAGE_ORDER = ["gen", "metrics", "place", "route", "group", "emit-ctrl", "sim", "cost"]
+STAGE_ORDER = ["gen", "place", "route", "group", "emit-ctrl", "sim", "cost"]
 
 DEFAULT_CONFIG = {
     "name": "",
@@ -64,6 +65,10 @@ DEFAULT_CONFIG = {
     "sim": {"frames": 1, "trace": False},
 }
 
+
+# the graph subtree's keys and their JSON types: a graph file, or the generator's
+# cluster count, an edge count or a density in 0..1, and a seed (default: the root seed)
+GRAPH_KEYS = {"file": "", "synthetic": {"n_clusters": 0, "n_edges": 0, "density": 0.0, "seed": 0}}
 
 # keys that take only integers, each with its least value; null keeps a key's default
 _INTEGER_MIN = {"topology.n_tiles": 2, "topology.n_lanes": 1, "placement.iters": 0,
@@ -105,24 +110,40 @@ def _type_matches(value, default) -> bool:
 
 
 def _check_config(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "") -> None:
-    """Reject keys DEFAULT_CONFIG does not have, values whose JSON type
-    differs from their default's, and a key of _INTEGER_MIN holding a
-    fraction or less than its least value; the graph subtree is free-form."""
+    """Reject keys DEFAULT_CONFIG (GRAPH_KEYS in the graph subtree) does not
+    have, values whose JSON type differs from their default's, and a key of
+    _INTEGER_MIN holding a fraction or less than its least value."""
     for key, val in cfg.items():
         dotted = prefix + key
         if key not in defaults:
             raise ConfigError(f"unknown config key '{dotted}'")
         if not _type_matches(val, defaults[key]):
             raise ConfigError(f"config key '{dotted}' has value {json.dumps(val)}, "
-                              f"not of the type of its default {json.dumps(defaults[key])}")
+                              f"not of the JSON type of {json.dumps(defaults[key])}")
         if dotted in _INTEGER_MIN and val is not None:
             if not isinstance(val, int):
                 raise ConfigError(f"config key '{dotted}' has value {json.dumps(val)}, not an integer")
             if val < _INTEGER_MIN[dotted]:
                 raise ConfigError(f"config key '{dotted}' has value {val}, "
                                   f"below its least value {_INTEGER_MIN[dotted]}")
-        if dotted != "graph" and isinstance(val, dict):
-            _check_config(val, defaults[key], dotted + ".")
+        if isinstance(val, dict):
+            _check_config(val, GRAPH_KEYS if dotted == "graph" else defaults[key], dotted + ".")
+
+
+def _check_graph(graph: dict) -> None:
+    """Reject both sources, a synthetic graph without n_clusters or exactly one of
+    n_edges and density, and a density outside 0..1; gen rejects no source."""
+    if len(graph) > 1:
+        raise ConfigError("config key 'graph' holds both 'file' and 'synthetic'")
+    syn = graph.get("synthetic")
+    if syn is None:
+        return
+    if "n_clusters" not in syn:
+        raise ConfigError("config key 'graph.synthetic' lacks 'n_clusters'")
+    if not 0 <= syn.get("density", 0) <= 1:
+        raise ConfigError(f"config key 'graph.synthetic.density' has value {syn['density']}, outside 0..1")
+    if ("n_edges" in syn) == ("density" in syn):
+        raise ConfigError("config key 'graph.synthetic' needs exactly one of 'n_edges' and 'density'")
 
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
@@ -151,6 +172,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
                 raise ConfigError(f"override '{key}' crosses a non-object value")
         node[parts[-1]] = value
     _check_config(cfg)
+    _check_graph(cfg["graph"])
     return cfg
 
 
@@ -219,28 +241,41 @@ class RunState:
 
     @cached_property
     def placement(self):
+        """The placement, checked to put each cluster of graph.json on its own tile."""
         rec = _read_state(self.rundir, "placement.json", "place")
         assignment = _fields(rec, "placement.json", ("assignment",), list)["assignment"]
         if not all(type(t) is int for t in assignment):
             raise ConfigError("state file placement.json: 'assignment' holds a value that is not an integer")
-        return TilePlacement(assignment=tuple(assignment))
+        placement = TilePlacement(assignment=tuple(assignment))
+        try:
+            placement.validate(self.graph, self.topology)
+        except ValueError as exc:
+            raise ConfigError(f"state file placement.json: {exc}") from exc
+        return placement
 
     @cached_property
     def paths(self):
-        """The routed paths, each checked to lie on the ladder of topology.json."""
+        """The routed paths, path i checked to be edge i and to span exactly its
+        tiles' columns on the ladder of topology.json."""
         recs = _fields(_read_state(self.rundir, "paths.json", "route"), "paths.json", ("paths",), list)["paths"]
         keys = ("edge", "src", "dst", "lane", "cmin", "cmax")
         paths = [path_from_record(_fields(r, f"paths.json (path {i})", keys, int)) for i, r in enumerate(recs)]
         topo = self.topology
         tiles, lanes, cols = topo.n_tiles, topo.n_lanes, topo.n_columns
         for i, p in enumerate(paths):
-            if not (0 <= p.src_tile < tiles and 0 <= p.dst_tile < tiles and 0 <= p.lane < lanes
-                    and 0 <= p.cmin <= p.cmax < cols):
+            c1, c2 = p.src_tile // 2, p.dst_tile // 2
+            if not (p.edge_id == i and 0 <= p.src_tile < tiles and 0 <= p.dst_tile < tiles
+                    and 0 <= p.lane < lanes and p.cmin == min(c1, c2) and p.cmax == max(c1, c2)):
                 for key, value, lo, hi in (("src", p.src_tile, 0, tiles - 1), ("dst", p.dst_tile, 0, tiles - 1),
                                            ("lane", p.lane, 0, lanes - 1), ("cmin", p.cmin, 0, p.cmax),
                                            ("cmax", p.cmax, p.cmin, cols - 1)):
                     if not lo <= value <= hi:
                         raise ConfigError(f"state file paths.json (path {i}): '{key}' is {value}, outside {lo}..{hi}")
+                for key, value, want in (("edge", p.edge_id, i), ("cmin", p.cmin, min(c1, c2)),
+                                         ("cmax", p.cmax, max(c1, c2))):
+                    if value != want:
+                        raise ConfigError(f"state file paths.json (path {i}): '{key}' is {value}, not {want} "
+                                          "(path i is edge i, over its tiles' columns)")
         return paths
 
     @cached_property
@@ -256,13 +291,19 @@ class RunState:
         return grouping.scenario_set_from_record(self.scenarios, self.topology.n_switches, len(self.paths))
 
     @cached_property
+    def controllers(self) -> dict:
+        """The emitted controller count and their memory bits, from controllers.json."""
+        rec = _read_state(self.rundir, "controllers.json", "emit-ctrl")
+        return _fields(rec, "controllers.json", ("count", "memory_bits"), int)
+
+    @cached_property
     def programs(self):
-        meta = _fields(_read_state(self.rundir, "controllers.json", "emit-ctrl"), "controllers.json", ("count",), int)
         return [controlgen.parse_program(_read_state_text(self.rundir, f"programs/ctrl_{i:03d}.txt", "emit-ctrl"))
-                for i in range(meta["count"])]
+                for i in range(self.controllers["count"])]
 
 
 def stage_gen(cfg: dict, state: RunState) -> None:
+    """Write graph.json and, from the same graph, metrics.json."""
     spec = cfg["graph"]
     if "file" in spec:
         try:
@@ -271,25 +312,13 @@ def stage_gen(cfg: dict, state: RunState) -> None:
             raise ConfigError(f"cannot read graph file: {exc}") from exc
         g = parse_cluster_graph(text)
     elif "synthetic" in spec:
-        syn = spec["synthetic"]
-        n = syn.get("n_clusters")
-        if n is None:
-            raise ConfigError("graph.synthetic.n_clusters is required")
-        if "n_edges" in syn:
-            n_edges = syn["n_edges"]
-        elif "density" in syn:
-            n_edges = round(syn["density"] * n * (n - 1))
-        else:
-            raise ConfigError("graph.synthetic needs n_edges or density")
-        seed = syn.get("seed", cfg["seed"])
-        g = generate_synthetic(n, n_edges, seed, name=cfg["name"])
+        syn = spec["synthetic"]  # checked by load_config
+        n = syn["n_clusters"]
+        n_edges = syn["n_edges"] if "n_edges" in syn else round(syn["density"] * n * (n - 1))
+        g = generate_synthetic(n, n_edges, syn.get("seed", cfg["seed"]), name=cfg["name"])
     else:
         raise ConfigError("config needs graph.file or graph.synthetic")
     (state.rundir / "graph.json").write_text(dump_cluster_graph(g))
-
-
-def stage_metrics(cfg: dict, state: RunState) -> None:
-    g = state.graph
     m = graph_metrics(g)
     _save_json(state.rundir / "metrics.json", {
         "name": g.name,
@@ -416,10 +445,10 @@ def stage_sim(cfg: dict, state: RunState) -> None:
 
 
 def stage_cost(cfg: dict, state: RunState) -> None:
-    topo, scen = state.topology, state.scenarios
+    """Price the controllers emit-ctrl wrote, not the config's count."""
+    topo, scen, ctrl = state.topology, state.scenarios, state.controllers
     model = costmodel.calibrate(costmodel.reference_observations())
-    n_ctrl = _controller_count(cfg, topo)
-    rep = costmodel.cost_report(topo, scen["raw_bits"], n_ctrl, model)
+    rep = costmodel.cost_report(topo, ctrl["memory_bits"], ctrl["count"], model)
     _save_json(state.rundir / "cost_report.json", {
         "data_plane_units": rep.data_plane_units,
         "control_plane_units": rep.control_plane_units,
@@ -427,13 +456,12 @@ def stage_cost(cfg: dict, state: RunState) -> None:
         "coefficients": {"a": model.a, "b": model.b, "c": model.c, "d": model.d},
         "raw_bits": scen["raw_bits"],
         "compressed_bits": scen["compressed_bits"],
-        "n_controllers": n_ctrl,
+        "n_controllers": ctrl["count"],
     })
 
 
 STAGES = {
     "gen": stage_gen,
-    "metrics": stage_metrics,
     "place": stage_place,
     "route": stage_route,
     "group": stage_group,

@@ -184,19 +184,9 @@ def decode_programs(programs: list[ControllerProgram], topo: LadderTopology) -> 
     return matrix
 
 
-def build_schedule(
-    n: int,
-    frame_order: list[int] | None = None,
-    conditional: tuple[int, int] | None = None,
-) -> Schedule:
+def build_schedule(n: int) -> Schedule:
     """One pass over all n scenarios per frame, repeat 1 each, outer loop infinite."""
-    if frame_order is None:
-        frame_order = list(range(n))
-    if sorted(frame_order) != list(range(n)):
-        raise ValueError(f"frame_order must be a permutation of 0..{n - 1}")
-    if conditional is not None and not (0 <= conditional[1] < n):
-        raise ValueError(f"conditional scenario {conditional[1]} out of range")
-    return Schedule(entries=tuple((idx, 1) for idx in frame_order), conditional=conditional)
+    return Schedule(entries=tuple((idx, 1) for idx in range(n)))
 
 
 def control_memory_bits(programs: list[ControllerProgram]) -> int:

@@ -19,9 +19,9 @@ rung star or lane cover: both are cliques, so every grouping needs at
 least B scenarios.
 Partition is the one scenario-set type. Its switch vectors are one
 (n_scenarios, n_switches) int8 matrix, row k the 2-bit states scenario k
-sets (scenario_switch_matrix). The scenarios.json record pairs the stored
-partition with each row run-length encoded; compressed_scenario_bits
-counts that record's runs. Loading the record gives back (partition,
+sets, written by scenario_switch_matrix alone. The scenarios.json record
+pairs the stored partition with each row run-length encoded;
+compressed_scenario_bits counts that record's runs. Loading the record gives back (partition,
 matrix): the controller compiler takes the matrix, the simulator the
 memberships.
 
@@ -43,7 +43,7 @@ from operator import or_
 
 import numpy as np
 
-from .routing import RoutedPath, path_switch_states
+from .routing import RoutedPath
 from .topology import LadderTopology, SwitchState
 
 
@@ -123,44 +123,31 @@ def build_conflict_graph(paths: list[RoutedPath]) -> ConflictGraph:
 # scenario assembly
 
 
-def scenario_switch_vector(
-    path_ids, paths: list[RoutedPath], topo: LadderTopology
-) -> np.ndarray:
-    """Full switch-state vector realizing every path of one scenario, as one
-    int8 row of n_switches states. Each path writes its lane slice, the run
-    of path_switch_states: RIGHT_RUNG, LEFT_RIGHT inside, LEFT_RUNG.
-
-    Raises if two paths demand one switch in different states (cannot
-    happen for a conflict-free scenario), naming the later path's lowest such column.
-    """
-    vec = np.zeros(topo.n_switches, dtype=np.int8)  # all IDLE
-    grid = topo.switch_grid(vec)
-    for pid in path_ids:
-        p = paths[pid]
-        if p.cmin > p.cmax:
-            raise ValueError(f"path {pid}: column interval [{p.cmin}, {p.cmax}] is reversed")
-        if not (0 <= p.lane < topo.n_lanes and 0 <= p.cmin and p.cmax < topo.n_columns):
-            raise ValueError(f"path {pid}: lane {p.lane}, columns [{p.cmin}, {p.cmax}] lie off the "
-                             f"{topo.n_lanes}-lane, {topo.n_columns}-column ladder")
-        if p.cmin == p.cmax:
-            continue  # a same-column path drives no switch
-        run = grid[p.lane, p.cmin:p.cmax + 1]
-        if np.count_nonzero(run):
-            for col, have, want in zip(range(p.cmin, p.cmax + 1), run.tolist(), path_switch_states(p)):
-                if have != SwitchState.IDLE and have != want:
-                    raise ValueError(f"switch ({p.lane},{col}) demanded in states {have} and {want}")
-        run[0] = SwitchState.RIGHT_RUNG
-        run[1:-1] = SwitchState.LEFT_RIGHT
-        run[-1] = SwitchState.LEFT_RUNG
-    return vec
-
-
 def scenario_switch_matrix(scenarios, paths: list[RoutedPath], topo: LadderTopology) -> np.ndarray:
-    """(n_scenarios, n_switches) int8 matrix whose row k is scenario k's
-    switch vector; a set of no scenarios is a (0, n_switches) matrix."""
-    matrix = np.zeros((len(scenarios), topo.n_switches), dtype=np.int8)
+    """(n_scenarios, n_switches) int8 matrix, row k the states scenario k sets:
+    the one writer of a path's switch states. Each member writes its lane's
+    columns cmin..cmax of row k's switch_grid view as one run, RIGHT_RUNG,
+    LEFT_RIGHT inside, LEFT_RUNG; a same-column path travels over its rung
+    alone and sets no switch, and every switch no member writes stays IDLE.
+
+    Precondition: each scenario is an independent set of the paths' conflict
+    graph (validate_scenario_set), so no two members write one switch; sim
+    audits the realized chains on its own. Raises ValueError naming the first
+    path whose lane or column interval lies off the ladder."""
+    for pid, p in enumerate(paths):
+        if not (0 <= p.lane < topo.n_lanes and 0 <= p.cmin <= p.cmax < topo.n_columns):
+            raise ValueError(f"path {pid}: lane {p.lane}, columns [{p.cmin}, {p.cmax}] are not an interval "
+                             f"of the {topo.n_lanes}-lane, {topo.n_columns}-column ladder")
+    matrix = np.zeros((len(scenarios), topo.n_switches), dtype=np.int8)  # all IDLE
+    grid = topo.switch_grid(matrix)
     for k, members in enumerate(scenarios):
-        matrix[k] = scenario_switch_vector(members, paths, topo)
+        for pid in members:
+            p = paths[pid]
+            if p.cmin < p.cmax:
+                run = grid[k, p.lane, p.cmin:p.cmax + 1]
+                run[0] = SwitchState.RIGHT_RUNG
+                run[1:-1] = SwitchState.LEFT_RIGHT
+                run[-1] = SwitchState.LEFT_RUNG
     return matrix
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .appgraph import ClusterGraph
 from .placement import TilePlacement
-from .topology import LadderTopology, SwitchState, tile_column
+from .topology import LadderTopology, tile_column
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,6 @@ def extract_paths(g: ClusterGraph, topo: LadderTopology, p: TilePlacement) -> li
         route_connection(topo, p.tile_of(src), p.tile_of(dst), lane_load, edge_id=edge_id)
         for edge_id, (src, dst, _w) in enumerate(g.edges)
     ]
-
-
-def path_switch_states(path: RoutedPath) -> list[int]:
-    """States of the path's lane switches over columns cmin..cmax: RIGHT_RUNG,
-    LEFT_RIGHT per inner column, LEFT_RUNG. A same-column connection travels
-    tile-to-tile over the rung alone and needs no switch; its lane switch is
-    reserved but left IDLE, so its run is empty."""
-    if path.cmin == path.cmax:
-        return []
-    return [int(SwitchState.RIGHT_RUNG), *[int(SwitchState.LEFT_RIGHT)] * (path.cmax - path.cmin - 1),
-            int(SwitchState.LEFT_RUNG)]
 
 
 def path_record(path: RoutedPath) -> dict:

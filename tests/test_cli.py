@@ -227,7 +227,7 @@ def test_malformed_scenario_record_is_stage_error(tmp_path, capsys, corrupt, mes
 def test_group_stage_builds_one_conflict_graph(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     rundir = tmp_path / "run"
-    for stage in ["gen", "metrics", "place", "route"]:
+    for stage in ["gen", "place", "route"]:
         assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
     builds = []
     build = grouping.build_conflict_graph
@@ -273,7 +273,7 @@ def test_report_text_and_json(tmp_path, capsys):
 def test_report_without_sim_section(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rundir = tmp_path / "run"
-    for stage in ["gen", "metrics", "place", "route", "group"]:
+    for stage in ["gen", "place", "route", "group"]:
         assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
     capsys.readouterr()
     assert main(["report", "--rundir", str(rundir), "--format", "json"]) == EXIT_OK
@@ -382,6 +382,77 @@ def test_path_off_the_ladder_is_config_error(tmp_path, capsys, key, bad):
         assert f"config error: state file paths.json (path {i}): '{key}' is {value}, outside" in err, err
 
 
+def _set_edge_5(path, _i):
+    path["edge"] = 5
+
+
+def _lower_cmax(path, i):
+    path["cmax"] -= 1
+
+
+def _raise_cmin(path, i):
+    path["cmin"] += 1
+
+
+@pytest.mark.parametrize("corrupt, key", [(_set_edge_5, "edge"), (_lower_cmax, "cmax"), (_raise_cmin, "cmin")],
+                         ids=["edge-5", "cmax-lowered", "cmin-raised"])
+def test_path_not_its_edge_over_its_tiles_columns_is_config_error(tmp_path, capsys, corrupt, key):
+    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    doc = json.loads((rundir / "paths.json").read_text())
+    # a path over two columns or more stays on the ladder with either end moved inward
+    i = 0 if key == "edge" else next(i for i, path in enumerate(doc["paths"]) if path["cmax"] - path["cmin"] >= 2)
+    want = doc["paths"][i][key]
+    corrupt(doc["paths"][i], i)
+    (rundir / "paths.json").write_text(json.dumps(doc))
+    for stage in ("group", "sim"):
+        capsys.readouterr()
+        assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert (f"config error: state file paths.json (path {i}): '{key}' is {doc['paths'][i][key]}, "
+                f"not {want}") in err, err
+
+
+def _repeat_tile(assignment, n_tiles):
+    assignment[1] = assignment[0]
+
+
+def _tile_past_last(assignment, n_tiles):
+    assignment[0] = n_tiles
+
+
+def _drop_last_cluster(assignment, n_tiles):
+    assignment.pop()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_repeat_tile, "placement is not injective"),
+    (_tile_past_last, "cluster 0 assigned to tile 12 outside topology"),
+    (_drop_last_cluster, "placement does not cover every cluster"),
+], ids=["tile-repeated", "tile-past-last", "cluster-missing"])
+def test_placement_not_one_tile_per_cluster_is_config_error(tmp_path, capsys, corrupt, message):
+    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    rec = json.loads((rundir / "placement.json").read_text())
+    corrupt(rec["assignment"], json.loads((rundir / "topology.json").read_text())["n_tiles"])
+    (rundir / "placement.json").write_text(json.dumps(rec))
+    capsys.readouterr()
+    assert main(["route", "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
+    assert f"config error: state file placement.json: {message}" in capsys.readouterr().err
+
+
+def test_cost_prices_the_emitted_controllers(tmp_path):
+    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir), "--set", "controllers.count=2"]) == EXIT_OK
+    before = (rundir / "cost_report.json").read_bytes()
+    assert json.loads(before)["n_controllers"] == json.loads((rundir / "controllers.json").read_text())["count"] == 2
+    assert main(["cost", "--config", cfg, "--rundir", str(rundir), "--set", "controllers.count=1"]) == EXIT_OK
+    assert (rundir / "cost_report.json").read_bytes() == before
+
+
 def test_sweep_and_csv_round_trip(tmp_path, capsys):
     rundir = tmp_path / "sweep"
     assert main(["sweep", "--rundir", str(rundir), "--sizes", "10,12",
@@ -440,7 +511,7 @@ def test_unknown_config_key_in_override_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["run", "--config", cfg, "--rundir", str(tmp_path / "run"), "--set", "sim.frame=2"]) == EXIT_CONFIG
     assert "'sim.frame'" in capsys.readouterr().err
-    # the graph subtree is free-form
+    # a graph key GRAPH_KEYS has
     assert load_config(cfg, ["graph.synthetic.seed=3"])["graph"]["synthetic"]["seed"] == 3
 
 
@@ -461,6 +532,15 @@ def test_unknown_config_key_in_override_is_config_error(tmp_path, capsys):
     ("controllers.count=2.5", "controllers.count"),
     ("sim=3", "sim"),
     ("graph=[]", "graph"),
+    ("graph.file=3", "graph.file"),  # the graph subtree has its own keys and types
+    ("graph.synthetic=5", "graph.synthetic"),
+    ('graph.synthetic.n_clusters="a"', "graph.synthetic.n_clusters"),
+    ("graph.synthetic.n_edges=2.5", "graph.synthetic.n_edges"),
+    ("graph.synthetic.density=true", "graph.synthetic.density"),
+    ("graph.synthetic.density=1.5", "graph.synthetic.density"),
+    ("graph.synthetic.sed=4", "graph.synthetic.sed"),
+    ("graph.synthetic.density=0.5", "graph.synthetic"),  # besides n_edges
+    ('graph.file="g.json"', "graph"),  # besides synthetic
 ])
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, override, key):
     cfg = write_config(tmp_path)

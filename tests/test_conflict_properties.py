@@ -3,14 +3,15 @@ resource-set oracle, validation reads its masks, the structural bound
 lies below the oracle's clique number, group_greedy is the oracle's
 per-path first-fit, max_clique returns the oracle's lexicographically
 first maximum clique and, cut short by its node budget, a clique no
-smaller than the largest rung star, scenario switch vectors agree with
-the per-switch oracle, and a scenarios.json record gives back the
-partition and those vectors."""
+smaller than the largest rung star, the switch-state matrix of either
+grouper's partition agrees row by row with the per-switch oracle, and a
+scenarios.json record gives back the partition and that matrix."""
 
 import collections
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +38,6 @@ from ladderbus.grouping import (
     scenario_set_from_record,
     scenario_set_record,
     scenario_switch_matrix,
-    scenario_switch_vector,
     validate_scenario_set,
 )
 
@@ -119,20 +119,15 @@ def test_budget_expired_clique_not_below_largest_rung(instance):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ladder_paths(), st.data())
-def test_scenario_switch_vector_matches_oracle(instance, data):
+@given(ladder_paths(), st.sampled_from(GROUPING_ALGORITHMS), st.data())
+def test_scenario_switch_matrix_matches_oracle(instance, algorithm, data):
     topo, paths = instance
-    # any member subset in any order: conflicting members are common
-    members = data.draw(st.permutations(range(len(paths))))
-    members = members[:data.draw(st.integers(0, len(members)))]
-    try:
-        expected = oracle_switch_vector(topo, members, paths)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as raised:
-            scenario_switch_vector(members, paths, topo)
-        assert str(raised.value) == str(exc)
-    else:
-        assert scenario_switch_vector(members, paths, topo).tolist() == list(expected)
+    partition = group_paths(algorithm, build_conflict_graph(paths))
+    # the members of an independent set write disjoint switches, so their order is free
+    scenarios = [data.draw(st.permutations(s)) for s in partition.scenarios]
+    matrix = scenario_switch_matrix(scenarios, paths, topo)
+    assert matrix.dtype == np.int8 and matrix.shape == (partition.n_scenarios, topo.n_switches)
+    assert matrix.tolist() == [list(oracle_switch_vector(topo, s, paths)) for s in scenarios]
 
 
 @settings(max_examples=200, deadline=None)

@@ -246,7 +246,7 @@ def test_sweep_builds_one_conflict_graph_and_no_switch_vectors(monkeypatch):
         raise AssertionError("the sweep built a switch vector")
 
     monkeypatch.setattr(grouping, "build_conflict_graph", counted)
-    monkeypatch.setattr(grouping, "scenario_switch_vector", no_vectors)
+    monkeypatch.setattr(grouping, "scenario_switch_matrix", no_vectors)
     rows = sweep_instance(12, 0.2, 0, ["greedy", "maxclique"], calibrate(reference_observations()))
     assert len(builds) == 1
     assert [r["algo"] for r in rows] == ["greedy", "maxclique"]

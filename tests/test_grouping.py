@@ -32,12 +32,11 @@ from ladderbus.grouping import (
     scenario_set_from_record,
     scenario_set_record,
     scenario_switch_matrix,
-    scenario_switch_vector,
     validate_scenario_set,
 )
 from ladderbus.placement import place_anneal, place_greedy
 from ladderbus.routing import RoutedPath, extract_paths
-from ladderbus.topology import build_topology
+from ladderbus.topology import SwitchState, build_topology
 
 
 def graph_from_edges(n, edges):
@@ -384,33 +383,31 @@ def test_validate_rejects_conflicting_scenario():
         validate_scenario_set(((0, 1), (2,)), cg)
 
 
-def test_switch_vector_conflict_detected():
-    topo = build_topology(8, 1)
-    # same lane, same start column, different directions: switch (0,1) demanded
-    # as RIGHT_RUNG by one and LEFT_RUNG by the other
-    a = RoutedPath(0, 2, 6, lane=0, cmin=1, cmax=3)
-    b = RoutedPath(1, 2, 0, lane=0, cmin=0, cmax=1)
-    with pytest.raises(ValueError, match="demanded"):
-        scenario_switch_vector([0, 1], [a, b], topo)
-
-
-def test_switch_vector_rejects_reversed_interval():
-    topo = build_topology(8, 1)
-    with pytest.raises(ValueError, match="reversed"):
-        scenario_switch_vector([0], [RoutedPath(0, 6, 2, lane=0, cmin=3, cmax=1)], topo)
+@pytest.mark.parametrize("lane, cmin, cmax", [(0, 3, 1), (-1, 0, 1), (2, 0, 1), (0, -1, 1), (0, 2, 4), (1, 4, 4)],
+                         ids=["reversed", "lane-negative", "lane-past-last", "cmin-negative", "cmax-past-last",
+                              "same-column"])
+def test_switch_matrix_rejects_path_off_the_ladder(lane, cmin, cmax):
+    topo = build_topology(8, 2)  # 2 lanes, 4 columns
+    paths = [RoutedPath(0, 0, 2, lane=0, cmin=0, cmax=1), RoutedPath(1, 0, 2, lane=lane, cmin=cmin, cmax=cmax)]
+    # numpy slicing would truncate the run of such a path, or wrap a negative index
+    with pytest.raises(ValueError, match=rf"path 1: lane {lane}, columns \[{cmin}, {cmax}\] .* 2-lane, 4-column"):
+        scenario_switch_matrix(((0,), (1,)), paths, topo)
 
 
 def test_scenario_vectors_idle_elsewhere():
     _, topo, paths = routed_instance(10, 20, seed=1)
-    from ladderbus.routing import path_switch_states
-
-    for members in group_max_clique(build_conflict_graph(paths)).scenarios:
-        vec = scenario_switch_vector(members, paths, topo)
+    scenarios = group_max_clique(build_conflict_graph(paths)).scenarios
+    matrix = scenario_switch_matrix(scenarios, paths, topo)
+    assert matrix.shape == (len(scenarios), topo.n_switches) and matrix.dtype == np.int8
+    for members, vec in zip(scenarios, matrix):
         expected = {}
         for pid in members:
             p = paths[pid]
-            for c, state in enumerate(path_switch_states(p), start=p.cmin):
-                expected[p.lane * topo.n_columns + c] = state
+            if p.cmin < p.cmax:  # RIGHT_RUNG, LEFT_RIGHT inside, LEFT_RUNG
+                for c in range(p.cmin, p.cmax + 1):
+                    state = (SwitchState.RIGHT_RUNG if c == p.cmin else SwitchState.LEFT_RUNG if c == p.cmax
+                             else SwitchState.LEFT_RIGHT)
+                    expected[p.lane * topo.n_columns + c] = state
         for idx, state in enumerate(vec):
             assert state == expected.get(idx, 0)
 

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from conftest import conflict_edges_from_oracle, oracle_intersect, oracle_route
 
 from ladderbus.appgraph import generate_synthetic, make_cluster_graph
-from ladderbus.grouping import build_conflict_graph
+from ladderbus.grouping import build_conflict_graph, scenario_switch_matrix
 from ladderbus.placement import TilePlacement, place_anneal
 from ladderbus.routing import (
     RoutedPath,
     extract_paths,
     path_from_record,
     path_record,
-    path_switch_states,
     route_connection,
 )
 from ladderbus.topology import SwitchState, build_topology
@@ -176,16 +175,22 @@ def test_conflict_edges_oracle_is_consistent():
 
 
 def test_switch_states_for_span_path():
+    topo = build_topology(10, 2)  # 5 columns
     p = RoutedPath(0, 2, 9, lane=1, cmin=1, cmax=4)
-    # one state per column 1..4 of lane 1
-    states = path_switch_states(p)
-    assert states == [SwitchState.RIGHT_RUNG, SwitchState.LEFT_RIGHT, SwitchState.LEFT_RIGHT,
-                      SwitchState.LEFT_RUNG]
-    assert all(type(s) is int for s in states)
+    # one run over columns 1..4 of lane 1; lane 0 and column 0 stay idle
+    row = scenario_switch_matrix(((0,),), [p], topo)[0]
+    assert row.dtype == np.int8
+    assert topo.switch_grid(row).tolist() == [
+        [SwitchState.IDLE] * 5,
+        [SwitchState.IDLE, SwitchState.RIGHT_RUNG, SwitchState.LEFT_RIGHT, SwitchState.LEFT_RIGHT,
+         SwitchState.LEFT_RUNG],
+    ]
 
 
 def test_switch_states_same_column_empty():
-    assert path_switch_states(RoutedPath(0, 2, 3, lane=0, cmin=1, cmax=1)) == []
+    topo = build_topology(10, 2)
+    row = scenario_switch_matrix(((0,),), [RoutedPath(0, 2, 3, lane=0, cmin=1, cmax=1)], topo)[0]
+    assert not row.any()
 
 
 def test_path_record_round_trip():

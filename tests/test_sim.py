@@ -10,6 +10,7 @@ from conftest import ladder_paths, oracle_sim_step
 
 from ladderbus.appgraph import generate_synthetic, make_cluster_graph
 from ladderbus.controlgen import (
+    Schedule,
     build_schedule,
     decode_programs,
     default_controller_count,
@@ -18,7 +19,7 @@ from ladderbus.controlgen import (
     parse_program,
     partition_regions,
 )
-from ladderbus.grouping import build_conflict_graph, group_max_clique, scenario_switch_matrix, scenario_switch_vector
+from ladderbus.grouping import build_conflict_graph, group_max_clique, scenario_switch_matrix
 from ladderbus.placement import place_anneal
 from ladderbus.routing import RoutedPath, extract_paths
 from ladderbus.sim import run_frames
@@ -74,8 +75,8 @@ def test_corrupted_scenario_detects_collision():
     placement = place_anneal(g, topo, seed=0)
     paths = extract_paths(g, topo, placement)
     merged = tuple(sorted(p.edge_id for p in paths))
-    vec = scenario_switch_vector(merged, paths, topo)
-    programs = encode_scenarios(vec[None, :], partition_regions(topo, 1), topo)
+    matrix = scenario_switch_matrix((merged,), paths, topo)
+    programs = encode_scenarios(matrix, partition_regions(topo, 1), topo)
     report = run_frames(topo, programs, paths, (merged,), n_frames=1)
     assert report.collisions >= 1
     assert any(ev["resource"][0] == "rung" for ev in report.collision_events)
@@ -88,12 +89,12 @@ def test_chain_with_two_drivers_delivers_neither():
     # idle switches of lane 1 then link rungs 1 and 2 into one chain
     topo = build_topology(6, 2)
     paths = [RoutedPath(0, 0, 2, lane=0, cmin=0, cmax=1), RoutedPath(1, 4, 5, lane=0, cmin=2, cmax=2)]
-    vec = scenario_switch_vector((0, 1), paths, topo)
+    matrix = scenario_switch_matrix(((0, 1),), paths, topo)
     delivered = []
     for linked in (False, True):
         if linked:
-            topo.switch_grid(vec)[1, 1:3] = SwitchState.RIGHT_RUNG, SwitchState.LEFT_RUNG
-        programs = encode_scenarios(vec[None, :], partition_regions(topo, 1), topo)
+            topo.switch_grid(matrix)[0, 1, 1:3] = SwitchState.RIGHT_RUNG, SwitchState.LEFT_RUNG
+        programs = encode_scenarios(matrix, partition_regions(topo, 1), topo)
         report = run_frames(topo, programs, paths, ((0, 1),), n_frames=1)
         assert report.collisions == 0
         delivered.append(report.delivered)
@@ -141,7 +142,7 @@ def test_conditional_step_executes_when_flag_raised():
     placement = place_anneal(g, topo, seed=6)
     paths = extract_paths(g, topo, placement)
     scenarios, vectors = grouped(paths, topo)
-    sched = build_schedule(len(scenarios), conditional=(0, 0))
+    sched = Schedule(entries=build_schedule(len(scenarios)).entries, conditional=(0, 0))
     programs = encode_scenarios(vectors, partition_regions(topo, 2), topo, schedule=sched)
     base = run_frames(topo, programs, paths, scenarios, n_frames=2, cond_flags=[False, False])
     raised = run_frames(topo, programs, paths, scenarios, n_frames=2, cond_flags=[False, True])
@@ -160,7 +161,7 @@ def test_mismatched_schedules_rejected():
     hacked = programs[1].__class__(
         region=programs[1].region,
         memory=programs[1].memory,
-        schedule=build_schedule(len(scenarios), frame_order=list(reversed(range(len(scenarios))))),
+        schedule=Schedule(entries=tuple((idx, 1) for idx in reversed(range(len(scenarios))))),
     )
     with pytest.raises(ValueError, match="lockstep"):
         run_frames(topo, [programs[0], hacked], paths, scenarios, n_frames=1)
@@ -282,7 +283,7 @@ def sim_instances(draw):
 @given(sim_instances())
 def test_run_frames_matches_step_oracle(instance):
     topo, paths, scenarios, vectors, order, cond, n_ctrl, n_frames, flags = instance
-    schedule = build_schedule(len(scenarios), frame_order=list(order), conditional=None if cond is None else (0, cond))
+    schedule = Schedule(entries=tuple((idx, 1) for idx in order), conditional=None if cond is None else (0, cond))
     programs = encode_scenarios(np.array(vectors, dtype=np.int8), partition_regions(topo, n_ctrl), topo,
                                 schedule=schedule)
     report = run_frames(topo, programs, paths, scenarios, n_frames, cond_flags=flags)
