@@ -141,6 +141,12 @@ def generate_synthetic(
 
     Exactly n_edges distinct (src, dst) pairs are drawn without
     replacement; weights are uniform integers from weight_range.
+
+    The pairs are drawn as indices into their (src, dst) order, pair k
+    being src = k // (n - 1) and the (k % (n - 1))-th other cluster, so
+    no list of all n(n - 1) pairs is built: random.sample picks the same
+    positions from any sequence of that length, and the graph is the one
+    a sample of the pair list gives.
     """
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
@@ -148,13 +154,14 @@ def generate_synthetic(
     if not (0 <= n_edges <= max_edges):
         raise ValueError(f"n_edges={n_edges} outside 0..{max_edges} for n={n_clusters}")
     rng = random.Random(seed)
-    pairs = [(s, d) for s in range(n_clusters) for d in range(n_clusters) if s != d]
-    chosen = sorted(rng.sample(pairs, n_edges))
     lo, hi = weight_range
-    edges = tuple((s, d, rng.randint(lo, hi)) for s, d in chosen)
+    edges = []
+    for k in sorted(rng.sample(range(max_edges), n_edges)):  # ascending k is ascending (src, dst)
+        src, r = divmod(k, n_clusters - 1)
+        edges.append((src, r + (r >= src), rng.randint(lo, hi)))
     if not name:
         name = f"synth_{n_clusters}_{n_edges}_s{seed}"
-    return ClusterGraph(n_clusters=n_clusters, edges=edges, name=name)
+    return ClusterGraph(n_clusters=n_clusters, edges=tuple(edges), name=name)
 
 
 def graph_metrics(g: ClusterGraph) -> GraphMetrics:

@@ -9,7 +9,7 @@ single root seed in the config. Exit codes: 0 success, 2 config error,
 
 Usage:
     ladderbus run --config cfg.json --rundir out/
-    ladderbus group --rundir out/            # re-run one stage
+    ladderbus group --rundir out/            # re-run one stage on out/config.json
     ladderbus report --rundir out/ --format json
     ladderbus sweep --sizes 20,40 --densities 0.15 --seeds 0,1,2 --rundir out/
 
@@ -596,8 +596,11 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         # pipeline stages
-        cfg = load_config(args.config, args.overrides)
         rundir = Path(args.rundir)
+        config = args.config
+        if config is None and (rundir / "config.json").exists():
+            config = str(rundir / "config.json")  # the run's own config, not the defaults
+        cfg = load_config(config, args.overrides)
         rundir.mkdir(parents=True, exist_ok=True)
         _save_json(rundir / "config.json", cfg)
         stages = STAGE_ORDER if args.command == "run" else [args.command]

@@ -32,7 +32,11 @@ graph keeps the rung buckets (ConflictGraph.rungs): each is a clique,
 and the largest one seeds the clique search.
 Adjacency is kept as per-vertex bitmasks (Python ints), which makes
 first-fit (one mask step per path), clique-search set algebra and
-scenario validation cheap enough for ten-thousand-path instances.
+scenario validation cheap enough for ten-thousand-path instances. No
+bitset step takes a negative operand: CPython evaluates & and | with
+one by two's-complement copies, so at 12,000 bits q & ~a costs three
+times q ^ (q & a). A set is cleared of a subset by ^, and the lowest
+member v of q is (q ^ (q - 1)).bit_length() - 1.
 """
 
 from __future__ import annotations
@@ -115,7 +119,7 @@ def build_conflict_graph(paths: list[RoutedPath]) -> ConflictGraph:
         ends = list(accumulate(reversed(ends), or_))[::-1]  # lane paths with cmax >= c
         for p in members:
             own = 1 << p.edge_id
-            adj[p.edge_id] = (rung[p.cmin] | rung[p.cmax] | (starts[p.cmax] & ends[p.cmin])) & ~own
+            adj[p.edge_id] = (rung[p.cmin] | rung[p.cmax] | (starts[p.cmax] & ends[p.cmin])) ^ own  # own is in its rung
     return ConflictGraph(n=len(paths), m=sum(a.bit_count() for a in adj) // 2, adj=tuple(adj), rungs=tuple(rung))
 
 
@@ -161,7 +165,7 @@ def validate_scenario_set(scenarios, g: ConflictGraph) -> None:
         for a in s:
             hit = g.adj[a] & members
             if hit:
-                b = (hit & -hit).bit_length() - 1
+                b = (hit ^ (hit - 1)).bit_length() - 1
                 raise ValueError(f"scenario {k}: paths {a} and {b} intersect")
 
 
@@ -177,22 +181,25 @@ def _colour_classes(adj, p: int) -> list[int]:
     while p:
         c, q = 0, p
         while q:
-            low = q & -q
-            c |= low
-            q = (q ^ low) & ~adj[low.bit_length() - 1]
+            below = q - 1  # q with its lowest bit v cleared and the bits under v set
+            v = (q ^ below).bit_length() - 1
+            c |= 1 << v
+            q &= below
+            q ^= q & adj[v]
         classes.append(c)
         p ^= c
     return classes
 
 
 def _members(mask: int) -> tuple[int, ...]:
-    """The vertex ids of a bitmask, ascending."""
+    """The vertex ids of a bitmask, ascending: found from the top, where
+    bit_length reads the highest one without a pass over the mask."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+        v = mask.bit_length() - 1
+        out.append(v)
+        mask ^= 1 << v
+    return tuple(reversed(out))
 
 
 def group_greedy(g: ConflictGraph) -> Partition:
@@ -263,7 +270,7 @@ class _CliqueSearch:
                 r.pop()
                 if found:
                     return True
-                p &= ~(1 << v)
+                p ^= 1 << v
         return False
 
     def _first(self, p: int) -> None:
@@ -275,9 +282,9 @@ class _CliqueSearch:
             need = omega - len(r) - 1  # members still to come after the next one
             classes = None  # of the remaining candidates, once one has failed
             while True:  # ends at self.best's next member at the latest
-                low = p & -p
-                v = low.bit_length() - 1
-                p ^= low  # p now holds the candidates above v
+                below = p - 1
+                v = (p ^ below).bit_length() - 1
+                p &= below  # p now holds the candidates above v
                 sub = p & self.adj[v]
                 if v == self.best[len(r)]:
                     break
@@ -336,17 +343,19 @@ def group_max_clique(g: ConflictGraph) -> Partition:
         calls += 1
         fallbacks += 0 if exact else 1
         clique_mask = sum(1 << v for v in clique)
-        remaining = alive & ~clique_mask
+        remaining = alive ^ clique_mask
         members = sorted(clique, key=lambda v: (-(g.adj[v] & alive).bit_count(), v))
         n_s = len(scenario_ids)
 
         owner: dict[int, int] = {}  # scenario -> member
         for v in members:
             best_s, best_grow = None, None
+            near = g.adj[v] & remaining  # v's conflicts still to be placed
+            n_near = near.bit_count()
             for s in range(n_s):
                 if s in owner or (conflict_masks[s] >> v) & 1:
                     continue
-                grow = (g.adj[v] & ~conflict_masks[s] & remaining).bit_count()
+                grow = n_near - (near & conflict_masks[s]).bit_count()
                 if best_grow is None or grow < best_grow:
                     best_s, best_grow = s, grow
             if best_s is not None:

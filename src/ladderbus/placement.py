@@ -6,10 +6,12 @@ connection costs weight * (column distance between its endpoint tiles
 descending-degree construction optionally refined by pairwise-swap
 simulated annealing.
 
-The annealer prices a proposed swap with one dense dot product over a
-symmetric (n+1) x (n+1) weight matrix, whose extra row and column of
-zeros belong to a phantom cluster standing in every empty tile slot;
-see place_anneal for the delta formula.
+The annealer prices a proposed swap with one dense dot product of two
+row differences: one of a symmetric (n+1) x (n+1) weight matrix, whose
+extra row and column of zeros belong to a phantom cluster standing in
+every empty tile slot, and one of a column-distance matrix kept with a
+column per cluster, so no move gathers; see place_anneal for the delta
+formula.
 """
 
 from __future__ import annotations
@@ -122,7 +124,9 @@ def place_anneal(
     Swapping cluster c1 on column a with c2 on column b changes the cost
     by (W[c1] - W[c2]) . (|col - b| - |col - a|) + 2 W[c1, c2] |a - b|,
     where W holds both directions of each cluster pair in one symmetric
-    entry and col is every cluster's column. The rung hops cancel, and
+    entry and col is every cluster's column; the distances |col - k| to
+    every column k are kept as rows of a matrix, whose two moved columns
+    an accepted swap across columns rewrites. The rung hops cancel, and
     the c1-c2 edge, which keeps its length, is added back. A self-swap,
     a swap of two empty slots and a swap within one column all give 0.
     The arithmetic is exact integer arithmetic, and a swap is applied
@@ -149,7 +153,8 @@ def place_anneal(
     for c, t in enumerate(initial.assignment):
         slot[t] = c
     tile_of = list(initial.assignment) + [0]  # the phantom's tile and column never matter
-    col = np.array([tile_col[t] for t in tile_of], dtype=np.int64)
+    away = dist[:, [tile_col[t] for t in tile_of]]  # away[k, x] = |k - col[x]|, (n_cols, n + 1)
+    away_row = list(away)  # row views, as w_row
 
     cost = placement_cost(g, topo, initial)
     best_cost = cost
@@ -164,12 +169,14 @@ def place_anneal(
         t2 = rng.randrange(topo.n_tiles)
         c1, c2 = slot[t1], slot[t2]
         a, b = tile_col[t1], tile_col[t2]
-        delta = int(np.dot(w_row[c1] - w_row[c2], dist[b][col] - dist[a][col]))
+        delta = int((w_row[c1] - w_row[c2]).dot(away_row[b] - away_row[a]))  # ndarray.dot skips np.dot's dispatch
         delta += 2 * w_pair[c1][c2] * abs(a - b)
         if delta <= 0 or (temp > 1e-12 and rng.random() < math.exp(-delta / temp)):
             slot[t1], slot[t2] = c2, c1
             tile_of[c1], tile_of[c2] = t2, t1
-            col[c1], col[c2] = b, a
+            if a != b:
+                away[:, c1] = dist[b]
+                away[:, c2] = dist[a]
             cost += delta
             if cost < best_cost:
                 best_cost = cost

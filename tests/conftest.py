@@ -28,6 +28,7 @@ from ladderbus import (
     max_clique,
     place_anneal,
 )
+from ladderbus.appgraph import ClusterGraph
 from ladderbus.grouping import GroupingStats, Partition
 from ladderbus.routing import RoutedPath, extract_paths
 from ladderbus.topology import SwitchState, tile_column
@@ -69,6 +70,31 @@ def oracle_path_resources(path: RoutedPath, topo) -> set[tuple]:
     for c in range(lo, hi):
         res.add(("seg", path.lane, c))
     return res
+
+
+def oracle_synthetic(
+    n_clusters: int,
+    n_edges: int,
+    seed: int,
+    weight_range: tuple[int, int] = (1, 16),
+    name: str = "",
+) -> ClusterGraph:
+    """generate_synthetic drawn from the explicit list of all n(n - 1)
+    (src, dst) pairs, in (src, dst) order: the same sample and weight
+    draws, so the same graph."""
+    if n_clusters < 1:
+        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
+    max_edges = n_clusters * (n_clusters - 1)
+    if not (0 <= n_edges <= max_edges):
+        raise ValueError(f"n_edges={n_edges} outside 0..{max_edges} for n={n_clusters}")
+    rng = random.Random(seed)
+    pairs = [(s, d) for s in range(n_clusters) for d in range(n_clusters) if s != d]
+    chosen = sorted(rng.sample(pairs, n_edges))
+    lo, hi = weight_range
+    edges = tuple((s, d, rng.randint(lo, hi)) for s, d in chosen)
+    if not name:
+        name = f"synth_{n_clusters}_{n_edges}_s{seed}"
+    return ClusterGraph(n_clusters=n_clusters, edges=edges, name=name)
 
 
 def oracle_intersect(a: RoutedPath, b: RoutedPath, topo) -> bool:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_synthetic
+
 from ladderbus.appgraph import (
     GraphFormatError,
     dump_cluster_graph,
@@ -201,3 +203,25 @@ def cluster_graphs(draw):
 @example(make_cluster_graph(3, [(0, 1, 0), (2, 0, 0)], name='a "b" \\ c\u00e9'))
 def test_dump_parse_round_trip(g):
     assert parse_cluster_graph(dump_cluster_graph(g)) == g
+
+
+@st.composite
+def graph_sizes(draw):
+    n = draw(st.integers(1, 25))
+    return n, draw(st.integers(0, n * (n - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_sizes(), st.integers(), st.integers(-50, 50), st.integers(0, 50))
+@example((1, 0), 0, 1, 15)  # n - 1 = 0: no pair to draw
+@example((25, 600), 3, 1, 15)  # every pair
+def test_generator_matches_pair_list_oracle(size, seed, lo, span):
+    n, e = size
+    weights = (lo, lo + span)
+    assert generate_synthetic(n, e, seed, weights) == oracle_synthetic(n, e, seed, weights)
+
+
+def test_generator_matches_pair_list_oracle_for_every_edge_count():
+    for n in range(1, 8):
+        for e in range(n * (n - 1) + 1):
+            assert generate_synthetic(n, e, seed=n + e) == oracle_synthetic(n, e, seed=n + e)

@@ -242,6 +242,29 @@ def test_group_stage_builds_one_conflict_graph(tmp_path, monkeypatch):
     assert set(json.loads((rundir / "scenarios.json").read_text())["counts"]) == {"greedy", "maxclique"}
 
 
+def test_stage_without_config_keeps_the_run_config(tmp_path):
+    rundir = tmp_path / "run"
+    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 30, "n_edges": 100}},
+                                  "grouping": {"algorithm": "greedy", "compare": False}})
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    before = read_all_state(rundir)
+    assert main(["group", "--rundir", str(rundir)]) == EXIT_OK
+    assert read_all_state(rundir) == before
+    # --set applies on top of the directory's config, and is kept in it
+    assert main(["group", "--rundir", str(rundir), "--set", "grouping.compare=true"]) == EXIT_OK
+    saved = json.loads((rundir / "config.json").read_text())
+    assert saved["grouping"] == {"algorithm": "greedy", "compare": True}
+    assert saved["graph"] == {"synthetic": {"n_clusters": 30, "n_edges": 100}}
+    assert set(json.loads((rundir / "scenarios.json").read_text())["counts"]) == {"greedy", "maxclique"}
+
+
+def test_stage_in_a_fresh_directory_starts_from_the_defaults(tmp_path):
+    rundir = tmp_path / "fresh"
+    overrides = ["--set", "graph.synthetic.n_clusters=12", "--set", "graph.synthetic.n_edges=30"]
+    assert main(["gen", "--rundir", str(rundir), *overrides]) == EXIT_OK
+    assert json.loads((rundir / "config.json").read_text()) == load_config(None, overrides[1::2])
+
+
 def test_malformed_program_is_stage_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rundir = tmp_path / "run"

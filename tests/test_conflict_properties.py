@@ -85,6 +85,25 @@ def test_greedy_is_per_path_first_fit(instance):
     assert partition.stats.algorithm == "greedy"
 
 
+@settings(max_examples=300, deadline=None)
+@given(ladder_paths(), st.data())
+def test_colour_classes_and_members_of_any_path_subset(instance, data):
+    # the clique search colours subsets of the paths, not only all of them
+    topo, paths = instance
+    p = data.draw(st.integers(0, (1 << len(paths)) - 1))
+    wide = data.draw(st.integers(0, (1 << 200) - 1))
+    for mask in (p, wide):
+        assert grouping._members(mask) == tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
+    edges = conflict_edges_from_oracle(paths, topo)
+    classes = [grouping._members(c) for c in grouping._colour_classes(build_conflict_graph(paths).adj, p)]
+    assert all(classes)
+    assert sorted(v for c in classes for v in c) == list(grouping._members(p))
+    for k, members in enumerate(classes):
+        assert not any(frozenset(pair) in edges for pair in itertools.combinations(members, 2))
+        for v in members:  # greedy: v met a conflict in every earlier class
+            assert all(any(frozenset((u, v)) in edges for u in earlier) for earlier in classes[:k])
+
+
 @settings(max_examples=150, deadline=None)
 @given(ladder_paths())
 def test_lower_bound_below_clique_number_below_groupings(instance):
