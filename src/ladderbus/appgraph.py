@@ -100,6 +100,8 @@ def parse_cluster_graph(text: str) -> ClusterGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON at line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # a number too long to convert, or nesting too deep
+        raise GraphFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level document must be an object")
     unknown = set(doc) - _SCHEMA_FIELDS

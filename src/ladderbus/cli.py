@@ -15,11 +15,12 @@ Usage:
 
 Config (JSON; any subset of DEFAULT_CONFIG; an unknown key or a value of
 another JSON type than its default is a config error, and "graph" holds
-one of "file" or "synthetic", as GRAPH_KEYS lays out):
+one of "file" or "synthetic", as GRAPH_KEYS lays out; the generator draws
+its n_edges from the root seed, and placement anneals on the schedule
+fixed in ladderbus.placement):
     {"seed": 1,
      "graph": {"synthetic": {"n_clusters": 24, "n_edges": 128}},
      "topology": {"n_lanes": null, "lane_width_bits": 32},
-     "placement": {"anneal": true, "cooling": 0.97, "iters": null},
      "grouping": {"algorithm": "maxclique", "compare": true},
      "controllers": {"count": null},
      "sim": {"frames": 1}}
@@ -59,7 +60,6 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "graph": {},
     "topology": {"n_tiles": None, "n_lanes": None, "lane_width_bits": 32},
-    "placement": {"anneal": True, "t0": None, "cooling": 0.97, "iters": None},
     "grouping": {"algorithm": "maxclique", "compare": True},
     "controllers": {"count": None},
     "sim": {"frames": 1, "trace": False},
@@ -67,12 +67,12 @@ DEFAULT_CONFIG = {
 
 
 # the graph subtree's keys and their JSON types: a graph file, or the generator's
-# cluster count, an edge count or a density in 0..1, and a seed (default: the root seed)
-GRAPH_KEYS = {"file": "", "synthetic": {"n_clusters": 0, "n_edges": 0, "density": 0.0, "seed": 0}}
+# cluster and edge counts (its seed is the root seed)
+GRAPH_KEYS = {"file": "", "synthetic": {"n_clusters": 0, "n_edges": 0}}
 
 # keys that take only integers, each with its least value; null keeps a key's default
-_INTEGER_MIN = {"topology.n_tiles": 2, "topology.n_lanes": 1, "placement.iters": 0,
-                "controllers.count": 1, "sim.frames": 0}
+_INTEGER_MIN = {"topology.n_tiles": 2, "topology.n_lanes": 1, "controllers.count": 1, "sim.frames": 0,
+                "graph.synthetic.n_clusters": 2, "graph.synthetic.n_edges": 0}
 
 
 class ConfigError(Exception):
@@ -87,24 +87,24 @@ class InvariantViolation(Exception):
 # config and state helpers
 
 
-def _deep_merge(base: dict, extra: dict) -> dict:
-    out = copy.deepcopy(base)
+def _merge_into(base: dict, extra: dict) -> None:
+    """Merge extra into base in place, object by object; extra's other values
+    replace base's (no copy: it recurses only as deep as base's objects)."""
     for key, val in extra.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
+        if isinstance(val, dict) and isinstance(base.get(key), dict):
+            _merge_into(base[key], val)
         else:
-            out[key] = copy.deepcopy(val)
-    return out
+            base[key] = val
 
 
 def _type_matches(value, default) -> bool:
-    """JSON type check: booleans are never numbers, an int passes where the
-    default is a float, and a null default takes null or a number."""
+    """JSON type check: booleans are never numbers, and a null default takes
+    null or a number."""
     if value is None:
         return default is None
     if isinstance(value, bool) or isinstance(default, bool):
         return type(value) is type(default)
-    if default is None or isinstance(default, float):
+    if default is None:
         return isinstance(value, (int, float))
     return isinstance(value, type(default))
 
@@ -116,6 +116,9 @@ def _check_config(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "") 
     for key, val in cfg.items():
         dotted = prefix + key
         if key not in defaults:
+            while isinstance(val, dict) and val:  # name the first key set under an unknown subtree
+                key, val = next(iter(val.items()))
+                dotted += "." + key
             raise ConfigError(f"unknown config key '{dotted}'")
         if not _type_matches(val, defaults[key]):
             raise ConfigError(f"config key '{dotted}' has value {json.dumps(val)}, "
@@ -131,19 +134,20 @@ def _check_config(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "") 
 
 
 def _check_graph(graph: dict) -> None:
-    """Reject both sources, a synthetic graph without n_clusters or exactly one of
-    n_edges and density, and a density outside 0..1; gen rejects no source."""
+    """Reject both sources, a synthetic graph without n_clusters or n_edges, and
+    more edges than its clusters have ordered pairs; gen rejects no source."""
     if len(graph) > 1:
         raise ConfigError("config key 'graph' holds both 'file' and 'synthetic'")
     syn = graph.get("synthetic")
     if syn is None:
         return
-    if "n_clusters" not in syn:
-        raise ConfigError("config key 'graph.synthetic' lacks 'n_clusters'")
-    if not 0 <= syn.get("density", 0) <= 1:
-        raise ConfigError(f"config key 'graph.synthetic.density' has value {syn['density']}, outside 0..1")
-    if ("n_edges" in syn) == ("density" in syn):
-        raise ConfigError("config key 'graph.synthetic' needs exactly one of 'n_edges' and 'density'")
+    for key in ("n_clusters", "n_edges"):
+        if key not in syn:
+            raise ConfigError(f"config key 'graph.synthetic' lacks '{key}'")
+    n = syn["n_clusters"]
+    if syn["n_edges"] > n * (n - 1):
+        raise ConfigError(f"config key 'graph.synthetic.n_edges' has value {syn['n_edges']}, "
+                          f"above the {n * (n - 1)} ordered pairs of {n} clusters")
 
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
@@ -151,18 +155,18 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     if path is not None:
         try:
             loaded = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config must be a JSON object")
-        cfg = _deep_merge(cfg, loaded)
+        _merge_into(cfg, loaded)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override '{item}' is not key=value")
         key, _, raw = item.partition("=")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # not JSON (or nested too deeply): the raw string
             value = raw
         node = cfg
         parts = key.split(".")
@@ -198,7 +202,7 @@ def _read_state(rundir: Path, name: str, stage: str | None = None, kind: type = 
         return None
     try:
         rec = json.loads(_read_state_text(rundir, name, stage))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ConfigError(f"state file {name} is not valid JSON: {exc}") from exc
     if not isinstance(rec, kind):
         raise ConfigError(f"state file {name} is not {_JSON_KINDS[kind]}")
@@ -313,9 +317,7 @@ def stage_gen(cfg: dict, state: RunState) -> None:
         g = parse_cluster_graph(text)
     elif "synthetic" in spec:
         syn = spec["synthetic"]  # checked by load_config
-        n = syn["n_clusters"]
-        n_edges = syn["n_edges"] if "n_edges" in syn else round(syn["density"] * n * (n - 1))
-        g = generate_synthetic(n, n_edges, syn.get("seed", cfg["seed"]), name=cfg["name"])
+        g = generate_synthetic(syn["n_clusters"], syn["n_edges"], cfg["seed"], name=cfg["name"])
     else:
         raise ConfigError("config needs graph.file or graph.synthetic")
     (state.rundir / "graph.json").write_text(dump_cluster_graph(g))
@@ -342,23 +344,18 @@ def stage_place(cfg: dict, state: RunState) -> None:
     g = state.graph
     tcfg = cfg["topology"]
     n_tiles = max(g.n_clusters, 2) if tcfg["n_tiles"] is None else tcfg["n_tiles"]
+    if n_tiles < g.n_clusters:
+        raise ConfigError(f"config key 'topology.n_tiles' has value {n_tiles}, "
+                          f"below the graph's {g.n_clusters} clusters")
     topo = build_topology(n_tiles, tcfg["n_lanes"], tcfg["lane_width_bits"])
     _controller_count(cfg, topo)  # a count the ladder cannot hold stops the run before grouping
     _save_json(state.rundir / "topology.json", topo.summary())
 
-    pcfg = cfg["placement"]
     greedy = place_greedy(g, topo)
-    greedy_cost = placement_cost(g, topo, greedy)
-    if pcfg["anneal"]:
-        final = place_anneal(
-            g, topo, seed=cfg["seed"] + 1, t0=pcfg["t0"],
-            cooling=pcfg["cooling"], iters=pcfg["iters"], initial=greedy,
-        )
-    else:
-        final = greedy
+    final = place_anneal(g, topo, seed=cfg["seed"] + 1, initial=greedy)
     _save_json(state.rundir / "placement.json", {
         "assignment": list(final.assignment),
-        "greedy_cost": greedy_cost,
+        "greedy_cost": placement_cost(g, topo, greedy),
         "final_cost": placement_cost(g, topo, final),
     })
 
@@ -587,6 +584,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"bad sweep parameter --jobs: {args.jobs} (at least 1 worker process)")
             algos = args.algorithms.split(",")
             _check_algorithms(algos)
+            for i, algo in enumerate(algos):
+                if algo in algos[:i]:
+                    raise ConfigError(f"bad sweep parameter --algorithms: {algo} (named twice)")
             rundir = Path(args.rundir)
             rundir.mkdir(parents=True, exist_ok=True)
             rows = costmodel.scaling_sweep(sizes, densities, seeds, algos, jobs=args.jobs)

@@ -245,13 +245,17 @@ def parse_program(text: str) -> ControllerProgram:
         if key not in fields:
             raise ValueError(f"program has no {key!r} line")
     (ctrl_id,), (col_start, col_end), (n_lanes,), (word_bits,), (n_scen,) = (fields[key][-1] for key in header)
+    if not 0 <= col_start <= col_end:
+        raise ValueError(f"program field 'columns' is {col_start} {col_end}, not an ascending range from 0 up")
+    if n_lanes < 1:
+        raise ValueError(f"program field 'n_lanes' is {n_lanes}, below 1")
     region = ControllerRegion(ctrl_id, col_start, col_end, n_lanes)
     if word_bits != region.word_bits:
         raise ValueError(f"program field 'word_bits' is {word_bits}, its region needs {region.word_bits}")
     if len(memory) != n_scen:
         raise ValueError(f"expected {n_scen} memory words, found {len(memory)}")
     for k, w in enumerate(memory):
-        if not 0 <= w < 1 << word_bits:
+        if w < 0 or w.bit_length() > word_bits:  # no 1 << word_bits: word_bits may be huge
             raise ValueError(f"memory word {k} ({w:x}) does not fit in {word_bits} bits")
     return ControllerProgram(
         region=region, memory=memory,

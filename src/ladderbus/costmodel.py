@@ -188,12 +188,10 @@ def scaling_sweep(
     densities: list[float],
     seeds: list[int],
     algorithms: list[str] = grouping.GROUPING_ALGORITHMS,
-    model: CostModel | None = None,
     jobs: int = 1,
 ) -> list[dict]:
     """Cross product of sizes x densities x seeds, merged in instance-key order."""
-    if model is None:
-        model = calibrate(reference_observations())
+    model = calibrate(reference_observations())
     tasks = [
         (n, density, seed, list(algorithms), model)
         for n in cluster_sizes

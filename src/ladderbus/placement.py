@@ -3,8 +3,8 @@
 The objective is a proxy for dynamic communication energy: each
 connection costs weight * (column distance between its endpoint tiles
 + 1), the +1 charging the rung hop. Placement is a greedy
-descending-degree construction optionally refined by pairwise-swap
-simulated annealing.
+descending-degree construction refined by pairwise-swap simulated
+annealing, on the fixed schedule of the module constants below.
 
 The annealer prices a proposed swap with one dense dot product of two
 row differences: one of a symmetric (n+1) x (n+1) weight matrix, whose
@@ -24,6 +24,11 @@ import numpy as np
 
 from .appgraph import ClusterGraph
 from .topology import LadderTopology, tile_column
+
+# the annealing schedule, as place_anneal runs it
+MOVES_PER_CLUSTER = 200
+T0_DIVISOR = 10.0
+COOLING = 0.97
 
 
 @dataclass(frozen=True)
@@ -106,20 +111,17 @@ def place_anneal(
     g: ClusterGraph,
     topo: LadderTopology,
     seed: int = 0,
-    t0: float | None = None,
-    cooling: float = 0.97,
-    iters: int | None = None,
     initial: TilePlacement | None = None,
 ) -> TilePlacement:
-    """Pairwise-swap simulated annealing seeded from place_greedy.
+    """Pairwise-swap simulated annealing from `initial` (default place_greedy).
 
     Swaps exchange the contents of two tile slots, so clusters can
     migrate onto unused tiles: an empty slot holds the phantom cluster
     n_clusters, whose row and column of the weight matrix are zero. The
-    temperature cools geometrically once per epoch of n_clusters moves.
-    Returns the best placement seen; never worse than the initial one.
-    Deterministic for a fixed seed. iters=0 returns the initial
-    placement unchanged.
+    schedule is fixed: MOVES_PER_CLUSTER * n_clusters moves, starting at
+    the initial cost / T0_DIVISOR and cooling geometrically by COOLING
+    once per epoch of n_clusters moves. Returns the best placement seen;
+    never worse than the initial one. Deterministic for a fixed seed.
 
     Swapping cluster c1 on column a with c2 on column b changes the cost
     by (W[c1] - W[c2]) . (|col - b| - |col - a|) + 2 W[c1, c2] |a - b|,
@@ -135,8 +137,6 @@ def place_anneal(
     _check_int64_prices(g, topo)
     if initial is None:
         initial = place_greedy(g, topo)
-    if iters is None:
-        iters = 200 * g.n_clusters
     n = g.n_clusters
     epoch = max(1, n)
     weight = np.zeros((n + 1, n + 1), dtype=np.int64)
@@ -159,12 +159,10 @@ def place_anneal(
     cost = placement_cost(g, topo, initial)
     best_cost = cost
     best = tile_of[:n]
-    if t0 is None:
-        t0 = cost / 10.0
-    temp = t0
+    temp = cost / T0_DIVISOR
     rng = random.Random(seed)
 
-    for it in range(iters):
+    for it in range(MOVES_PER_CLUSTER * n):
         t1 = rng.randrange(topo.n_tiles)
         t2 = rng.randrange(topo.n_tiles)
         c1, c2 = slot[t1], slot[t2]
@@ -182,5 +180,5 @@ def place_anneal(
                 best_cost = cost
                 best = tile_of[:n]
         if (it + 1) % epoch == 0:
-            temp *= cooling
+            temp *= COOLING
     return TilePlacement(assignment=tuple(best))

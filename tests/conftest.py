@@ -321,10 +321,10 @@ def oracle_route(edges, tiles, topo) -> list[tuple[int, int, int]]:
 
 
 def oracle_anneal(g, topo, seed, initial) -> tuple[int, ...]:
-    """place_anneal's schedule with its default t0/cooling/iters, pricing
-    each swap by walking the moved clusters' neighbours before and after
-    a tentative move that a rejection undoes. Same RNG draws, so the
-    same assignment."""
+    """place_anneal's fixed schedule (200 moves per cluster, t0 = cost / 10,
+    cooling by 0.97 per epoch of n_clusters moves), pricing each swap by
+    walking the moved clusters' neighbours before and after a tentative
+    move that a rejection undoes. Same RNG draws, so the same assignment."""
     adj = [[] for _ in range(g.n_clusters)]
     for src, dst, w in g.edges:
         adj[src].append((dst, w))

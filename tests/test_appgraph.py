@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import oracle_synthetic
 
 from ladderbus.appgraph import (
+    ClusterGraph,
     GraphFormatError,
     dump_cluster_graph,
     generate_synthetic,
@@ -225,3 +226,27 @@ def test_generator_matches_pair_list_oracle_for_every_edge_count():
     for n in range(1, 8):
         for e in range(n * (n - 1) + 1):
             assert generate_synthetic(n, e, seed=n + e) == oracle_synthetic(n, e, seed=n + e)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(["name", "n_clusters", "edges", "weight"]), kids, max_size=4),
+    max_leaves=16,
+)
+_graph_like = st.fixed_dictionaries(
+    {"n_clusters": st.integers(-1, 4), "edges": st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=4)},
+    optional={"name": st.text(max_size=3) | st.integers()},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _json_values.map(json.dumps), _graph_like.map(json.dumps)))
+@example("[" * 100_000)  # nesting deeper than the JSON parser recurses
+@example('{"n_clusters": 1' + "0" * 5000 + ', "edges": []}')  # an integer too long to convert
+def test_parse_raises_only_graph_format_error(text):
+    try:
+        g = parse_cluster_graph(text)
+    except GraphFormatError:
+        return
+    assert isinstance(g, ClusterGraph)

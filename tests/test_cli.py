@@ -342,6 +342,32 @@ def test_report_on_malformed_state_is_config_error(tmp_path, capsys, state, text
     assert state in capsys.readouterr().err
 
 
+DEEP = "[" * 100_000  # deeper than any JSON parser's recursion allows
+
+
+def test_deeply_nested_json_is_a_config_or_graph_format_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", str(deep), "--rundir", str(rundir)]) == EXIT_CONFIG
+    assert f"config error: cannot read config {deep}" in capsys.readouterr().err
+    # shallow enough to parse, too deep to copy: the merge does not recurse into values
+    cfg = write_config(tmp_path, {"seed": json.loads("[" * 600 + "]" * 600)}, name="deep_seed.json")
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
+    assert "config error: config key 'seed' has value [[[" in capsys.readouterr().err
+    cfg = write_config(tmp_path)
+    deep_graph = "graph=" + json.dumps({"file": str(deep)})
+    assert main(["gen", "--config", cfg, "--rundir", str(rundir), "--set", deep_graph]) == EXIT_STAGE
+    assert "stage gen failed: invalid JSON" in capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    (rundir / "scenarios.json").write_text(DEEP)
+    capsys.readouterr()
+    assert main(["emit-ctrl", "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
+    assert "config error: state file scenarios.json is not valid JSON" in capsys.readouterr().err
+    assert main(["report", "--rundir", str(rundir)]) == EXIT_CONFIG
+    assert "config error: state file scenarios.json is not valid JSON" in capsys.readouterr().err
+
+
 def _del_path_3_lane(rec):
     del rec["paths"][3]["lane"]
 
@@ -497,6 +523,14 @@ def test_sweep_unknown_algorithm_is_config_error(tmp_path, capsys):
     assert not rundir.exists()
 
 
+def test_sweep_repeated_algorithm_is_config_error(tmp_path, capsys):
+    rundir = tmp_path / "sweep"
+    assert main(["sweep", "--rundir", str(rundir), "--sizes", "12", "--densities", "0.2", "--seeds", "0",
+                 "--algorithms", "greedy,maxclique,greedy"]) == EXIT_CONFIG
+    assert "bad sweep parameter --algorithms: greedy (named twice)" in capsys.readouterr().err
+    assert not rundir.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--sizes", "1"), ("--densities", "2")])
 def test_sweep_instance_the_generator_cannot_build_is_config_error(tmp_path, capsys, flag, value):
     rundir = tmp_path / "sweep"
@@ -534,12 +568,15 @@ def test_unknown_config_key_in_override_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["run", "--config", cfg, "--rundir", str(tmp_path / "run"), "--set", "sim.frame=2"]) == EXIT_CONFIG
     assert "'sim.frame'" in capsys.readouterr().err
-    # a graph key GRAPH_KEYS has
-    assert load_config(cfg, ["graph.synthetic.seed=3"])["graph"]["synthetic"]["seed"] == 3
+    # the generator's seed is the root seed, not a graph key
+    assert main(["run", "--config", cfg, "--rundir", str(tmp_path / "run"),
+                 "--set", "graph.synthetic.seed=3"]) == EXIT_CONFIG
+    assert "unknown config key 'graph.synthetic.seed'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override, key", [
-    ('placement.anneal="no"', "placement.anneal"),
+    ('placement.anneal="no"', "placement.anneal"),  # the placement keys are gone: unknown
+    ("placement.t0=5", "placement.t0"),
     ('sim.frames="2"', "sim.frames"),
     ('placement.cooling="x"', "placement.cooling"),
     ("sim.trace=1", "sim.trace"),  # booleans are never numbers
@@ -562,7 +599,6 @@ def test_unknown_config_key_in_override_is_config_error(tmp_path, capsys):
     ("graph.synthetic.density=true", "graph.synthetic.density"),
     ("graph.synthetic.density=1.5", "graph.synthetic.density"),
     ("graph.synthetic.sed=4", "graph.synthetic.sed"),
-    ("graph.synthetic.density=0.5", "graph.synthetic"),  # besides n_edges
     ('graph.file="g.json"', "graph"),  # besides synthetic
 ])
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, override, key):
@@ -576,7 +612,11 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, override, 
     ("controllers.count=0", "'controllers.count' has value 0, below its least value 1"),
     ("topology.n_tiles=0", "'topology.n_tiles' has value 0, below its least value 2"),
     ("sim.frames=-1", "'sim.frames' has value -1, below its least value 0"),
-], ids=["count-0", "n_tiles-0", "frames-minus-1"])
+    ("graph.synthetic.n_clusters=1", "'graph.synthetic.n_clusters' has value 1, below its least value 2"),
+    ("graph.synthetic.n_edges=-1", "'graph.synthetic.n_edges' has value -1, below its least value 0"),
+    ("graph.synthetic.n_edges=5000",
+     "'graph.synthetic.n_edges' has value 5000, above the 182 ordered pairs of 14 clusters"),
+], ids=["count-0", "n_tiles-0", "frames-minus-1", "n_clusters-1", "n_edges-minus-1", "n_edges-above-pairs"])
 def test_config_count_below_its_least_value_is_config_error(tmp_path, capsys, override, message):
     cfg = write_config(tmp_path)
     assert main(["run", "--config", cfg, "--rundir", str(tmp_path / "run"), "--set", override]) == EXIT_CONFIG
@@ -592,16 +632,37 @@ def test_controller_count_above_the_column_count_is_config_error(tmp_path, capsy
     assert (rundir / "graph.json").exists() and not (rundir / "topology.json").exists()  # stopped in place
 
 
+def test_fewer_tiles_than_clusters_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 24, "n_edges": 60}}})
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir), "--set", "topology.n_tiles=10"]) == EXIT_CONFIG
+    assert "'topology.n_tiles' has value 10, below the graph's 24 clusters" in capsys.readouterr().err
+    assert (rundir / "graph.json").exists() and not (rundir / "topology.json").exists()  # stopped in place
+
+
+def test_run_directory_with_a_placement_config_is_config_error(tmp_path, capsys):
+    # a directory whose config.json still holds the placement subtree needs --config
+    cfg = write_config(tmp_path)
+    rundir = tmp_path / "run"
+    assert main(["gen", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    saved = json.loads((rundir / "config.json").read_text())
+    saved["placement"] = {"anneal": True, "cooling": 0.97, "iters": None, "t0": None}
+    (rundir / "config.json").write_text(json.dumps(saved))
+    capsys.readouterr()
+    assert main(["place", "--rundir", str(rundir)]) == EXIT_CONFIG
+    assert "unknown config key 'placement.anneal'" in capsys.readouterr().err
+    assert main(["place", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+
+
 def test_config_overrides(tmp_path):
     cfg_path = write_config(tmp_path)
     cfg = load_config(cfg_path, ["seed=9", "grouping.algorithm=greedy", "sim.frames=5"])
     assert cfg["seed"] == 9
     assert cfg["grouping"]["algorithm"] == "greedy"
     assert cfg["sim"]["frames"] == 5
-    # an int where the default is a float, null or a number where it is null
-    cfg = load_config(cfg_path, ["placement.cooling=1", "placement.t0=0.5", "topology.n_lanes=4"])
-    assert (cfg["placement"]["cooling"], cfg["placement"]["t0"]) == (1, 0.5)
-    assert cfg["topology"]["n_lanes"] == 4
+    # null or a number where the default is null
+    cfg = load_config(cfg_path, ["topology.n_lanes=4", "controllers.count=null"])
+    assert (cfg["topology"]["n_lanes"], cfg["controllers"]["count"]) == (4, None)
 
 
 def test_clique_budget_key_is_config_error(tmp_path, capsys):

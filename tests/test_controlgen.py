@@ -268,6 +268,46 @@ def test_parse_rejects_word_wider_than_word_bits():
         parse_program(text.replace(old, new))
 
 
+@pytest.mark.parametrize("key, values, message", [
+    ("columns", "2 0", "program field 'columns' is 2 0, not an ascending range"),
+    ("columns", "-1 1", "program field 'columns' is -1 1, not an ascending range"),
+    ("n_lanes", "0", "program field 'n_lanes' is 0, below 1"),
+])
+def test_parse_names_a_region_no_ladder_has(key, values, message):
+    text = "".join(f"{key} {values}\n" if ln.startswith(key + " ") else ln
+                   for ln in _program_text().splitlines(keepends=True))
+    with pytest.raises(ValueError, match=message):
+        parse_program(text)
+
+
+# each program keyword with the count of values its line takes ("stpe" is no keyword)
+_KEYWORDS = {"region": 1, "columns": 2, "n_lanes": 1, "word_bits": 1, "scenarios": 1, "mem": 2, "step": 2,
+             "cond": 2, "end": 0, "stpe": 2}
+_tokens = st.one_of(st.integers(-2, 6).map(str), st.integers(-2**70, 2**70).map(str),
+                    st.integers(0, 2**40).map(lambda v: f"{v:x}"), st.text(max_size=3))
+
+
+def _program_line(key):
+    n = _KEYWORDS[key]
+    return st.lists(_tokens, min_size=n, max_size=n + 1).map(lambda vals: " ".join([key, *vals]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(sorted(_KEYWORDS)).flatmap(_program_line), max_size=12).map(
+        lambda lines: "\n".join(["ladderbus-ctrl v1", *lines])),
+))
+@example("ladderbus-ctrl v1\nregion 0\ncolumns 0 1000000000000\nn_lanes 1\n"
+         "word_bits 2000000000002\nscenarios 1\nmem 5\nend\n")  # a word width no shift may build
+def test_parse_program_raises_only_value_error(text):
+    try:
+        prog = parse_program(text)
+    except ValueError:
+        return
+    assert isinstance(prog, ControllerProgram)
+
+
 def test_parse_rejects_word_bits_not_matching_region():
     text = _program_text()
     bits = parse_program(text).region.word_bits
