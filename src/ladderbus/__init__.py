@@ -28,8 +28,6 @@ from .grouping import (
 from .controlgen import (
     ControllerProgram,
     ControllerRegion,
-    Schedule,
-    build_schedule,
     encode_scenarios,
     partition_regions,
 )

@@ -292,7 +292,10 @@ class RunState:
 
     @cached_property
     def scenario_set(self):  # (partition, switch-state matrix)
-        return grouping.scenario_set_from_record(self.scenarios, self.topology.n_switches, len(self.paths))
+        try:
+            return grouping.scenario_set_from_record(self.scenarios, self.topology.n_switches, len(self.paths))
+        except ValueError as exc:
+            raise ConfigError(f"state file scenarios.json: {exc}") from exc
 
     @cached_property
     def controllers(self) -> dict:
@@ -302,8 +305,15 @@ class RunState:
 
     @cached_property
     def programs(self):
-        return [controlgen.parse_program(_read_state_text(self.rundir, f"programs/ctrl_{i:03d}.txt", "emit-ctrl"))
-                for i in range(self.controllers["count"])]
+        """The parsed program files; a malformed one is a stage error naming it."""
+        programs = []
+        for i in range(self.controllers["count"]):
+            name = f"programs/ctrl_{i:03d}.txt"
+            try:
+                programs.append(controlgen.parse_program(_read_state_text(self.rundir, name, "emit-ctrl")))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+        return programs
 
 
 def stage_gen(cfg: dict, state: RunState) -> None:
@@ -499,6 +509,8 @@ def build_report(rundir: Path) -> dict:
                               ("data_plane_units", "control_plane_units", "control_fraction"))
     rec = _read_state(rundir, "sweep.json", kind=list)
     if rec is not None:
+        for i, row in enumerate(rec):
+            _fields(row, f"sweep.json (row {i})", tuple(costmodel.SWEEP_COLUMNS))
         out["sweep_rows"] = rec
     return out
 

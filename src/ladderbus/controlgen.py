@@ -1,15 +1,13 @@
-"""Distributed controller programs: scenario memories plus a loop schedule.
+"""Distributed controller programs: one scenario memory per region.
 
 The switch fabric is split into regions of contiguous columns, one
 local controller each. A controller stores, per scenario, one memory
-word holding the 2-bit states of exactly its switches, and steps
-through a loop-nest schedule replicated identically on every
-controller (global lockstep): an infinite outer loop over (scenario,
-repeat) entries, plus at most one guarded entry appended to the frame
-when a runtime flag is raised. The compiler takes only the switch
-vectors, one int8 matrix row per scenario in scenario order, and a
-schedule needs only the scenario count; which paths a scenario holds is
-not its concern.
+word holding the 2-bit states of exactly its switches. A frame is one
+pass over the scenarios in stored (partition) order: at step k every
+controller drives word k (global lockstep), and frames repeat forever.
+To reorder the steps, reorder the partition. The compiler takes only
+the switch vectors, one int8 matrix row per scenario in scenario order;
+which paths a scenario holds is not its concern.
 
 Word layout: the region's switches sorted by (lane, column), that is
 its columns of the matrix's lanes x columns view
@@ -19,19 +17,16 @@ four switches per byte in that order, byte 0 lowest, and reads each
 scenario's bytes as one little-endian integer; decoding unpacks the
 same bytes.
 
-Program text format (byte-stable, one file per controller; the optional
-``cond`` line holds a flag id and a scenario id)::
+Program text format (byte-stable, one file per controller; each line
+once, in this order on output, ``end`` last)::
 
-    ladderbus-ctrl v1
+    ladderbus-ctrl v2
     region 0
     columns 0 2
     n_lanes 3
     word_bits 18
     scenarios 4
     mem 00000 3a824 00108 20004
-    step 0 1
-    step 1 1
-    cond 0 2
     end
 """
 
@@ -66,32 +61,9 @@ class ControllerRegion:
 
 
 @dataclass(frozen=True)
-class Schedule:
-    """(scenario, repeat) entries per frame plus an optional guarded entry."""
-
-    entries: tuple[tuple[int, int], ...]
-    conditional: tuple[int, int] | None = None  # (flag id, scenario id)
-
-    @property
-    def frame_length(self) -> int:
-        """Steps per frame with the guard down."""
-        return sum(rep for _, rep in self.entries)
-
-    def steps(self, flag_raised: bool = False) -> list[int]:
-        """Scenario index sequence for one frame."""
-        out = []
-        for idx, rep in self.entries:
-            out.extend([idx] * rep)
-        if self.conditional is not None and flag_raised:
-            out.append(self.conditional[1])
-        return out
-
-
-@dataclass(frozen=True)
 class ControllerProgram:
     region: ControllerRegion
-    memory: tuple[int, ...]  # one word per scenario
-    schedule: Schedule
+    memory: tuple[int, ...]  # one word per scenario, in frame order
 
 
 def default_controller_count(topo: LadderTopology) -> int:
@@ -136,7 +108,6 @@ def encode_scenarios(
     matrix: np.ndarray,
     regions: list[ControllerRegion],
     topo: LadderTopology,
-    schedule: Schedule | None = None,
 ) -> list[ControllerProgram]:
     """Project every scenario's switch vector (row k of the (n_scenarios,
     n_switches) matrix is scenario k's) onto each region's memory."""
@@ -144,8 +115,6 @@ def encode_scenarios(
         raise ValueError("switch vector length does not match topology")
     _check_regions(regions, topo)
     n_scen = matrix.shape[0]
-    if schedule is None:
-        schedule = build_schedule(n_scen)
     grid = topo.switch_grid(matrix)
     programs = []
     for region in regions:
@@ -155,7 +124,7 @@ def encode_scenarios(
         states[:, :region.n_switches] = region_states.reshape(n_scen, region.n_switches) & 0b11
         packed = np.bitwise_or.reduce(states.reshape(n_scen, n_bytes, 4) << _SHIFTS, axis=2).tobytes()
         memory = tuple(int.from_bytes(packed[k * n_bytes:(k + 1) * n_bytes], "little") for k in range(n_scen))
-        programs.append(ControllerProgram(region=region, memory=memory, schedule=schedule))
+        programs.append(ControllerProgram(region=region, memory=memory))
     return programs
 
 
@@ -184,11 +153,6 @@ def decode_programs(programs: list[ControllerProgram], topo: LadderTopology) -> 
     return matrix
 
 
-def build_schedule(n: int) -> Schedule:
-    """One pass over all n scenarios per frame, repeat 1 each, outer loop infinite."""
-    return Schedule(entries=tuple((idx, 1) for idx in range(n)))
-
-
 def control_memory_bits(programs: list[ControllerProgram]) -> int:
     """Total scenario-memory bits across all controllers."""
     return sum(len(p.memory) * p.region.word_bits for p in programs)
@@ -198,53 +162,57 @@ def control_memory_bits(programs: list[ControllerProgram]) -> int:
 # program files
 
 
+_FORMAT = "ladderbus-ctrl v2"
+
+
 def format_program(prog: ControllerProgram) -> str:
     r = prog.region
     digits = max(1, math.ceil(r.word_bits / 4))
     lines = [
-        "ladderbus-ctrl v1",
+        _FORMAT,
         f"region {r.controller_id}",
         f"columns {r.col_start} {r.col_end}",
         f"n_lanes {r.n_lanes}",
         f"word_bits {r.word_bits}",
         f"scenarios {len(prog.memory)}",
         "mem" + "".join(f" {w:0{digits}x}" for w in prog.memory),
+        "end",
     ]
-    for idx, rep in prog.schedule.entries:
-        lines.append(f"step {idx} {rep}")
-    if prog.schedule.conditional is not None:
-        flag, idx = prog.schedule.conditional
-        lines.append(f"cond {flag} {idx}")
-    lines.append("end")
     return "\n".join(lines) + "\n"
 
 
-# integers after the keyword of each program line other than "mem" and "end"
-_ARITY = {"region": 1, "columns": 2, "n_lanes": 1, "word_bits": 1, "scenarios": 1, "step": 2, "cond": 2}
+# integers after the keyword of each header line
+_ARITY = {"region": 1, "columns": 2, "n_lanes": 1, "word_bits": 1, "scenarios": 1}
 
 
 def parse_program(text: str) -> ControllerProgram:
-    """Parse one program file; ValueError names the malformed line or field."""
+    """Parse one program file; ValueError names the malformed line or keyword.
+    Each header line and the mem line must appear once, and end must be last."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "ladderbus-ctrl v1":
-        raise ValueError("not a ladderbus-ctrl v1 program")
-    fields: dict[str, list[tuple[int, ...]]] = {}  # keyword -> its lines' integers, in order
-    memory: tuple[int, ...] = ()
-    for ln in lines[1:]:
+    if not lines or lines[0] != _FORMAT:
+        raise ValueError(f"not a {_FORMAT} program")
+    fields: dict[str, tuple[int, ...]] = {}  # keyword -> its line's integers (mem: its words)
+    for n, ln in enumerate(lines[1:], 1):
         key, *vals = ln.split()
-        if key == "end":
+        if key == "end" and not vals:
+            if n + 1 < len(lines):
+                raise ValueError(f"program line {lines[n + 1]!r} follows the 'end' line")
             break
+        if key in fields:
+            raise ValueError(f"program line {ln!r}: a second {key!r} line")
         if key == "mem":
-            memory = tuple(int(w, 16) for w in vals)
+            fields[key] = tuple(int(w, 16) for w in vals)
         elif len(vals) != _ARITY.get(key):
             raise ValueError(f"program line {ln!r}: unknown keyword or wrong number of values")
         else:
-            fields.setdefault(key, []).append(tuple(int(v) for v in vals))
-    header = ("region", "columns", "n_lanes", "word_bits", "scenarios")
-    for key in header:
+            fields[key] = tuple(int(v) for v in vals)
+    else:
+        raise ValueError("program has no 'end' line")
+    for key in (*_ARITY, "mem"):
         if key not in fields:
             raise ValueError(f"program has no {key!r} line")
-    (ctrl_id,), (col_start, col_end), (n_lanes,), (word_bits,), (n_scen,) = (fields[key][-1] for key in header)
+    (ctrl_id,), (col_start, col_end), (n_lanes,), (word_bits,), (n_scen,) = (fields[key] for key in _ARITY)
+    memory = fields["mem"]
     if not 0 <= col_start <= col_end:
         raise ValueError(f"program field 'columns' is {col_start} {col_end}, not an ascending range from 0 up")
     if n_lanes < 1:
@@ -257,7 +225,4 @@ def parse_program(text: str) -> ControllerProgram:
     for k, w in enumerate(memory):
         if w < 0 or w.bit_length() > word_bits:  # no 1 << word_bits: word_bits may be huge
             raise ValueError(f"memory word {k} ({w:x}) does not fit in {word_bits} bits")
-    return ControllerProgram(
-        region=region, memory=memory,
-        schedule=Schedule(entries=tuple(fields.get("step", ())), conditional=fields.get("cond", [None])[-1]),
-    )
+    return ControllerProgram(region=region, memory=memory)

@@ -10,9 +10,10 @@ by two connections in the same step is a collision. Energy is a
 structural proxy: the number of activated segments and rungs, summed
 over steps.
 
-A step's outcome depends only on its scenario (decoded vector and
-members), so each scenario is audited once, the first time the schedule
-reaches it, and every step replays that result. The audit views the
+A frame steps through the scenarios in stored order, one per step. A
+step's outcome depends only on its scenario (decoded vector and
+members), so each scenario is audited once, in the first frame, and
+every later step replays that result. The audit views the
 scenario's row of the decoded int8 switch-state matrix as a lanes x
 columns array (LadderTopology.switch_grid), without a copy. Chains only
 meet at rungs: on one lane, a RIGHT_RUNG switch followed by a run of
@@ -109,42 +110,28 @@ def run_frames(
     paths: list[RoutedPath],
     scenarios: tuple[tuple[int, ...], ...],
     n_frames: int,
-    cond_flags: list[bool] | None = None,
     trace: IO[str] | None = None,
 ) -> SimReport:
-    """Execute n_frames of the replicated schedule and audit every step;
-    scenarios holds each scenario's path ids, in the programs' scenario order."""
+    """Execute n_frames, each one step per scenario in stored order, and audit
+    every step; scenarios holds each scenario's path ids, in the programs'
+    scenario order."""
     # reassemble from controller memories so the region encoding is on the
     # executed path; decoding rejects programs that do not cover the ladder
     matrix = decode_programs(programs, topo)
-    schedule = programs[0].schedule
-    for prog in programs[1:]:
-        if prog.schedule != schedule:
-            raise ValueError("inconsistent schedules across controllers (lockstep required)")
     n_scen = len(scenarios)
     if len(matrix) != n_scen:
         raise ValueError("program memory does not match scenario count")
-    indices = [idx for idx, _rep in schedule.entries]
-    if schedule.conditional is not None:
-        indices.append(schedule.conditional[1])
-    for idx in indices:
-        if not (0 <= idx < n_scen):
-            raise ValueError(f"unknown scenario index {idx} in schedule")
-    if cond_flags is None:
-        cond_flags = [False] * n_frames
 
     geometry = {p.edge_id: (p.lane, p.cmin, p.cmax, tile_column(topo, p.src_tile), tile_column(topo, p.dst_tile))
                 for p in paths}
 
-    report = SimReport(n_frames=n_frames, frame_length=schedule.frame_length,
-                       delivered={p.edge_id: 0 for p in paths})
-    outcomes: dict[int, tuple] = {}  # scenario index -> _audit result
+    report = SimReport(n_frames=n_frames, frame_length=n_scen, delivered={p.edge_id: 0 for p in paths})
+    outcomes: list[tuple] = []  # _audit result of scenario k, from the first frame on
     step_no = 0
     for frame in range(n_frames):
-        flag = bool(cond_flags[frame]) if frame < len(cond_flags) else False
-        for scen_idx in schedule.steps(flag_raised=flag):
-            if scen_idx not in outcomes:
-                outcomes[scen_idx] = _audit(topo, matrix[scen_idx], scenarios[scen_idx], geometry)
+        for scen_idx in range(n_scen):
+            if frame == 0:
+                outcomes.append(_audit(topo, matrix[scen_idx], scenarios[scen_idx], geometry))
             collided, delivered_ids, active = outcomes[scen_idx]
             report.collisions += len(collided)
             for res, count in collided:

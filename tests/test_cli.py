@@ -210,6 +210,7 @@ def _drop_switches_rle(scenario):
     (_drop_switches_rle, "'switches_rle'"),
 ], ids=["state-7", "run-0", "runs-too-long", "path-999", "path-a", "no-switches_rle"])
 def test_malformed_scenario_record_is_stage_error(tmp_path, capsys, corrupt, message):
+    """Both stages that read scenarios.json reject the record, as a config error naming the file."""
     cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
     rundir = tmp_path / "run"
     assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
@@ -219,9 +220,22 @@ def test_malformed_scenario_record_is_stage_error(tmp_path, capsys, corrupt, mes
     (rundir / "scenarios.json").write_text(json.dumps(doc))
     for stage in ("emit-ctrl", "sim"):
         capsys.readouterr()
-        assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_STAGE
+        assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"stage {stage} failed: scenario {last}: " in err and message in err, err
+        assert f"config error: state file scenarios.json: scenario {last}: " in err and message in err, err
+
+
+def test_scenario_record_that_is_a_list_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    doc = json.loads((rundir / "scenarios.json").read_text())
+    doc["scenarios"][0] = [[0], [[0, 1]]]
+    (rundir / "scenarios.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["emit-ctrl", "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
+    assert ("config error: state file scenarios.json: scenario 0: needs the lists 'paths' and 'switches_rle'"
+            in capsys.readouterr().err)
 
 
 def test_group_stage_builds_one_conflict_graph(tmp_path, monkeypatch):
@@ -270,10 +284,27 @@ def test_malformed_program_is_stage_error(tmp_path, capsys):
     rundir = tmp_path / "run"
     assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
     prog = rundir / "programs" / "ctrl_000.txt"
-    prog.write_text(prog.read_text().replace("step 0 1\n", "step 0\n"))
+    columns = next(ln for ln in prog.read_text().splitlines() if ln.startswith("columns "))
+    prog.write_text(prog.read_text().replace(columns, "columns 0"))
     capsys.readouterr()
     assert main(["sim", "--config", cfg, "--rundir", str(rundir)]) == EXIT_STAGE
-    assert "'step 0'" in capsys.readouterr().err
+    assert "stage sim failed: programs/ctrl_000.txt: program line 'columns 0'" in capsys.readouterr().err
+
+
+def test_v1_program_is_stage_error_naming_its_file(tmp_path, capsys):
+    # a program as an old run directory holds it: v1 header, one step line per scenario
+    cfg = write_config(tmp_path)
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    prog = rundir / "programs" / "ctrl_001.txt"
+    text = prog.read_text()
+    n_scen = int(next(ln for ln in text.splitlines() if ln.startswith("scenarios ")).split()[1])
+    steps = "".join(f"step {k} 1\n" for k in range(n_scen))
+    prog.write_text(text.replace("ladderbus-ctrl v2", "ladderbus-ctrl v1").replace("end\n", steps + "end\n"))
+    capsys.readouterr()
+    assert main(["sim", "--config", cfg, "--rundir", str(rundir)]) == EXIT_STAGE
+    assert ("stage sim failed: programs/ctrl_001.txt: not a ladderbus-ctrl v2 program"
+            in capsys.readouterr().err)
 
 
 def test_report_text_and_json(tmp_path, capsys):
@@ -511,6 +542,16 @@ def test_sweep_and_csv_round_trip(tmp_path, capsys):
     assert main(["report", "--rundir", str(rundir), "--format", "csv"]) == EXIT_OK
     assert capsys.readouterr().out == csv_file
     assert csv_file.splitlines()[0] == "n,density,seed,algo,E,scenarios,lower_bound,gap,ctrl_bits,ctrl_frac"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([1], "state file sweep.json (row 0) is not a JSON object"),
+    ([{"n": 3}], "state file sweep.json (row 0) lacks key 'density'"),
+], ids=["row-not-object", "row-without-density"])
+def test_report_csv_on_incomplete_sweep_row_is_config_error(tmp_path, capsys, rows, message):
+    (tmp_path / "sweep.json").write_text(json.dumps(rows))
+    assert main(["report", "--rundir", str(tmp_path), "--format", "csv"]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_sweep_unknown_algorithm_is_config_error(tmp_path, capsys):

@@ -12,8 +12,6 @@ from ladderbus.appgraph import generate_synthetic
 from ladderbus.controlgen import (
     ControllerProgram,
     ControllerRegion,
-    Schedule,
-    build_schedule,
     control_memory_bits,
     decode_programs,
     default_controller_count,
@@ -119,46 +117,19 @@ def test_control_memory_bits_total():
     assert control_memory_bits(programs) == len(vectors) * 2 * topo.n_switches
 
 
-def test_schedule_default_frame_length():
-    topo, paths, vectors = pipeline(16, 50, seed=2)
-    sched = build_schedule(len(vectors))
-    assert sched.frame_length == len(vectors)
-    assert sched.steps() == list(range(len(vectors)))
-
-
-def test_schedule_custom_order():
-    topo, paths, vectors = pipeline(8, 10, seed=3)
-    k = len(vectors)
-    order = list(reversed(range(k)))
-    sched = Schedule(entries=tuple((idx, 1) for idx in order))
-    assert sched.frame_length == k
-    assert sched.steps() == order
-
-
-def test_schedule_conditional_step():
-    topo, paths, vectors = pipeline(8, 10, seed=3)
-    sched = Schedule(entries=build_schedule(len(vectors)).entries, conditional=(0, 0))
-    assert sched.frame_length == len(vectors)
-    assert sched.steps(flag_raised=False) == list(range(len(vectors)))
-    assert sched.steps(flag_raised=True) == list(range(len(vectors))) + [0]
-
-
 def test_all_programs_share_frame_length():
+    # a frame is one step per scenario, so every controller holds one word per scenario
     topo, paths, vectors = pipeline(24, 100, seed=4)
     programs = encode_scenarios(vectors, partition_regions(topo, 4), topo)
-    lengths = {p.schedule.frame_length for p in programs}
-    assert len(lengths) == 1
+    assert {len(p.memory) for p in programs} == {len(vectors)}
 
 
 def test_program_file_round_trip():
     topo, paths, vectors = pipeline(14, 41, seed=5)
-    programs = encode_scenarios(
-        vectors, partition_regions(topo, default_controller_count(topo)), topo,
-        schedule=Schedule(entries=build_schedule(len(vectors)).entries, conditional=(1, 0)),
-    )
+    programs = encode_scenarios(vectors, partition_regions(topo, default_controller_count(topo)), topo)
     for prog in programs:
         text = format_program(prog)
-        assert text.endswith("\n")
+        assert text.startswith("ladderbus-ctrl v2\n") and text.endswith("\nend\n")
         assert parse_program(text) == prog
         # byte stability
         assert format_program(parse_program(text)) == text
@@ -230,7 +201,7 @@ def test_encode_matches_word_layout_oracle(instance):
 def test_decode_rejects_word_outside_word_bits(word):
     topo = build_topology(4, 1)  # 2 columns, 1 lane: one 4-bit region
     region = ControllerRegion(controller_id=0, col_start=0, col_end=1, n_lanes=1)
-    prog = ControllerProgram(region=region, memory=(3, word), schedule=build_schedule(2))
+    prog = ControllerProgram(region=region, memory=(3, word))
     with pytest.raises(ValueError, match=r"controller 0, scenario 1: .* does not fit in 4 bits"):
         decode_programs([prog], topo)
 
@@ -241,16 +212,38 @@ def _program_text():
 
 
 def test_parse_rejects_step_without_repeat():
-    text = _program_text().replace("step 0 1\n", "step 0\n")
-    with pytest.raises(ValueError, match="'step 0'"):
-        parse_program(text)
+    # a frame is the scenario list: a v2 program has no step lines, with a repeat or without
+    for step in ("step 0", "step 0 1"):
+        text = _program_text().replace("end\n", f"{step}\nend\n")
+        with pytest.raises(ValueError, match=f"'{step}': unknown keyword"):
+            parse_program(text)
 
 
 def test_parse_rejects_unknown_keyword():
-    # a misspelled step line must not drop its schedule entry silently
-    text = _program_text().replace("step 1 1\n", "stpe 1 1\n")
-    with pytest.raises(ValueError, match="'stpe 1 1'"):
+    # a misspelled header line is named, not reported as a missing one
+    text = _program_text().replace("n_lanes ", "n_lnaes ")
+    with pytest.raises(ValueError, match=r"'n_lnaes \d+': unknown keyword"):
         parse_program(text)
+
+
+def _doubled(key):
+    """Edit that repeats the program's `key` line."""
+    def edit(text):
+        line = next(ln for ln in text.splitlines(keepends=True) if ln.startswith(key + " "))
+        return text.replace(line, line + line)
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("ladderbus-ctrl v2", "ladderbus-ctrl v1"), "not a ladderbus-ctrl v2 program"),
+    (_doubled("region"), "a second 'region' line"),
+    (_doubled("mem"), "a second 'mem' line"),
+    (lambda text: text[:-len("end\n")], "no 'end' line"),  # the mem line is the one before end
+    (lambda text: text + "region 1\n", "'region 1' follows the 'end' line"),
+], ids=["v1-header", "second-region", "second-mem", "cut-after-mem", "text-after-end"])
+def test_parse_rejects_malformed_structure(edit, message):
+    with pytest.raises(ValueError, match=message):
+        parse_program(edit(_program_text()))
 
 
 def test_parse_rejects_missing_region_line():
@@ -280,9 +273,9 @@ def test_parse_names_a_region_no_ladder_has(key, values, message):
         parse_program(text)
 
 
-# each program keyword with the count of values its line takes ("stpe" is no keyword)
-_KEYWORDS = {"region": 1, "columns": 2, "n_lanes": 1, "word_bits": 1, "scenarios": 1, "mem": 2, "step": 2,
-             "cond": 2, "end": 0, "stpe": 2}
+# each program keyword with the count of values its line takes ("step" is no keyword)
+_KEYWORDS = {"region": 1, "columns": 2, "n_lanes": 1, "word_bits": 1, "scenarios": 1, "mem": 2, "end": 0,
+             "step": 2}
 _tokens = st.one_of(st.integers(-2, 6).map(str), st.integers(-2**70, 2**70).map(str),
                     st.integers(0, 2**40).map(lambda v: f"{v:x}"), st.text(max_size=3))
 
@@ -296,9 +289,9 @@ def _program_line(key):
 @given(st.one_of(
     st.text(),
     st.lists(st.sampled_from(sorted(_KEYWORDS)).flatmap(_program_line), max_size=12).map(
-        lambda lines: "\n".join(["ladderbus-ctrl v1", *lines])),
+        lambda lines: "\n".join(["ladderbus-ctrl v2", *lines])),
 ))
-@example("ladderbus-ctrl v1\nregion 0\ncolumns 0 1000000000000\nn_lanes 1\n"
+@example("ladderbus-ctrl v2\nregion 0\ncolumns 0 1000000000000\nn_lanes 1\n"
          "word_bits 2000000000002\nscenarios 1\nmem 5\nend\n")  # a word width no shift may build
 def test_parse_program_raises_only_value_error(text):
     try:

@@ -10,13 +10,9 @@ from conftest import ladder_paths, oracle_sim_step
 
 from ladderbus.appgraph import generate_synthetic, make_cluster_graph
 from ladderbus.controlgen import (
-    Schedule,
-    build_schedule,
     decode_programs,
     default_controller_count,
     encode_scenarios,
-    format_program,
-    parse_program,
     partition_regions,
 )
 from ladderbus.grouping import build_conflict_graph, group_max_clique, scenario_switch_matrix
@@ -136,47 +132,6 @@ def test_trace_energy_recount():
     ]
 
 
-def test_conditional_step_executes_when_flag_raised():
-    g = generate_synthetic(10, 20, seed=6)
-    topo = build_topology(10)
-    placement = place_anneal(g, topo, seed=6)
-    paths = extract_paths(g, topo, placement)
-    scenarios, vectors = grouped(paths, topo)
-    sched = Schedule(entries=build_schedule(len(scenarios)).entries, conditional=(0, 0))
-    programs = encode_scenarios(vectors, partition_regions(topo, 2), topo, schedule=sched)
-    base = run_frames(topo, programs, paths, scenarios, n_frames=2, cond_flags=[False, False])
-    raised = run_frames(topo, programs, paths, scenarios, n_frames=2, cond_flags=[False, True])
-    assert base.steps == 2 * len(scenarios)
-    assert raised.steps == 2 * len(scenarios) + 1
-    # the guarded step re-delivers scenario 0's connections once more
-    extra = set(scenarios[0])
-    for pid, count in raised.delivered.items():
-        assert count == (3 if pid in extra else 2)
-    assert raised.collisions == 0
-
-
-def test_mismatched_schedules_rejected():
-    g = generate_synthetic(10, 20, seed=7)
-    topo, paths, scenarios, programs = pipeline(g, seed=7, n_regions=2)
-    hacked = programs[1].__class__(
-        region=programs[1].region,
-        memory=programs[1].memory,
-        schedule=Schedule(entries=tuple((idx, 1) for idx in reversed(range(len(scenarios))))),
-    )
-    with pytest.raises(ValueError, match="lockstep"):
-        run_frames(topo, [programs[0], hacked], paths, scenarios, n_frames=1)
-
-
-def test_unknown_scenario_index_rejected():
-    g = generate_synthetic(8, 12, seed=8)
-    topo, paths, scenarios, programs = pipeline(g, seed=8)
-    bad_sched = build_schedule(len(scenarios))
-    bad_sched = bad_sched.__class__(entries=bad_sched.entries + ((len(scenarios), 1),))
-    bad = [p.__class__(region=p.region, memory=p.memory, schedule=bad_sched) for p in programs]
-    with pytest.raises(ValueError, match="unknown scenario"):
-        run_frames(topo, bad, paths, scenarios, n_frames=1)
-
-
 def test_zero_scenarios_trivially_clean():
     g = make_cluster_graph(4, [])
     topo, paths, scenarios, programs = pipeline(g)
@@ -185,16 +140,6 @@ def test_zero_scenarios_trivially_clean():
     assert report.steps == 0
     assert report.collisions == 0
     assert report.energy == 0
-
-
-@pytest.mark.parametrize("guarded", ["n_scenarios", -1])
-def test_out_of_range_conditional_scenario_rejected(guarded):
-    g = generate_synthetic(8, 12, seed=8)
-    topo, paths, scenarios, programs = pipeline(g, seed=8)
-    idx = len(scenarios) if guarded == "n_scenarios" else guarded
-    parsed = [parse_program(format_program(p).replace("end\n", f"cond 0 {idx}\nend\n")) for p in programs]
-    with pytest.raises(ValueError, match="unknown scenario index"):
-        run_frames(topo, parsed, paths, scenarios, n_frames=1, cond_flags=[True])
 
 
 def test_decode_rejects_disagreeing_memories_even_when_first_is_empty():
@@ -245,9 +190,10 @@ def _legal_states(column, n_columns):
 @st.composite
 def sim_instances(draw):
     """Paths on a ladder of 1-4 lanes, a random (often conflicting) partition
-    into scenarios, and per scenario a vector realized from its members
-    (later members overwrite earlier ones), arbitrary with legal edge
-    columns, or realized with arbitrary legal states on the idle switches."""
+    into scenarios stored in a random order, and per scenario a vector
+    realized from its members (later members overwrite earlier ones),
+    arbitrary with legal edge columns, or realized with arbitrary legal
+    states on the idle switches."""
     topo, paths = draw(ladder_paths())
     cols = topo.n_columns
     k = draw(st.integers(1, max(1, len(paths))))
@@ -271,28 +217,22 @@ def sim_instances(draw):
             vec = [draw(st.sampled_from(_legal_states(idx % cols, cols))) if state == SwitchState.IDLE else state
                    for idx, state in enumerate(vec)]
         vectors.append(tuple(int(state) for state in vec))
+    # the partition in any order: a frame steps through it as stored
     order = draw(st.permutations(range(k)))
-    cond = draw(st.none() | st.integers(0, k - 1))
+    scenarios, vectors = tuple(scenarios[i] for i in order), [vectors[i] for i in order]
     n_ctrl = draw(st.integers(1, cols))
     n_frames = draw(st.integers(0, 3))
-    flags = draw(st.lists(st.booleans(), max_size=3))
-    return topo, paths, scenarios, vectors, order, cond, n_ctrl, n_frames, flags
+    return topo, paths, scenarios, vectors, n_ctrl, n_frames
 
 
 @settings(max_examples=200, deadline=None)
 @given(sim_instances())
 def test_run_frames_matches_step_oracle(instance):
-    topo, paths, scenarios, vectors, order, cond, n_ctrl, n_frames, flags = instance
-    schedule = Schedule(entries=tuple((idx, 1) for idx in order), conditional=None if cond is None else (0, cond))
-    programs = encode_scenarios(np.array(vectors, dtype=np.int8), partition_regions(topo, n_ctrl), topo,
-                                schedule=schedule)
-    report = run_frames(topo, programs, paths, scenarios, n_frames, cond_flags=flags)
+    topo, paths, scenarios, vectors, n_ctrl, n_frames = instance
+    programs = encode_scenarios(np.array(vectors, dtype=np.int8), partition_regions(topo, n_ctrl), topo)
+    report = run_frames(topo, programs, paths, scenarios, n_frames)
 
-    steps = []
-    for frame in range(n_frames):
-        steps.extend(order)
-        if cond is not None and frame < len(flags) and flags[frame]:
-            steps.append(cond)
+    steps = list(range(len(scenarios))) * n_frames
     delivered = {p.edge_id: 0 for p in paths}
     events, active_per_step = [], []
     for step, scen in enumerate(steps):
@@ -302,6 +242,7 @@ def test_run_frames_matches_step_oracle(instance):
             delivered[pid] += 1
         active_per_step.append(active)
     assert report.steps == len(steps)
+    assert report.frame_length == len(scenarios)
     assert report.delivered == delivered
     assert report.collisions == len(events)
     assert report.collision_events == events
