@@ -191,7 +191,8 @@ def _read_state_text(rundir: Path, name: str, stage: str) -> str:
     return path.read_text()
 
 
-_JSON_KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer"}
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer", str: "a string",
+               (int, float): "a number"}
 
 
 def _read_state(rundir: Path, name: str, stage: str | None = None, kind: type = dict):
@@ -209,16 +210,16 @@ def _read_state(rundir: Path, name: str, stage: str | None = None, kind: type = 
     return rec
 
 
-def _fields(rec, name: str, keys: tuple[str, ...], kind: type = object) -> dict:
+def _fields(rec, name: str, keys: tuple[str, ...], kind: type | tuple[type, ...] = object) -> dict:
     """rec's values under keys, in order. rec not being an object, a missing key
-    or a value that is not a `kind` (booleans are no integers) is a config
+    or a value that is not a `kind` (booleans are no numbers) is a config
     error naming the file."""
     if not isinstance(rec, dict):
         raise ConfigError(f"state file {name} is not a JSON object")
     for key in keys:
         if key not in rec:
             raise ConfigError(f"state file {name} lacks key '{key}'")
-        if not isinstance(rec[key], kind) or (kind is int and isinstance(rec[key], bool)):
+        if not isinstance(rec[key], kind) or (kind is not object and isinstance(rec[key], bool)):
             raise ConfigError(f"state file {name}: '{key}' is {json.dumps(rec[key])}, not {_JSON_KINDS[kind]}")
     return {key: rec[key] for key in keys}
 
@@ -388,16 +389,15 @@ def stage_group(cfg: dict, state: RunState) -> None:
     gcfg = cfg["grouping"]
     algo = gcfg["algorithm"]
     _check_algorithms([algo])
-    conflicts = grouping.build_conflict_graph(paths)
-    partition = grouping.group_paths(algo, conflicts)
+    partition = grouping.group_paths(algo, paths)
     try:
-        grouping.validate_scenario_set(partition.scenarios, conflicts)
+        grouping.validate_scenario_set(partition.scenarios, paths)
     except ValueError as exc:
         raise InvariantViolation(f"grouping produced an invalid scenario set: {exc}") from exc
     counts = {algo: partition.n_scenarios}
     if gcfg["compare"]:
         other = "greedy" if algo == "maxclique" else "maxclique"
-        counts[other] = grouping.group_paths(other, conflicts).n_scenarios
+        counts[other] = grouping.group_paths(other, paths).n_scenarios
     matrix = grouping.scenario_switch_matrix(partition.scenarios, paths, topo)
     doc = grouping.scenario_set_record(partition, matrix)
     doc["counts"] = counts
@@ -510,7 +510,8 @@ def build_report(rundir: Path) -> dict:
     rec = _read_state(rundir, "sweep.json", kind=list)
     if rec is not None:
         for i, row in enumerate(rec):
-            _fields(row, f"sweep.json (row {i})", tuple(costmodel.SWEEP_COLUMNS))
+            for key, kind in costmodel.SWEEP_COLUMNS.items():
+                _fields(row, f"sweep.json (row {i})", (key,), (int, float) if kind is float else kind)
         out["sweep_rows"] = rec
     return out
 

@@ -200,12 +200,16 @@ def parse_program(text: str) -> ControllerProgram:
             break
         if key in fields:
             raise ValueError(f"program line {ln!r}: a second {key!r} line")
-        if key == "mem":
-            fields[key] = tuple(int(w, 16) for w in vals)
-        elif len(vals) != _ARITY.get(key):
+        if key != "mem" and len(vals) != _ARITY.get(key):
             raise ValueError(f"program line {ln!r}: unknown keyword or wrong number of values")
-        else:
-            fields[key] = tuple(int(v) for v in vals)
+        base, kind = (16, "hexadecimal") if key == "mem" else (10, "decimal")
+        values = []
+        for v in vals:
+            try:
+                values.append(int(v, base))
+            except ValueError:
+                raise ValueError(f"program line {ln!r}: {v!r} is not a {kind} integer") from None
+        fields[key] = tuple(values)
     else:
         raise ValueError("program has no 'end' line")
     for key in (*_ARITY, "mem"):

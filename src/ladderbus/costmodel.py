@@ -150,12 +150,15 @@ def cost_report(
 # ---------------------------------------------------------------------------
 # scaling sweep
 
-SWEEP_COLUMNS = ["n", "density", "seed", "algo", "E", "scenarios", "lower_bound", "gap", "ctrl_bits", "ctrl_frac"]
+# column -> the type of its values (a float column also takes an integer)
+SWEEP_COLUMNS = {"n": int, "density": float, "seed": int, "algo": str, "E": int, "scenarios": int,
+                 "lower_bound": int, "gap": int, "ctrl_bits": int, "ctrl_frac": float}
 
 
 def sweep_instance(n: int, density: float, seed: int, algorithms: list[str],
                    model: CostModel) -> list[dict]:
-    """Full flow on one synthetic instance; one row per algorithm, all coloring one conflict graph."""
+    """Full flow on one synthetic instance; one row per algorithm, all grouping
+    one set of routed paths (only maxclique builds their conflict graph)."""
     for algo in algorithms:
         grouping.check_algorithm(algo)
     n_edges = round(density * n * (n - 1))
@@ -165,10 +168,9 @@ def sweep_instance(n: int, density: float, seed: int, algorithms: list[str],
     paths = extract_paths(g, topo, placement)
     lower = grouping.scenario_lower_bound(paths)
     n_ctrl = default_controller_count(topo)
-    conflicts = grouping.build_conflict_graph(paths)
     rows = []
     for algo in algorithms:
-        n_scenarios = grouping.group_paths(algo, conflicts).n_scenarios
+        n_scenarios = grouping.group_paths(algo, paths).n_scenarios
         bits = grouping.raw_scenario_bits(n_scenarios, topo)
         frac = cost_report(topo, bits, n_ctrl, model).control_fraction
         rows.append({

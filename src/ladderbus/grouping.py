@@ -1,19 +1,31 @@
 """Partitioning routed paths into non-intersecting switching scenarios.
 
-Vertices of the conflict graph are routed paths; an edge marks resource
-contention, so a scenario is an independent set and a full grouping is
-a coloring. The groupers color a ConflictGraph into a Partition:
-first-fit, and iterated maximum-clique extraction (each clique member
-must land in a distinct scenario). First-fit is class-at-a-time greedy
-colouring: scenario k is the greedy independent set, in edge-id order,
-of the paths scenarios 0..k-1 left, which is the same partition as
-placing each path, in id order, in the first scenario it does not
-intersect; the clique search bounds its branches with the same
-colouring, _colour_classes. Each clique is found in two passes, a
-colour-bounded branch and bound for the clique number ω and then a
-member-by-member choice, in id order, of the lexicographically first
-ω-clique; the search is exact within a fixed count of search nodes, so
-a grouping depends on its input alone, never on machine speed.
+Two routed paths intersect iff they share an endpoint column (its rung)
+or run on one lane with overlapping column intervals. A scenario is a
+set of pairwise non-intersecting paths, and a grouping is a Partition of
+the paths into scenarios: a colouring of their conflict graph.
+
+First-fit and scenario validation read that rule off the ladder's
+structure and build no graph. group_greedy places each path, in id
+order, in the lowest scenario it does not intersect, found from one
+mask of scenarios per rung column and one per (lane, column): the same
+partition as class-at-a-time colouring of the conflict graph
+(_colour_classes over all paths). validate_scenario_set checks that no
+rung column is an endpoint of two members of a scenario and that on
+each lane the members' closed intervals are disjoint.
+
+The conflict graph serves the iterated maximum-clique grouper alone
+(each clique member must land in a distinct scenario). It is built from
+the same structure, not from pairs: per-column buckets of the paths
+ending on that column's rung, plus per-lane prefix masks over cmin and
+suffix masks over cmax. The graph keeps the rung buckets
+(ConflictGraph.rungs): each is a clique, and the largest one seeds the
+clique search, which bounds its branches with _colour_classes. Each
+clique is found in two passes, a colour-bounded branch and bound for
+the clique number ω and then a member-by-member choice, in id order, of
+the lexicographically first ω-clique; the search is exact within a
+fixed count of search nodes, so a grouping depends on its input alone,
+never on machine speed.
 scenario_lower_bound is the structural bound B, the size of the largest
 rung star or lane cover: both are cliques, so every grouping needs at
 least B scenarios.
@@ -25,24 +37,21 @@ compressed_scenario_bits counts that record's runs. Loading the record gives bac
 matrix): the controller compiler takes the matrix, the simulator the
 memberships.
 
-The conflict graph is built from the ladder's structure, not from
-pairs: per-column buckets of the paths ending on that column's rung,
-plus per-lane prefix masks over cmin and suffix masks over cmax. The
-graph keeps the rung buckets (ConflictGraph.rungs): each is a clique,
-and the largest one seeds the clique search.
-Adjacency is kept as per-vertex bitmasks (Python ints), which makes
-first-fit (one mask step per path), clique-search set algebra and
-scenario validation cheap enough for ten-thousand-path instances. No
-bitset step takes a negative operand: CPython evaluates & and | with
-one by two's-complement copies, so at 12,000 bits q & ~a costs three
-times q ^ (q & a). A set is cleared of a subset by ^, and the lowest
-member v of q is (q ^ (q - 1)).bit_length() - 1.
+Sets of paths and of scenarios are bitmasks (Python ints): a graph's
+adjacency per vertex, and first-fit's scenarios per rung and lane
+column. No bitset step takes a negative operand: CPython evaluates &
+and | with one by two's-complement copies, so at 12,000 bits q & ~a
+costs three times q ^ (q & a). A set is cleared of a subset by ^, the
+lowest member v of q is (q ^ (q - 1)).bit_length() - 1, and the lowest
+non-member of q is (q ^ (q + 1)).bit_length() - 1.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, repeat
 from operator import or_
 
 import numpy as np
@@ -134,8 +143,8 @@ def scenario_switch_matrix(scenarios, paths: list[RoutedPath], topo: LadderTopol
     LEFT_RIGHT inside, LEFT_RUNG; a same-column path travels over its rung
     alone and sets no switch, and every switch no member writes stays IDLE.
 
-    Precondition: each scenario is an independent set of the paths' conflict
-    graph (validate_scenario_set), so no two members write one switch; sim
+    Precondition: no two members of a scenario intersect
+    (validate_scenario_set), so no two members write one switch; sim
     audits the realized chains on its own. Raises ValueError naming the first
     path whose lane or column interval lies off the ladder."""
     for pid, p in enumerate(paths):
@@ -155,17 +164,27 @@ def scenario_switch_matrix(scenarios, paths: list[RoutedPath], topo: LadderTopol
     return matrix
 
 
-def validate_scenario_set(scenarios, g: ConflictGraph) -> None:
-    """Raise ValueError unless scenarios partition g's vertices into independent sets."""
+def validate_scenario_set(scenarios, paths: list[RoutedPath]) -> None:
+    """Raise ValueError unless scenarios partition the paths into sets of
+    pairwise non-intersecting paths: within each scenario no rung column is an
+    endpoint of two members, and on each lane the members' closed column
+    intervals are disjoint. The error names the first such scenario and two of
+    its members that intersect."""
+    _check_vertex_ids(paths)
     flat = [pid for s in scenarios for pid in s]
-    if sorted(flat) != list(range(g.n)):
+    if sorted(flat) != list(range(len(paths))):
         raise ValueError("scenarios do not partition the path set")
     for k, s in enumerate(scenarios):
-        members = sum(1 << pid for pid in s)
-        for a in s:
-            hit = g.adj[a] & members
-            if hit:
-                b = (hit ^ (hit - 1)).bit_length() - 1
+        rung: dict[int, int] = {}  # column -> the member with an endpoint there
+        spans = sorted((paths[pid].lane, paths[pid].cmin, paths[pid].cmax, pid) for pid in s)
+        for _lane, lo, hi, pid in spans:
+            for c in (lo, hi) if lo < hi else (lo,):
+                other = rung.setdefault(c, pid)
+                if other != pid:
+                    raise ValueError(f"scenario {k}: paths {other} and {pid} intersect")
+        # sorted by cmin, a lane's intervals are disjoint iff each ends before the next starts
+        for (lane, _lo, hi, a), (next_lane, next_lo, _hi, b) in zip(spans, spans[1:]):
+            if lane == next_lane and next_lo <= hi:
                 raise ValueError(f"scenario {k}: paths {a} and {b} intersect")
 
 
@@ -202,13 +221,31 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def group_greedy(g: ConflictGraph) -> Partition:
-    """First-fit, one scenario at a time: scenario k is the greedy independent
-    set, built in id order, of the paths scenarios 0..k-1 left. This is
-    exactly per-path first-fit, where each path joins the first scenario it
-    does not intersect."""
-    scenarios = tuple(_members(c) for c in _colour_classes(g.adj, (1 << g.n) - 1))
-    return Partition(scenarios, GroupingStats("greedy"))
+def group_greedy(paths: list[RoutedPath]) -> Partition:
+    """First-fit: each path, in id order, joins the lowest scenario it does not
+    intersect. A mask of scenarios per rung column and per (lane, column)
+    records which scenarios already use it, so a path's blocked scenarios are
+    the OR of its two rung masks and of its lane's masks over [cmin, cmax].
+    The partition is _colour_classes over all paths of build_conflict_graph,
+    which is not built."""
+    _check_vertex_ids(paths)
+    n_cols = max((p.cmax for p in paths), default=-1) + 1
+    rung = [0] * n_cols  # per column, the scenarios with a member ending on its rung
+    lanes: defaultdict[int, list[int]] = defaultdict(lambda: [0] * n_cols)  # per lane and column, covering
+    scenarios: list[list[int]] = []
+    for p in paths:
+        lo, hi, occ = p.cmin, p.cmax, lanes[p.lane]
+        span = occ[lo:hi + 1]
+        blocked = reduce(or_, span, rung[lo] | rung[hi])
+        k = (blocked ^ (blocked + 1)).bit_length() - 1
+        bit = 1 << k
+        rung[lo] |= bit
+        rung[hi] |= bit
+        occ[lo:hi + 1] = map(or_, span, repeat(bit))
+        if k == len(scenarios):
+            scenarios.append([])
+        scenarios[k].append(p.edge_id)
+    return Partition(tuple(map(tuple, scenarios)), GroupingStats("greedy"))
 
 
 class _BudgetExpired(Exception):
@@ -396,14 +433,14 @@ def check_algorithm(algorithm: str) -> None:
         raise ValueError(f"unknown grouping algorithm '{algorithm}' (choose from {', '.join(GROUPING_ALGORITHMS)})")
 
 
-def group_paths(algorithm: str, g: ConflictGraph) -> Partition:
-    """Run one of GROUPING_ALGORITHMS by name on a conflict graph. The group_*
-    functions are looked up in this module at call time, so rebinding (e.g.
-    wrapping) one reaches every caller."""
+def group_paths(algorithm: str, paths: list[RoutedPath]) -> Partition:
+    """Run one of GROUPING_ALGORITHMS by name on the routed paths; only
+    maxclique builds the conflict graph. The functions are looked up in this
+    module at call time, so rebinding (e.g. wrapping) one reaches every caller."""
     check_algorithm(algorithm)
     if algorithm == "greedy":
-        return group_greedy(g)
-    return group_max_clique(g)
+        return group_greedy(paths)
+    return group_max_clique(build_conflict_graph(paths))
 
 
 def scenario_lower_bound(paths: list[RoutedPath]) -> int:

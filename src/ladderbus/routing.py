@@ -5,8 +5,7 @@ column interval between its endpoint tiles, entering and leaving
 through the shared rung of each endpoint column. The only routing
 freedom is the lane, chosen least-loaded at routing time, so a routed
 path is its lane and its column interval [cmin, cmax]. Which paths
-contend is decided from those intervals in
-``grouping.build_conflict_graph``.
+contend is decided from those intervals in ``grouping``.
 """
 
 from __future__ import annotations
@@ -47,27 +46,30 @@ def route_connection(
     connection's interval, ties to the lowest lane id. Same-column
     connections use only the rung, stay on lane 0 and add no load.
     """
+    return _route(edge_id, src_tile, dst_tile, tile_column(topo, src_tile), tile_column(topo, dst_tile), lane_load)
+
+
+def _route(edge_id: int, src_tile: int, dst_tile: int, c1: int, c2: int, lane_load: np.ndarray) -> RoutedPath:
+    """route_connection with the tiles' columns c1 and c2 given."""
     if src_tile == dst_tile:
         raise ValueError(f"connection from tile {src_tile} to itself")
-    c1 = tile_column(topo, src_tile)
-    c2 = tile_column(topo, dst_tile)
-    cmin, cmax = min(c1, c2), max(c1, c2)
+    cmin, cmax = (c1, c2) if c1 <= c2 else (c2, c1)
     lane = 0
     if cmin < cmax:
-        lane = int(lane_load[:, cmin:cmax].sum(axis=1).argmin())  # argmin: the first minimum
+        lane = int(np.add.reduce(lane_load[:, cmin:cmax], 1).argmin())  # argmin: the first minimum
         lane_load[lane, cmin:cmax] += 1
-    return RoutedPath(
-        edge_id=edge_id, src_tile=src_tile, dst_tile=dst_tile,
-        lane=lane, cmin=cmin, cmax=cmax,
-    )
+    return RoutedPath(edge_id, src_tile, dst_tile, lane, cmin, cmax)  # positional: a third cheaper than by keyword
 
 
 def extract_paths(g: ClusterGraph, topo: LadderTopology, p: TilePlacement) -> list[RoutedPath]:
-    """One RoutedPath per cluster-graph edge, in edge-id order."""
+    """One RoutedPath per cluster-graph edge, in edge-id order, each cluster's
+    column worked out once."""
     p.validate(g, topo)
     lane_load = np.zeros((topo.n_lanes, max(topo.n_columns - 1, 0)), dtype=np.int64)
+    tiles = p.assignment
+    cols = [tile_column(topo, t) for t in tiles]
     return [
-        route_connection(topo, p.tile_of(src), p.tile_of(dst), lane_load, edge_id=edge_id)
+        _route(edge_id, tiles[src], tiles[dst], cols[src], cols[dst], lane_load)
         for edge_id, (src, dst, _w) in enumerate(g.edges)
     ]
 

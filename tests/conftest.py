@@ -450,9 +450,8 @@ class CorpusInstance:
         self.topo = build_topology(n)
         self.placement = place_anneal(self.graph, self.topo, seed=seed + 1)
         self.paths = extract_paths(self.graph, self.topo, self.placement)
-        conflicts = build_conflict_graph(self.paths)
-        self.sset_greedy = group_greedy(conflicts)
-        self.sset_maxclique = group_max_clique(conflicts)
+        self.sset_greedy = group_greedy(self.paths)
+        self.sset_maxclique = group_max_clique(build_conflict_graph(self.paths))
 
     @property
     def key(self):

@@ -256,6 +256,24 @@ def test_group_stage_builds_one_conflict_graph(tmp_path, monkeypatch):
     assert set(json.loads((rundir / "scenarios.json").read_text())["counts"]) == {"greedy", "maxclique"}
 
 
+def test_greedy_group_stage_builds_no_conflict_graph(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "grouping": {"algorithm": "greedy", "compare": False}})
+    rundir = tmp_path / "run"
+    for stage in ["gen", "place", "route"]:
+        assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    builds = []
+    build = grouping.build_conflict_graph
+
+    def counted(paths):
+        builds.append(len(paths))
+        return build(paths)
+
+    monkeypatch.setattr(grouping, "build_conflict_graph", counted)
+    assert main(["group", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    assert builds == []
+    assert json.loads((rundir / "scenarios.json").read_text())["algorithm"] == "greedy"
+
+
 def test_stage_without_config_keeps_the_run_config(tmp_path):
     rundir = tmp_path / "run"
     cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 30, "n_edges": 100}},
@@ -544,10 +562,19 @@ def test_sweep_and_csv_round_trip(tmp_path, capsys):
     assert csv_file.splitlines()[0] == "n,density,seed,algo,E,scenarios,lower_bound,gap,ctrl_bits,ctrl_frac"
 
 
+SWEEP_ROW = {"n": 10, "density": 0.15, "seed": 0, "algo": "greedy", "E": 14, "scenarios": 5, "lower_bound": 4,
+             "gap": 1, "ctrl_bits": 160, "ctrl_frac": 0.25}
+
+
 @pytest.mark.parametrize("rows, message", [
     ([1], "state file sweep.json (row 0) is not a JSON object"),
     ([{"n": 3}], "state file sweep.json (row 0) lacks key 'density'"),
-], ids=["row-not-object", "row-without-density"])
+    ([{**SWEEP_ROW, "density": "x"}], "state file sweep.json (row 0): 'density' is \"x\", not a number"),
+    ([SWEEP_ROW, {**SWEEP_ROW, "ctrl_frac": True}], "state file sweep.json (row 1): 'ctrl_frac' is true, not a number"),
+    ([{**SWEEP_ROW, "scenarios": 5.5}], "state file sweep.json (row 0): 'scenarios' is 5.5, not an integer"),
+    ([{**SWEEP_ROW, "algo": 1}], "state file sweep.json (row 0): 'algo' is 1, not a string"),
+], ids=["row-not-object", "row-without-density", "density-a-string", "ctrl-frac-a-boolean", "scenarios-a-float",
+        "algo-a-number"])
 def test_report_csv_on_incomplete_sweep_row_is_config_error(tmp_path, capsys, rows, message):
     (tmp_path / "sweep.json").write_text(json.dumps(rows))
     assert main(["report", "--rundir", str(tmp_path), "--format", "csv"]) == EXIT_CONFIG

@@ -1,15 +1,18 @@
 """Property tests: the structural conflict build agrees with the pairwise
-resource-set oracle, validation reads its masks, the structural bound
-lies below the oracle's clique number, group_greedy is the oracle's
-per-path first-fit, max_clique returns the oracle's lexicographically
-first maximum clique and, cut short by its node budget, a clique no
-smaller than the largest rung star, the switch-state matrix of either
-grouper's partition agrees row by row with the per-switch oracle, and a
-scenarios.json record gives back the partition and that matrix."""
+resource-set oracle, validation agrees with the oracle on any assignment
+of paths to scenarios, the structural bound lies below the oracle's
+clique number, group_greedy is the oracle's per-path first-fit and the
+conflict graph's colour classes, max_clique returns the oracle's
+lexicographically first maximum clique and, cut short by its node
+budget, a clique no smaller than the largest rung star, the switch-state
+matrix of either grouper's partition agrees row by row with the
+per-switch oracle, and a scenarios.json record gives back the partition
+and that matrix."""
 
 import collections
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from conftest import (
     conflict_edges_from_oracle,
     ladder_paths,
+    optimal_grouping_exact,
     oracle_first_fit,
     oracle_intersect,
     oracle_max_clique,
@@ -63,8 +67,17 @@ def test_conflict_graph_matches_predicate_and_oracle(instance):
 def test_validate_accepts_greedy_and_rejects_a_conflicting_move(instance):
     topo, paths = instance
     g = build_conflict_graph(paths)
-    sset = group_greedy(g)
-    validate_scenario_set(sset.scenarios, g)
+    sset = group_greedy(paths)
+    for partition in (sset, group_max_clique(g), optimal_grouping_exact(g)):
+        validate_scenario_set(partition.scenarios, paths)
+    if not paths:
+        return
+    dropped = [list(s) for s in sset.scenarios]
+    dropped[0].pop()
+    with pytest.raises(ValueError, match="do not partition"):
+        validate_scenario_set(dropped, paths)
+    with pytest.raises(ValueError, match="do not partition"):
+        validate_scenario_set([*sset.scenarios, (0,)], paths)
     if sset.n_scenarios < 2:
         return
     # first-fit put each member of scenario 1 there because it conflicts with scenario 0
@@ -72,17 +85,46 @@ def test_validate_accepts_greedy_and_rejects_a_conflicting_move(instance):
     scenarios = [list(s) for s in sset.scenarios]
     scenarios[1].remove(moved)
     scenarios[0].append(moved)
-    with pytest.raises(ValueError, match="intersect"):
-        validate_scenario_set(scenarios, g)
+    with pytest.raises(ValueError, match=r"scenario 0: paths \d+ and \d+ intersect"):
+        validate_scenario_set(scenarios, paths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_paths(), st.data())
+def test_validate_matches_oracle_on_any_assignment(instance, data):
+    # any assignment of the paths to scenarios, in any member order, not only a grouper's
+    topo, paths = instance
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(paths), max_size=len(paths)))
+    scenarios = [data.draw(st.permutations([pid for pid, label in enumerate(labels) if label == k]))
+                 for k in range(4)]
+    bad = [k for k, s in enumerate(scenarios)
+           if any(oracle_intersect(paths[a], paths[b], topo) for a, b in itertools.combinations(s, 2))]
+    if not bad:
+        validate_scenario_set(scenarios, paths)
+        return
+    with pytest.raises(ValueError, match=rf"scenario {bad[0]}: paths (\d+) and (\d+) intersect") as exc:
+        validate_scenario_set(scenarios, paths)
+    a, b = map(int, re.search(r"paths (\d+) and (\d+)", str(exc.value)).groups())
+    assert a != b and {a, b} <= set(scenarios[bad[0]])
+    assert oracle_intersect(paths[a], paths[b], topo)
 
 
 @settings(max_examples=300, deadline=None)
 @given(ladder_paths())
 def test_greedy_is_per_path_first_fit(instance):
     topo, paths = instance
-    partition = group_greedy(build_conflict_graph(paths))
+    partition = group_greedy(paths)
     assert partition.scenarios == oracle_first_fit(paths, topo)
     assert partition.stats.algorithm == "greedy"
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_paths())
+def test_greedy_is_the_colour_classes_of_the_conflict_graph(instance):
+    # first-fit and the clique search's colouring stay one partition
+    _topo, paths = instance
+    classes = grouping._colour_classes(build_conflict_graph(paths).adj, (1 << len(paths)) - 1)
+    assert group_greedy(paths).scenarios == tuple(grouping._members(c) for c in classes)
 
 
 @settings(max_examples=300, deadline=None)
@@ -109,10 +151,9 @@ def test_colour_classes_and_members_of_any_path_subset(instance, data):
 def test_lower_bound_below_clique_number_below_groupings(instance):
     topo, paths = instance
     omega = len(oracle_max_clique(len(paths), conflict_edges_from_oracle(paths, topo)))
-    g = build_conflict_graph(paths)
     assert scenario_lower_bound(paths) <= omega
-    assert omega <= group_greedy(g).n_scenarios
-    assert omega <= group_max_clique(g).n_scenarios
+    assert omega <= group_greedy(paths).n_scenarios
+    assert omega <= group_max_clique(build_conflict_graph(paths)).n_scenarios
 
 
 @settings(max_examples=300, deadline=None)
@@ -141,7 +182,7 @@ def test_budget_expired_clique_not_below_largest_rung(instance):
 @given(ladder_paths(), st.sampled_from(GROUPING_ALGORITHMS), st.data())
 def test_scenario_switch_matrix_matches_oracle(instance, algorithm, data):
     topo, paths = instance
-    partition = group_paths(algorithm, build_conflict_graph(paths))
+    partition = group_paths(algorithm, paths)
     # the members of an independent set write disjoint switches, so their order is free
     scenarios = [data.draw(st.permutations(s)) for s in partition.scenarios]
     matrix = scenario_switch_matrix(scenarios, paths, topo)
@@ -153,7 +194,7 @@ def test_scenario_switch_matrix_matches_oracle(instance, algorithm, data):
 @given(ladder_paths(), st.sampled_from(GROUPING_ALGORITHMS))
 def test_scenario_record_json_round_trip(instance, algorithm):
     topo, paths = instance
-    partition = group_paths(algorithm, build_conflict_graph(paths))
+    partition = group_paths(algorithm, paths)
     matrix = scenario_switch_matrix(partition.scenarios, paths, topo)
     rec = json.loads(json.dumps(scenario_set_record(partition, matrix)))
     back, back_matrix = scenario_set_from_record(rec, topo.n_switches, len(paths))

@@ -262,6 +262,17 @@ def test_parse_rejects_word_wider_than_word_bits():
 
 
 @pytest.mark.parametrize("key, values, message", [
+    ("mem", "zz", "program line 'mem zz': 'zz' is not a hexadecimal integer"),
+    ("columns", "0 x", "program line 'columns 0 x': 'x' is not a decimal integer"),
+], ids=["mem-word-not-hexadecimal", "columns-value-not-decimal"])
+def test_parse_names_the_line_of_a_value_that_is_not_an_integer(key, values, message):
+    text = "".join(f"{key} {values}\n" if ln.startswith(key + " ") else ln
+                   for ln in _program_text().splitlines(keepends=True))
+    with pytest.raises(ValueError, match=message):
+        parse_program(text)
+
+
+@pytest.mark.parametrize("key, values, message", [
     ("columns", "2 0", "program field 'columns' is 2 0, not an ascending range"),
     ("columns", "-1 1", "program field 'columns' is -1 1, not an ascending range"),
     ("n_lanes", "0", "program field 'n_lanes' is 0, below 1"),

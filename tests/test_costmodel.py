@@ -252,6 +252,20 @@ def test_sweep_builds_one_conflict_graph_and_no_switch_vectors(monkeypatch):
     assert [r["algo"] for r in rows] == ["greedy", "maxclique"]
 
 
+def test_greedy_sweep_builds_no_conflict_graph(monkeypatch):
+    builds = []
+    build = grouping.build_conflict_graph
+
+    def counted(paths):
+        builds.append(len(paths))
+        return build(paths)
+
+    monkeypatch.setattr(grouping, "build_conflict_graph", counted)
+    rows = sweep_instance(12, 0.2, 0, ["greedy"], calibrate(reference_observations()))
+    assert builds == []
+    assert [r["algo"] for r in rows] == ["greedy"]
+
+
 def test_sweep_parallel_matches_serial():
     serial = scaling_sweep([10, 12], [0.15], [0, 1], ["greedy"], jobs=1)
     parallel = scaling_sweep([10, 12], [0.15], [0, 1], ["greedy"], jobs=2)

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,12 +105,12 @@ def test_conflict_graph_requires_edge_id_order():
 def test_greedy_non_intersecting_single_scenario():
     topo = build_topology(8, 2)
     paths = [RoutedPath(i, 2 * i, 2 * i + 1, lane=0, cmin=i, cmax=i) for i in range(4)]
-    assert group_greedy(build_conflict_graph(paths)).n_scenarios == 1
+    assert group_greedy(paths).n_scenarios == 1
 
 
 def test_greedy_mutually_intersecting_k_scenarios():
     topo = build_topology(12, 5)
-    assert group_greedy(build_conflict_graph(star_paths(5, topo))).n_scenarios == 5
+    assert group_greedy(star_paths(5, topo)).n_scenarios == 5
 
 
 def test_greedy_chain_conflicts_two_scenarios():
@@ -120,8 +121,32 @@ def test_greedy_chain_conflicts_two_scenarios():
         RoutedPath(1, 2, 4, lane=1, cmin=1, cmax=2),
         RoutedPath(2, 4, 6, lane=2, cmin=2, cmax=3),
     ]
-    sset = group_greedy(build_conflict_graph(paths))
+    sset = group_greedy(paths)
     assert sset.scenarios == ((0, 2), (1,))
+
+
+def test_greedy_is_the_colour_classes_on_routed_instances():
+    # scenario masks wider than one 30-bit int digit, which the property tests' 12 paths never reach
+    for shape in [(60, 772, 0), (96, 1068, 0)]:
+        _, topo, paths = routed_instance(*shape)
+        classes = grouping._colour_classes(build_conflict_graph(paths).adj, (1 << len(paths)) - 1)
+        partition = group_greedy(paths)
+        assert partition.n_scenarios > 30
+        assert partition.scenarios == tuple(grouping._members(c) for c in classes)
+
+
+def test_greedy_memory_is_far_below_the_conflict_graph():
+    # n=200/E=4000: the conflict graph's adjacency masks alone would take E^2/8 bytes (2 MB)
+    g = generate_synthetic(200, 4000, 0)
+    topo = build_topology(200)
+    paths = extract_paths(g, topo, place_greedy(g, topo))
+    tracemalloc.start()
+    try:
+        group_greedy(paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(paths) ** 2 / 8 / 4
 
 
 def test_greedy_first_fit_bound():
@@ -129,7 +154,7 @@ def test_greedy_first_fit_bound():
         _, topo, paths = routed_instance(14, 50, seed=seed)
         g = build_conflict_graph(paths)
         max_deg = max(g.degree(v) for v in range(g.n))
-        assert group_greedy(build_conflict_graph(paths)).n_scenarios <= max_deg + 1
+        assert group_greedy(paths).n_scenarios <= max_deg + 1
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +245,7 @@ def test_group_max_clique_no_conflicts_single_scenario():
 def test_group_max_clique_empty_input():
     topo = build_topology(4, 2)
     assert group_max_clique(build_conflict_graph([])).n_scenarios == 0
-    assert group_greedy(build_conflict_graph([])).n_scenarios == 0
+    assert group_greedy([]).n_scenarios == 0
 
 
 def test_group_max_clique_bounds_random():
@@ -231,7 +256,7 @@ def test_group_max_clique_bounds_random():
             continue
         cg = build_conflict_graph(paths)
         sset = group_max_clique(cg)
-        validate_scenario_set(sset.scenarios, cg)
+        validate_scenario_set(sset.scenarios, paths)
         omega = len(max_clique(cg))
         exact = optimal_grouping_exact(cg)
         assert omega <= exact.n_scenarios <= sset.n_scenarios
@@ -274,7 +299,7 @@ def test_grouping_deterministic():
     _, topo, paths = routed_instance(24, 128, seed=5)
     first, second = build_conflict_graph(paths), build_conflict_graph(paths)
     assert group_max_clique(first).scenarios == group_max_clique(second).scenarios
-    assert group_greedy(first).scenarios == group_greedy(second).scenarios
+    assert group_greedy(paths).scenarios == group_greedy(list(paths)).scenarios
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +336,7 @@ def test_lower_bound_holds_for_groupings():
         g, topo, paths = routed_instance(n, e, seed)
         bound = scenario_lower_bound(paths)
         assert bound >= max(g.total_degrees())
-        assert group_greedy(build_conflict_graph(paths)).n_scenarios >= bound
+        assert group_greedy(paths).n_scenarios >= bound
         assert group_max_clique(build_conflict_graph(paths)).n_scenarios >= bound
 
 
@@ -343,7 +368,7 @@ def test_exact_five_cycle_needs_three():
     assert cg.m == 5
     sset = optimal_grouping_exact(cg)
     assert sset.n_scenarios == 3
-    validate_scenario_set(sset.scenarios, cg)
+    validate_scenario_set(sset.scenarios, paths)
 
 
 def test_exact_matches_backtracking_oracle():
@@ -369,18 +394,16 @@ def test_exact_guards_instance_size():
 
 def test_validate_rejects_non_partition():
     _, topo, paths = routed_instance(6, 8, seed=0)
-    cg = build_conflict_graph(paths)
-    sset = group_greedy(cg)
+    sset = group_greedy(paths)
     if sset.n_scenarios > 1:
         with pytest.raises(ValueError):
-            validate_scenario_set(sset.scenarios[:-1], cg)
+            validate_scenario_set(sset.scenarios[:-1], paths)
 
 
 def test_validate_rejects_conflicting_scenario():
     topo = build_topology(12, 5)
-    cg = build_conflict_graph(star_paths(3, topo))
-    with pytest.raises(ValueError, match="intersect"):
-        validate_scenario_set(((0, 1), (2,)), cg)
+    with pytest.raises(ValueError, match="scenario 0: paths 0 and 1 intersect"):
+        validate_scenario_set(((0, 1), (2,)), star_paths(3, topo))
 
 
 @pytest.mark.parametrize("lane, cmin, cmax", [(0, 3, 1), (-1, 0, 1), (2, 0, 1), (0, -1, 1), (0, 2, 4), (1, 4, 4)],
