@@ -16,15 +16,7 @@ from .appgraph import (
 from .topology import LadderTopology, SwitchState, build_topology, tile_coordinates
 from .placement import TilePlacement, place_anneal, place_greedy, placement_cost
 from .routing import RoutedPath, extract_paths, route_connection
-from .grouping import (
-    ConflictGraph,
-    Partition,
-    build_conflict_graph,
-    group_greedy,
-    group_max_clique,
-    max_clique,
-    scenario_lower_bound,
-)
+from .grouping import Partition, group_greedy, group_iterated, scenario_lower_bound
 from .controlgen import (
     ControllerProgram,
     ControllerRegion,

@@ -21,7 +21,7 @@ fixed in ladderbus.placement):
     {"seed": 1,
      "graph": {"synthetic": {"n_clusters": 24, "n_edges": 128}},
      "topology": {"n_lanes": null, "lane_width_bits": 32},
-     "grouping": {"algorithm": "maxclique", "compare": true},
+     "grouping": {"algorithm": "iterated", "compare": true},
      "controllers": {"count": null},
      "sim": {"frames": 1}}
 """
@@ -60,7 +60,7 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "graph": {},
     "topology": {"n_tiles": None, "n_lanes": None, "lane_width_bits": 32},
-    "grouping": {"algorithm": "maxclique", "compare": True},
+    "grouping": {"algorithm": "iterated", "compare": True},
     "controllers": {"count": None},
     "sim": {"frames": 1, "trace": False},
 }
@@ -389,20 +389,21 @@ def stage_group(cfg: dict, state: RunState) -> None:
     gcfg = cfg["grouping"]
     algo = gcfg["algorithm"]
     _check_algorithms([algo])
-    partition = grouping.group_paths(algo, paths)
+    bound = grouping.scenario_lower_bound(paths)
+    partition = grouping.group_paths(algo, paths, bound)
     try:
         grouping.validate_scenario_set(partition.scenarios, paths)
     except ValueError as exc:
         raise InvariantViolation(f"grouping produced an invalid scenario set: {exc}") from exc
     counts = {algo: partition.n_scenarios}
     if gcfg["compare"]:
-        other = "greedy" if algo == "maxclique" else "maxclique"
-        counts[other] = grouping.group_paths(other, paths).n_scenarios
+        other = "greedy" if algo == "iterated" else "iterated"
+        counts[other] = grouping.group_paths(other, paths, bound).n_scenarios
     matrix = grouping.scenario_switch_matrix(partition.scenarios, paths, topo)
     doc = grouping.scenario_set_record(partition, matrix)
     doc["counts"] = counts
-    doc["lower_bound"] = grouping.scenario_lower_bound(paths)
-    doc["gap"] = partition.n_scenarios - doc["lower_bound"]
+    doc["lower_bound"] = bound
+    doc["gap"] = partition.n_scenarios - bound
     doc["raw_bits"] = grouping.raw_scenario_bits(partition.n_scenarios, topo)
     doc["compressed_bits"] = grouping.compressed_scenario_bits(doc, topo)
     _save_json(state.rundir / "scenarios.json", doc)

@@ -33,6 +33,7 @@ once, in this order on output, ``end`` last)::
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +184,10 @@ def format_program(prog: ControllerProgram) -> str:
 
 # integers after the keyword of each header line
 _ARITY = {"region": 1, "columns": 2, "n_lanes": 1, "word_bits": 1, "scenarios": 1}
+# the numerals a value may be spelled with: ASCII digits only, no prefix, sign
+# (a header value's minus aside, which the range checks name) or underscore
+_HEX_WORD = re.compile("[0-9a-f]+")
+_DECIMAL = re.compile("-?[0-9]+")
 
 
 def parse_program(text: str) -> ControllerProgram:
@@ -202,14 +207,11 @@ def parse_program(text: str) -> ControllerProgram:
             raise ValueError(f"program line {ln!r}: a second {key!r} line")
         if key != "mem" and len(vals) != _ARITY.get(key):
             raise ValueError(f"program line {ln!r}: unknown keyword or wrong number of values")
-        base, kind = (16, "hexadecimal") if key == "mem" else (10, "decimal")
-        values = []
+        numeral, base, kind = (_HEX_WORD, 16, "hexadecimal") if key == "mem" else (_DECIMAL, 10, "decimal")
         for v in vals:
-            try:
-                values.append(int(v, base))
-            except ValueError:
-                raise ValueError(f"program line {ln!r}: {v!r} is not a {kind} integer") from None
-        fields[key] = tuple(values)
+            if not numeral.fullmatch(v):
+                raise ValueError(f"program line {ln!r}: {v!r} is not a {kind} integer")
+        fields[key] = tuple(int(v, base) for v in vals)
     else:
         raise ValueError("program has no 'end' line")
     for key in (*_ARITY, "mem"):
@@ -227,6 +229,6 @@ def parse_program(text: str) -> ControllerProgram:
     if len(memory) != n_scen:
         raise ValueError(f"expected {n_scen} memory words, found {len(memory)}")
     for k, w in enumerate(memory):
-        if w < 0 or w.bit_length() > word_bits:  # no 1 << word_bits: word_bits may be huge
+        if w.bit_length() > word_bits:  # no 1 << word_bits: word_bits may be huge
             raise ValueError(f"memory word {k} ({w:x}) does not fit in {word_bits} bits")
     return ControllerProgram(region=region, memory=memory)

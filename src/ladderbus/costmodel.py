@@ -158,7 +158,7 @@ SWEEP_COLUMNS = {"n": int, "density": float, "seed": int, "algo": str, "E": int,
 def sweep_instance(n: int, density: float, seed: int, algorithms: list[str],
                    model: CostModel) -> list[dict]:
     """Full flow on one synthetic instance; one row per algorithm, all grouping
-    one set of routed paths (only maxclique builds their conflict graph)."""
+    one set of routed paths."""
     for algo in algorithms:
         grouping.check_algorithm(algo)
     n_edges = round(density * n * (n - 1))
@@ -170,7 +170,7 @@ def sweep_instance(n: int, density: float, seed: int, algorithms: list[str],
     n_ctrl = default_controller_count(topo)
     rows = []
     for algo in algorithms:
-        n_scenarios = grouping.group_paths(algo, paths).n_scenarios
+        n_scenarios = grouping.group_paths(algo, paths, lower).n_scenarios
         bits = grouping.raw_scenario_bits(n_scenarios, topo)
         frac = cost_report(topo, bits, n_ctrl, model).control_fraction
         rows.append({

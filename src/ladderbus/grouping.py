@@ -3,32 +3,23 @@
 Two routed paths intersect iff they share an endpoint column (its rung)
 or run on one lane with overlapping column intervals. A scenario is a
 set of pairwise non-intersecting paths, and a grouping is a Partition of
-the paths into scenarios: a colouring of their conflict graph.
+the paths into scenarios.
 
-First-fit and scenario validation read that rule off the ladder's
-structure and build no graph. group_greedy places each path, in id
-order, in the lowest scenario it does not intersect, found from one
-mask of scenarios per rung column and one per (lane, column): the same
-partition as class-at-a-time colouring of the conflict graph
-(_colour_classes over all paths). validate_scenario_set checks that no
-rung column is an endpoint of two members of a scenario and that on
-each lane the members' closed intervals are disjoint.
-
-The conflict graph serves the iterated maximum-clique grouper alone
-(each clique member must land in a distinct scenario). It is built from
-the same structure, not from pairs: per-column buckets of the paths
-ending on that column's rung, plus per-lane prefix masks over cmin and
-suffix masks over cmax. The graph keeps the rung buckets
-(ConflictGraph.rungs): each is a clique, and the largest one seeds the
-clique search, which bounds its branches with _colour_classes. Each
-clique is found in two passes, a colour-bounded branch and bound for
-the clique number ω and then a member-by-member choice, in id order, of
-the lexicographically first ω-clique; the search is exact within a
-fixed count of search nodes, so a grouping depends on its input alone,
-never on machine speed.
+The groupers and scenario validation read that rule off the ladder's
+structure and build no conflict graph. First-fit places each path, in a
+given order, in the lowest scenario it does not intersect, found from
+one mask of scenarios per rung column and one per (lane, column).
+group_greedy runs it in id order. group_iterated is iterated greedy
+(Culberson and Luo 1996): it re-runs first-fit over the paths whole
+scenario by whole scenario, which never needs more scenarios than the
+round before, and rotates the scenario order between reversed, largest
+first and a seeded shuffle. It stops at the bound or after STALL_ROUNDS
+rounds without a gain, so a grouping depends on its input alone. validate_scenario_set checks that no rung column is an endpoint
+of two members of a scenario and that on each lane the members' closed
+intervals are disjoint.
 scenario_lower_bound is the structural bound B, the size of the largest
-rung star or lane cover: both are cliques, so every grouping needs at
-least B scenarios.
+rung star or lane cover: every path of one pairwise intersects every
+other, so every grouping needs at least B scenarios.
 Partition is the one scenario-set type. Its switch vectors are one
 (n_scenarios, n_switches) int8 matrix, row k the 2-bit states scenario k
 sets, written by scenario_switch_matrix alone. The scenarios.json record
@@ -37,21 +28,19 @@ compressed_scenario_bits counts that record's runs. Loading the record gives bac
 matrix): the controller compiler takes the matrix, the simulator the
 memberships.
 
-Sets of paths and of scenarios are bitmasks (Python ints): a graph's
-adjacency per vertex, and first-fit's scenarios per rung and lane
-column. No bitset step takes a negative operand: CPython evaluates &
-and | with one by two's-complement copies, so at 12,000 bits q & ~a
-costs three times q ^ (q & a). A set is cleared of a subset by ^, the
-lowest member v of q is (q ^ (q - 1)).bit_length() - 1, and the lowest
-non-member of q is (q ^ (q + 1)).bit_length() - 1.
+First-fit's sets of scenarios are bitmasks (Python ints). No bitset
+step takes a negative operand: CPython evaluates & and | with one by
+two's-complement copies, so at 12,000 bits q & ~a costs three times
+q ^ (q & a). The lowest non-member of q is (q ^ (q + 1)).bit_length() - 1.
 """
 
 from __future__ import annotations
 
+import random
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import or_
 
 import numpy as np
@@ -61,26 +50,10 @@ from .topology import LadderTopology, SwitchState
 
 
 @dataclass(frozen=True)
-class ConflictGraph:
-    """Symmetric intersection relation over paths (vertex i = edge id i)."""
-
-    n: int
-    m: int
-    adj: tuple[int, ...]  # bitmask of neighbors per vertex
-    rungs: tuple[int, ...] = ()  # per column, the paths ending on its rung: each a clique
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return i != j and bool((self.adj[i] >> j) & 1)
-
-    def degree(self, i: int) -> int:
-        return self.adj[i].bit_count()
-
-
-@dataclass(frozen=True)
 class GroupingStats:
-    algorithm: str
-    clique_calls: int = 0
-    clique_fallbacks: int = 0
+    """What group_iterated's search did."""
+
+    rounds: int  # first-fit re-runs after the start
 
 
 @dataclass(frozen=True)
@@ -88,7 +61,8 @@ class Partition:
     """A grouper's result: path ids per scenario, each sorted, in scenario order."""
 
     scenarios: tuple[tuple[int, ...], ...]
-    stats: GroupingStats
+    algorithm: str
+    stats: GroupingStats | None = None  # None for first-fit, which searches nothing
 
     @property
     def n_scenarios(self) -> int:
@@ -101,35 +75,6 @@ def _check_vertex_ids(paths: list[RoutedPath]) -> None:
             raise ValueError(f"path at position {i} has edge id {p.edge_id}; pass paths in edge-id order")
         if not 0 <= p.cmin <= p.cmax:
             raise ValueError(f"path {i} has column interval [{p.cmin}, {p.cmax}]")
-
-
-def build_conflict_graph(paths: list[RoutedPath]) -> ConflictGraph:
-    """Intersection graph of the paths, from rung and lane buckets.
-
-    Two paths conflict iff they share an endpoint column (its rung), or
-    run on one lane with overlapping intervals: u overlaps v iff
-    u.cmin <= v.cmax and u.cmax >= v.cmin.
-    """
-    _check_vertex_ids(paths)
-    n_cols = max((p.cmax for p in paths), default=-1) + 1
-    rung = [0] * n_cols  # paths with an endpoint at column c
-    lanes: dict[int, list[RoutedPath]] = {}
-    for p in paths:
-        rung[p.cmin] |= 1 << p.edge_id
-        rung[p.cmax] |= 1 << p.edge_id
-        lanes.setdefault(p.lane, []).append(p)
-    adj = [0] * len(paths)
-    for members in lanes.values():  # one lane's masks live at a time
-        starts, ends = [0] * n_cols, [0] * n_cols
-        for p in members:
-            starts[p.cmin] |= 1 << p.edge_id
-            ends[p.cmax] |= 1 << p.edge_id
-        starts = list(accumulate(starts, or_))  # lane paths with cmin <= c
-        ends = list(accumulate(reversed(ends), or_))[::-1]  # lane paths with cmax >= c
-        for p in members:
-            own = 1 << p.edge_id
-            adj[p.edge_id] = (rung[p.cmin] | rung[p.cmax] | (starts[p.cmax] & ends[p.cmin])) ^ own  # own is in its rung
-    return ConflictGraph(n=len(paths), m=sum(a.bit_count() for a in adj) // 2, adj=tuple(adj), rungs=tuple(rung))
 
 
 # ---------------------------------------------------------------------------
@@ -192,48 +137,18 @@ def validate_scenario_set(scenarios, paths: list[RoutedPath]) -> None:
 # grouping algorithms
 
 
-def _colour_classes(adj, p: int) -> list[int]:
-    """Greedy colouring of the vertices p, one class at a time: each class is
-    the greedy independent set, filled in bit order, of the vertices earlier
-    classes left. Returns the colour classes as masks."""
-    classes = []
-    while p:
-        c, q = 0, p
-        while q:
-            below = q - 1  # q with its lowest bit v cleared and the bits under v set
-            v = (q ^ below).bit_length() - 1
-            c |= 1 << v
-            q &= below
-            q ^= q & adj[v]
-        classes.append(c)
-        p ^= c
-    return classes
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    """The vertex ids of a bitmask, ascending: found from the top, where
-    bit_length reads the highest one without a pass over the mask."""
-    out = []
-    while mask:
-        v = mask.bit_length() - 1
-        out.append(v)
-        mask ^= 1 << v
-    return tuple(reversed(out))
-
-
-def group_greedy(paths: list[RoutedPath]) -> Partition:
-    """First-fit: each path, in id order, joins the lowest scenario it does not
+def _first_fit(paths: list[RoutedPath], order) -> list[list[int]]:
+    """First-fit: each path id of order joins the lowest scenario it does not
     intersect. A mask of scenarios per rung column and per (lane, column)
     records which scenarios already use it, so a path's blocked scenarios are
     the OR of its two rung masks and of its lane's masks over [cmin, cmax].
-    The partition is _colour_classes over all paths of build_conflict_graph,
-    which is not built."""
-    _check_vertex_ids(paths)
+    Each scenario lists its members in the order they joined."""
     n_cols = max((p.cmax for p in paths), default=-1) + 1
     rung = [0] * n_cols  # per column, the scenarios with a member ending on its rung
     lanes: defaultdict[int, list[int]] = defaultdict(lambda: [0] * n_cols)  # per lane and column, covering
     scenarios: list[list[int]] = []
-    for p in paths:
+    for i in order:
+        p = paths[i]
         lo, hi, occ = p.cmin, p.cmax, lanes[p.lane]
         span = occ[lo:hi + 1]
         blocked = reduce(or_, span, rung[lo] | rung[hi])
@@ -244,187 +159,50 @@ def group_greedy(paths: list[RoutedPath]) -> Partition:
         occ[lo:hi + 1] = map(or_, span, repeat(bit))
         if k == len(scenarios):
             scenarios.append([])
-        scenarios[k].append(p.edge_id)
-    return Partition(tuple(map(tuple, scenarios)), GroupingStats("greedy"))
+        scenarios[k].append(i)
+    return scenarios
 
 
-class _BudgetExpired(Exception):
-    pass
+def group_greedy(paths: list[RoutedPath]) -> Partition:
+    """First-fit in id order; it searches nothing, so its Partition has no stats."""
+    _check_vertex_ids(paths)
+    return Partition(tuple(map(tuple, _first_fit(paths, range(len(paths))))), "greedy")
 
 
-CLIQUE_TICK_LIMIT = 1 << 18  # search nodes per clique call
+STALL_ROUNDS = 10  # rounds without a gain before group_iterated stops
+SHUFFLE_SEED = 0  # of group_iterated's shuffled rounds
 
 
-class _CliqueSearch:
-    """Exact maximum-clique search in two passes over adjacency bitmasks.
-
-    Pass 1 finds the clique number ω as in MCQ (Tomita and Seki 2003):
-    seeded with the largest rung clique (the alive paths ending on one
-    column's rung), it branches on the candidates in reverse greedy-colour
-    order and stops at a candidate whose colour cannot lift the clique
-    above the best. Pass 2 then builds the lexicographically
-    smallest ω-clique member by member, in ascending-id order: the next
-    member is the smallest candidate that still extends to an ω-clique,
-    which a popcount, the colour classes of the remaining candidates and
-    then the branch and bound decide. The best clique known already is
-    such an extension, so no candidate past its next member is tried.
-    A run stops after CLIQUE_TICK_LIMIT search nodes of both passes; it
-    then returns the best clique found so far, marked non-exact, so the
-    result never depends on machine speed.
-    """
-
-    def __init__(self, g: ConflictGraph):
-        self.adj, self.rungs = g.adj, g.rungs
-        self.ticks = 0
-        self.best: tuple[int, ...] = ()
-        self.floor = self.cap = 0
-
-    def _tick(self) -> None:
-        self.ticks += 1
-        if self.ticks > CLIQUE_TICK_LIMIT:
-            raise _BudgetExpired
-
-    def _grow(self, r: list[int], p: int) -> bool:
-        """Branch and bound: a clique of more than self.floor members that
-        extends r by p becomes self.best and raises the floor to its size;
-        True once the floor reaches self.cap."""
-        self._tick()
-        if not p:
-            if len(r) > self.floor:
-                self.best = tuple(sorted(r))
-                self.floor = len(r)
-            return self.floor >= self.cap
-        classes = _colour_classes(self.adj, p)
-        for k in range(len(classes), 0, -1):  # colour k, highest first
-            m = classes[k - 1]
-            while m:
-                if len(r) + k <= self.floor:
-                    return False
-                v = m.bit_length() - 1
-                m ^= 1 << v
-                r.append(v)
-                found = self._grow(r, p & self.adj[v])
-                r.pop()
-                if found:
-                    return True
-                p ^= 1 << v
-        return False
-
-    def _first(self, p: int) -> None:
-        """Pass 2: replace self.best, an ω-clique of the vertices p, by the
-        lexicographically smallest one."""
-        omega = self.cap = len(self.best)
-        r: list[int] = []  # the members chosen so far
-        while len(r) < omega:
-            need = omega - len(r) - 1  # members still to come after the next one
-            classes = None  # of the remaining candidates, once one has failed
-            while True:  # ends at self.best's next member at the latest
-                below = p - 1
-                v = (p ^ below).bit_length() - 1
-                p &= below  # p now holds the candidates above v
-                sub = p & self.adj[v]
-                if v == self.best[len(r)]:
-                    break
-                if sub.bit_count() < need or (
-                        classes is not None and sum(1 for c in classes if c & sub) < need):
-                    continue
-                self.floor = omega - 1
-                if self._grow(r + [v], sub):
-                    break  # self.best now starts with the members chosen and v
-                if classes is None:
-                    classes = _colour_classes(self.adj, p)
-            r.append(v)
-            p = sub
-
-    def run(self, alive: int) -> tuple[tuple[int, ...], bool]:
-        """(clique, exact) over the alive vertices."""
-        if alive == 0:
-            raise ValueError("max_clique on an empty graph")
-        self.best = _members(max((r & alive for r in self.rungs), key=int.bit_count, default=0))
-        self.floor, self.cap = len(self.best), len(self.adj) + 1
-        try:
-            self._grow([], alive)
-            self._first(alive)
-            return self.best, True
-        except _BudgetExpired:
-            return self.best, False
+def group_iterated(paths: list[RoutedPath], bound: int) -> Partition:
+    """Iterated first-fit from group_greedy's partition. Round r re-runs
+    first-fit over the paths scenario by scenario, in the previous round's
+    scenario order reversed (r % 3 == 0), largest first (r % 3 == 1, ties in
+    that order) or shuffled by a Random(SHUFFLE_SEED) made per call; each
+    member keeps its place in its scenario. The members of one scenario do
+    not intersect, so first-fit over whole scenarios opens at most one new
+    scenario per scenario it takes: no round needs more than the last.
+    Stops once `bound` scenarios remain (pass scenario_lower_bound(paths),
+    which no grouping goes below) or after STALL_ROUNDS rounds in a row
+    without a gain."""
+    _check_vertex_ids(paths)
+    scenarios = _first_fit(paths, range(len(paths)))
+    rng = random.Random(SHUFFLE_SEED)
+    rounds = stalled = 0
+    while len(scenarios) > bound and stalled < STALL_ROUNDS:
+        if rounds % 3 == 0:
+            scenarios.reverse()
+        elif rounds % 3 == 1:
+            scenarios.sort(key=len, reverse=True)
+        else:
+            rng.shuffle(scenarios)
+        again = _first_fit(paths, chain.from_iterable(scenarios))
+        stalled = 0 if len(again) < len(scenarios) else stalled + 1
+        scenarios = again
+        rounds += 1
+    return Partition(tuple(tuple(sorted(s)) for s in scenarios), "iterated", GroupingStats(rounds))
 
 
-def max_clique(g: ConflictGraph) -> list[int]:
-    """Maximum clique, lexicographically smallest among ties.
-
-    Falls back to the largest clique found so far when the search reaches
-    CLIQUE_TICK_LIMIT nodes (counted in GroupingStats.clique_fallbacks by
-    group_max_clique); the fallback is still a valid clique, never smaller
-    than the largest rung clique.
-    """
-    return list(_CliqueSearch(g).run((1 << g.n) - 1)[0])
-
-
-def group_max_clique(g: ConflictGraph) -> Partition:
-    """Iterated clique extraction: peel a maximum clique, spread its members
-    over distinct scenarios, repeat until no path is left.
-
-    Members (visited in descending conflict-degree order) prefer the
-    compatible scenario whose conflict set grows least against the
-    still-unassigned graph; members left over are fitted by augmenting-path
-    matching, so a new scenario is created only when the clique genuinely
-    cannot be accommodated in the existing ones.
-    """
-    scenario_ids: list[list[int]] = []
-    conflict_masks: list[int] = []
-    alive = (1 << g.n) - 1
-    calls = fallbacks = 0
-    while alive:
-        clique, exact = _CliqueSearch(g).run(alive)
-        calls += 1
-        fallbacks += 0 if exact else 1
-        clique_mask = sum(1 << v for v in clique)
-        remaining = alive ^ clique_mask
-        members = sorted(clique, key=lambda v: (-(g.adj[v] & alive).bit_count(), v))
-        n_s = len(scenario_ids)
-
-        owner: dict[int, int] = {}  # scenario -> member
-        for v in members:
-            best_s, best_grow = None, None
-            near = g.adj[v] & remaining  # v's conflicts still to be placed
-            n_near = near.bit_count()
-            for s in range(n_s):
-                if s in owner or (conflict_masks[s] >> v) & 1:
-                    continue
-                grow = n_near - (near & conflict_masks[s]).bit_count()
-                if best_grow is None or grow < best_grow:
-                    best_s, best_grow = s, grow
-            if best_s is not None:
-                owner[best_s] = v
-
-        def augment(v: int, seen: set[int]) -> bool:
-            for s in range(n_s):
-                if s in seen or (conflict_masks[s] >> v) & 1:
-                    continue
-                seen.add(s)
-                if s not in owner or augment(owner[s], seen):
-                    owner[s] = v
-                    return True
-            return False
-
-        for v in members:
-            if v not in owner.values():
-                augment(v, set())
-        assigned = {v: s for s, v in owner.items()}
-        for v in members:
-            if v in assigned:
-                scenario_ids[assigned[v]].append(v)
-                conflict_masks[assigned[v]] |= g.adj[v]
-            else:
-                scenario_ids.append([v])
-                conflict_masks.append(g.adj[v])
-        alive = remaining
-    stats = GroupingStats("maxclique", clique_calls=calls, clique_fallbacks=fallbacks)
-    return Partition(tuple(tuple(sorted(s)) for s in scenario_ids), stats)
-
-
-GROUPING_ALGORITHMS = ("greedy", "maxclique")
+GROUPING_ALGORITHMS = ("greedy", "iterated")
 
 
 def check_algorithm(algorithm: str) -> None:
@@ -433,21 +211,23 @@ def check_algorithm(algorithm: str) -> None:
         raise ValueError(f"unknown grouping algorithm '{algorithm}' (choose from {', '.join(GROUPING_ALGORITHMS)})")
 
 
-def group_paths(algorithm: str, paths: list[RoutedPath]) -> Partition:
-    """Run one of GROUPING_ALGORITHMS by name on the routed paths; only
-    maxclique builds the conflict graph. The functions are looked up in this
-    module at call time, so rebinding (e.g. wrapping) one reaches every caller."""
+def group_paths(algorithm: str, paths: list[RoutedPath], bound: int) -> Partition:
+    """Run one of GROUPING_ALGORITHMS by name on the routed paths, whose
+    scenario_lower_bound is `bound` (iterated stops there). The functions are
+    looked up in this module at call time, so rebinding (e.g. wrapping) one
+    reaches every caller."""
     check_algorithm(algorithm)
     if algorithm == "greedy":
         return group_greedy(paths)
-    return group_max_clique(build_conflict_graph(paths))
+    return group_iterated(paths, bound)
 
 
 def scenario_lower_bound(paths: list[RoutedPath]) -> int:
     """Bound B: the larger of the column star load (paths with an endpoint in
     one column share its rung) and the lane point cover (paths on one lane
-    covering one column pairwise overlap). Both are cliques, so B is at most
-    the clique number, and B is at least the largest total cluster degree."""
+    covering one column pairwise overlap). Either set's paths pairwise
+    intersect, so every grouping needs B scenarios, and B is at least the
+    largest total cluster degree."""
     n_cols = max((p.cmax for p in paths), default=-1) + 1
     star = [0] * n_cols
     cover: dict[int, list[int]] = {}  # lane -> +1 at cmin, -1 after cmax
@@ -494,18 +274,17 @@ def compressed_scenario_bits(rec: dict, topo: LadderTopology) -> int:
 
 def scenario_set_record(partition: Partition, matrix: np.ndarray) -> dict:
     """Serialized pipeline-state form of a partition and its switch-state
-    matrix, one row per scenario."""
-    return {
-        "algorithm": partition.stats.algorithm,
+    matrix, one row per scenario, and of its stats if it has any."""
+    rec = {
+        "algorithm": partition.algorithm,
         "scenarios": [
             {"paths": list(s), "switches_rle": rle_encode(vec)}
             for s, vec in zip(partition.scenarios, matrix)
         ],
-        "stats": {
-            "clique_calls": partition.stats.clique_calls,
-            "clique_fallbacks": partition.stats.clique_fallbacks,
-        },
     }
+    if partition.stats is not None:
+        rec["stats"] = {"rounds": partition.stats.rounds}
+    return rec
 
 
 def scenario_set_from_record(rec: dict, n_switches: int, n_paths: int) -> tuple[Partition, np.ndarray]:
@@ -529,8 +308,10 @@ def scenario_set_from_record(rec: dict, n_switches: int, n_paths: int) -> tuple[
     matrix = np.zeros((len(scenarios), n_switches), dtype=np.int8)
     for k, s in enumerate(rec["scenarios"]):
         matrix[k] = rle_decode(s["switches_rle"])
-    stats = rec.get("stats", {"clique_calls": 0, "clique_fallbacks": 0})
-    counts = [stats.get(key) if isinstance(stats, dict) else None for key in ("clique_calls", "clique_fallbacks")]
-    if not all(type(c) is int for c in counts):
-        raise ValueError("'stats' needs the integers 'clique_calls' and 'clique_fallbacks'")
-    return Partition(scenarios, GroupingStats(rec.get("algorithm", ""), *counts)), matrix
+    stats = rec.get("stats")
+    if stats is not None:
+        rounds = stats.get("rounds") if isinstance(stats, dict) else None
+        if type(rounds) is not int:
+            raise ValueError("'stats' needs the integer 'rounds'")
+        stats = GroupingStats(rounds)
+    return Partition(scenarios, rec.get("algorithm", ""), stats), matrix

@@ -1,12 +1,20 @@
-"""Shared fixtures and independent oracles.
+"""Shared fixtures, independent oracles and the max-clique reference.
 
 The oracles here intentionally re-derive everything from first
 principles (explicit resource sets, exhaustive subset enumeration,
 plain backtracking coloring) rather than reusing the package's
 predicates, so they can catch errors in the fast paths. The exception
-is optimal_grouping_exact, a pruned coloring search over the package's
-conflict graph: the plain backtracking oracle is too slow for the
-11-path instances of acceptance criterion 3.
+is optimal_grouping_exact, a pruned coloring search over the conflict
+graph below: the plain backtracking oracle is too slow for the 11-path
+instances of acceptance criterion 3.
+
+The conflict graph and the iterated max-clique grouper are references
+the package no longer ships: acceptance criteria 3 and 4 bracket and
+compare against group_max_clique. Each clique is found in two passes, a
+colour-bounded branch and bound for the clique number and then a
+member-by-member choice, in id order, of the lexicographically first
+maximum clique; the search is exact within a fixed count of search
+nodes (CLIQUE_TICK_LIMIT), so its result never depends on machine speed.
 """
 
 from __future__ import annotations
@@ -14,22 +22,17 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import or_
 
 import pytest
 from hypothesis import strategies as st
 
-from ladderbus import (
-    build_conflict_graph,
-    build_topology,
-    generate_synthetic,
-    group_greedy,
-    group_max_clique,
-    max_clique,
-    place_anneal,
-)
+from ladderbus import build_topology, generate_synthetic, group_greedy, group_iterated, place_anneal
 from ladderbus.appgraph import ClusterGraph
-from ladderbus.grouping import GroupingStats, Partition
+from ladderbus.grouping import Partition, _check_vertex_ids, scenario_lower_bound
 from ladderbus.routing import RoutedPath, extract_paths
 from ladderbus.topology import SwitchState, tile_column
 
@@ -240,9 +243,8 @@ def optimal_grouping_exact(g) -> Partition:
     starting at the maximum clique size; small graphs only."""
     if g.n > EXACT_GROUPING_MAX_PATHS:
         raise ValueError(f"exact grouping limited to {EXACT_GROUPING_MAX_PATHS} paths, got {g.n}")
-    stats = GroupingStats(algorithm="exact")
     if g.n == 0:
-        return Partition((), stats)
+        return Partition((), "exact")
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     coloring = [-1] * g.n
 
@@ -277,7 +279,7 @@ def optimal_grouping_exact(g) -> Partition:
         scenario_ids[c].append(v)
     scenario_ids = [s for s in scenario_ids if s]
     scenario_ids.sort(key=lambda s: min(s))
-    return Partition(tuple(map(tuple, scenario_ids)), stats)
+    return Partition(tuple(map(tuple, scenario_ids)), "exact")
 
 
 def conflict_edges_from_oracle(paths, topo) -> set[frozenset]:
@@ -412,6 +414,267 @@ def _oracle_normal_solve(a, y, support) -> list[Fraction] | None:
 
 
 # ---------------------------------------------------------------------------
+# max-clique reference grouper, over the conflict graph
+
+
+@dataclass(frozen=True)
+class ConflictGraph:
+    """Symmetric intersection relation over paths (vertex i = edge id i)."""
+
+    n: int
+    m: int
+    adj: tuple[int, ...]  # bitmask of neighbors per vertex
+    rungs: tuple[int, ...] = ()  # per column, the paths ending on its rung: each a clique
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return i != j and bool((self.adj[i] >> j) & 1)
+
+    def degree(self, i: int) -> int:
+        return self.adj[i].bit_count()
+
+
+
+def build_conflict_graph(paths: list[RoutedPath]) -> ConflictGraph:
+    """Intersection graph of the paths, from rung and lane buckets.
+
+    Two paths conflict iff they share an endpoint column (its rung), or
+    run on one lane with overlapping intervals: u overlaps v iff
+    u.cmin <= v.cmax and u.cmax >= v.cmin.
+    """
+    _check_vertex_ids(paths)
+    n_cols = max((p.cmax for p in paths), default=-1) + 1
+    rung = [0] * n_cols  # paths with an endpoint at column c
+    lanes: dict[int, list[RoutedPath]] = {}
+    for p in paths:
+        rung[p.cmin] |= 1 << p.edge_id
+        rung[p.cmax] |= 1 << p.edge_id
+        lanes.setdefault(p.lane, []).append(p)
+    adj = [0] * len(paths)
+    for members in lanes.values():  # one lane's masks live at a time
+        starts, ends = [0] * n_cols, [0] * n_cols
+        for p in members:
+            starts[p.cmin] |= 1 << p.edge_id
+            ends[p.cmax] |= 1 << p.edge_id
+        starts = list(accumulate(starts, or_))  # lane paths with cmin <= c
+        ends = list(accumulate(reversed(ends), or_))[::-1]  # lane paths with cmax >= c
+        for p in members:
+            own = 1 << p.edge_id
+            adj[p.edge_id] = (rung[p.cmin] | rung[p.cmax] | (starts[p.cmax] & ends[p.cmin])) ^ own  # own is in its rung
+    return ConflictGraph(n=len(paths), m=sum(a.bit_count() for a in adj) // 2, adj=tuple(adj), rungs=tuple(rung))
+
+
+
+def colour_classes(adj, p: int) -> list[int]:
+    """Greedy colouring of the vertices p, one class at a time: each class is
+    the greedy independent set, filled in bit order, of the vertices earlier
+    classes left. Returns the colour classes as masks."""
+    classes = []
+    while p:
+        c, q = 0, p
+        while q:
+            below = q - 1  # q with its lowest bit v cleared and the bits under v set
+            v = (q ^ below).bit_length() - 1
+            c |= 1 << v
+            q &= below
+            q ^= q & adj[v]
+        classes.append(c)
+        p ^= c
+    return classes
+
+
+def mask_members(mask: int) -> tuple[int, ...]:
+    """The vertex ids of a bitmask, ascending: found from the top, where
+    bit_length reads the highest one without a pass over the mask."""
+    out = []
+    while mask:
+        v = mask.bit_length() - 1
+        out.append(v)
+        mask ^= 1 << v
+    return tuple(reversed(out))
+
+
+class _BudgetExpired(Exception):
+    pass
+
+
+CLIQUE_TICK_LIMIT = 1 << 18  # search nodes per clique call
+
+
+class _CliqueSearch:
+    """Exact maximum-clique search in two passes over adjacency bitmasks.
+
+    Pass 1 finds the clique number ω as in MCQ (Tomita and Seki 2003):
+    seeded with the largest rung clique (the alive paths ending on one
+    column's rung), it branches on the candidates in reverse greedy-colour
+    order and stops at a candidate whose colour cannot lift the clique
+    above the best. Pass 2 then builds the lexicographically
+    smallest ω-clique member by member, in ascending-id order: the next
+    member is the smallest candidate that still extends to an ω-clique,
+    which a popcount, the colour classes of the remaining candidates and
+    then the branch and bound decide. The best clique known already is
+    such an extension, so no candidate past its next member is tried.
+    A run stops after CLIQUE_TICK_LIMIT search nodes of both passes; it
+    then returns the best clique found so far, marked non-exact, so the
+    result never depends on machine speed.
+    """
+
+    def __init__(self, g: ConflictGraph):
+        self.adj, self.rungs = g.adj, g.rungs
+        self.ticks = 0
+        self.best: tuple[int, ...] = ()
+        self.floor = self.cap = 0
+
+    def _tick(self) -> None:
+        self.ticks += 1
+        if self.ticks > CLIQUE_TICK_LIMIT:
+            raise _BudgetExpired
+
+    def _grow(self, r: list[int], p: int) -> bool:
+        """Branch and bound: a clique of more than self.floor members that
+        extends r by p becomes self.best and raises the floor to its size;
+        True once the floor reaches self.cap."""
+        self._tick()
+        if not p:
+            if len(r) > self.floor:
+                self.best = tuple(sorted(r))
+                self.floor = len(r)
+            return self.floor >= self.cap
+        classes = colour_classes(self.adj, p)
+        for k in range(len(classes), 0, -1):  # colour k, highest first
+            m = classes[k - 1]
+            while m:
+                if len(r) + k <= self.floor:
+                    return False
+                v = m.bit_length() - 1
+                m ^= 1 << v
+                r.append(v)
+                found = self._grow(r, p & self.adj[v])
+                r.pop()
+                if found:
+                    return True
+                p ^= 1 << v
+        return False
+
+    def _first(self, p: int) -> None:
+        """Pass 2: replace self.best, an ω-clique of the vertices p, by the
+        lexicographically smallest one."""
+        omega = self.cap = len(self.best)
+        r: list[int] = []  # the members chosen so far
+        while len(r) < omega:
+            need = omega - len(r) - 1  # members still to come after the next one
+            classes = None  # of the remaining candidates, once one has failed
+            while True:  # ends at self.best's next member at the latest
+                below = p - 1
+                v = (p ^ below).bit_length() - 1
+                p &= below  # p now holds the candidates above v
+                sub = p & self.adj[v]
+                if v == self.best[len(r)]:
+                    break
+                if sub.bit_count() < need or (
+                        classes is not None and sum(1 for c in classes if c & sub) < need):
+                    continue
+                self.floor = omega - 1
+                if self._grow(r + [v], sub):
+                    break  # self.best now starts with the members chosen and v
+                if classes is None:
+                    classes = colour_classes(self.adj, p)
+            r.append(v)
+            p = sub
+
+    def run(self, alive: int) -> tuple[tuple[int, ...], bool]:
+        """(clique, exact) over the alive vertices."""
+        if alive == 0:
+            raise ValueError("max_clique on an empty graph")
+        self.best = mask_members(max((r & alive for r in self.rungs), key=int.bit_count, default=0))
+        self.floor, self.cap = len(self.best), len(self.adj) + 1
+        try:
+            self._grow([], alive)
+            self._first(alive)
+            return self.best, True
+        except _BudgetExpired:
+            return self.best, False
+
+
+def max_clique(g: ConflictGraph) -> list[int]:
+    """Maximum clique, lexicographically smallest among ties.
+
+    Falls back to the largest clique found so far when the search reaches
+    CLIQUE_TICK_LIMIT nodes (counted in CliqueStats.clique_fallbacks by
+    group_max_clique); the fallback is still a valid clique, never smaller
+    than the largest rung clique.
+    """
+    return list(_CliqueSearch(g).run((1 << g.n) - 1)[0])
+
+
+def group_max_clique(g: ConflictGraph) -> Partition:
+    """Iterated clique extraction: peel a maximum clique, spread its members
+    over distinct scenarios, repeat until no path is left.
+
+    Members (visited in descending conflict-degree order) prefer the
+    compatible scenario whose conflict set grows least against the
+    still-unassigned graph; members left over are fitted by augmenting-path
+    matching, so a new scenario is created only when the clique genuinely
+    cannot be accommodated in the existing ones.
+    """
+    scenario_ids: list[list[int]] = []
+    conflict_masks: list[int] = []
+    alive = (1 << g.n) - 1
+    calls = fallbacks = 0
+    while alive:
+        clique, exact = _CliqueSearch(g).run(alive)
+        calls += 1
+        fallbacks += 0 if exact else 1
+        clique_mask = sum(1 << v for v in clique)
+        remaining = alive ^ clique_mask
+        members = sorted(clique, key=lambda v: (-(g.adj[v] & alive).bit_count(), v))
+        n_s = len(scenario_ids)
+
+        owner: dict[int, int] = {}  # scenario -> member
+        for v in members:
+            best_s, best_grow = None, None
+            near = g.adj[v] & remaining  # v's conflicts still to be placed
+            n_near = near.bit_count()
+            for s in range(n_s):
+                if s in owner or (conflict_masks[s] >> v) & 1:
+                    continue
+                grow = n_near - (near & conflict_masks[s]).bit_count()
+                if best_grow is None or grow < best_grow:
+                    best_s, best_grow = s, grow
+            if best_s is not None:
+                owner[best_s] = v
+
+        def augment(v: int, seen: set[int]) -> bool:
+            for s in range(n_s):
+                if s in seen or (conflict_masks[s] >> v) & 1:
+                    continue
+                seen.add(s)
+                if s not in owner or augment(owner[s], seen):
+                    owner[s] = v
+                    return True
+            return False
+
+        for v in members:
+            if v not in owner.values():
+                augment(v, set())
+        assigned = {v: s for s, v in owner.items()}
+        for v in members:
+            if v in assigned:
+                scenario_ids[assigned[v]].append(v)
+                conflict_masks[assigned[v]] |= g.adj[v]
+            else:
+                scenario_ids.append([v])
+                conflict_masks.append(g.adj[v])
+        alive = remaining
+    return Partition(tuple(tuple(sorted(s)) for s in scenario_ids), "maxclique", CliqueStats(calls, fallbacks))
+
+
+@dataclass(frozen=True)
+class CliqueStats:
+    clique_calls: int
+    clique_fallbacks: int
+
+
+# ---------------------------------------------------------------------------
 # hypothesis strategies
 
 
@@ -451,6 +714,7 @@ class CorpusInstance:
         self.placement = place_anneal(self.graph, self.topo, seed=seed + 1)
         self.paths = extract_paths(self.graph, self.topo, self.placement)
         self.sset_greedy = group_greedy(self.paths)
+        self.sset_iterated = group_iterated(self.paths, scenario_lower_bound(self.paths))
         self.sset_maxclique = group_max_clique(build_conflict_graph(self.paths))
 
     @property

@@ -238,40 +238,31 @@ def test_scenario_record_that_is_a_list_is_config_error(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-def test_group_stage_builds_one_conflict_graph(tmp_path, monkeypatch):
+def test_group_stage_compare_runs_the_other_grouper(tmp_path):
     cfg = write_config(tmp_path)
     rundir = tmp_path / "run"
     for stage in ["gen", "place", "route"]:
         assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
-    builds = []
-    build = grouping.build_conflict_graph
-
-    def counted(paths):
-        builds.append(len(paths))
-        return build(paths)
-
-    monkeypatch.setattr(grouping, "build_conflict_graph", counted)
     assert main(["group", "--config", cfg, "--rundir", str(rundir), "--set", "grouping.compare=true"]) == EXIT_OK
-    assert builds == [41]
-    assert set(json.loads((rundir / "scenarios.json").read_text())["counts"]) == {"greedy", "maxclique"}
+    doc = json.loads((rundir / "scenarios.json").read_text())
+    assert doc["algorithm"] == "iterated" and set(doc["counts"]) == {"greedy", "iterated"}
+    assert doc["lower_bound"] <= doc["counts"]["iterated"] == len(doc["scenarios"]) <= doc["counts"]["greedy"]
+    assert doc["stats"]["rounds"] >= 0
 
 
-def test_greedy_group_stage_builds_no_conflict_graph(tmp_path, monkeypatch):
+def test_greedy_group_stage_runs_first_fit_alone(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {**BASE_CONFIG, "grouping": {"algorithm": "greedy", "compare": False}})
     rundir = tmp_path / "run"
     for stage in ["gen", "place", "route"]:
         assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
-    builds = []
-    build = grouping.build_conflict_graph
 
-    def counted(paths):
-        builds.append(len(paths))
-        return build(paths)
+    def no_iterated(*args):
+        raise AssertionError("the greedy group stage ran the iterated grouper")
 
-    monkeypatch.setattr(grouping, "build_conflict_graph", counted)
+    monkeypatch.setattr(grouping, "group_iterated", no_iterated)
     assert main(["group", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
-    assert builds == []
-    assert json.loads((rundir / "scenarios.json").read_text())["algorithm"] == "greedy"
+    doc = json.loads((rundir / "scenarios.json").read_text())
+    assert doc["algorithm"] == "greedy" and "stats" not in doc
 
 
 def test_stage_without_config_keeps_the_run_config(tmp_path):
@@ -287,7 +278,7 @@ def test_stage_without_config_keeps_the_run_config(tmp_path):
     saved = json.loads((rundir / "config.json").read_text())
     assert saved["grouping"] == {"algorithm": "greedy", "compare": True}
     assert saved["graph"] == {"synthetic": {"n_clusters": 30, "n_edges": 100}}
-    assert set(json.loads((rundir / "scenarios.json").read_text())["counts"]) == {"greedy", "maxclique"}
+    assert set(json.loads((rundir / "scenarios.json").read_text())["counts"]) == {"greedy", "iterated"}
 
 
 def test_stage_in_a_fresh_directory_starts_from_the_defaults(tmp_path):
@@ -331,14 +322,14 @@ def test_report_text_and_json(tmp_path, capsys):
     main(["run", "--config", cfg, "--rundir", str(rundir)])
     assert main(["report", "--rundir", str(rundir)]) == EXIT_OK
     text = capsys.readouterr().out
-    assert "scenarios_maxclique" in text and "scenarios_greedy" in text
-    assert "  gap = " in text and "  clique_calls = " in text and "  clique_fallbacks = 0" in text
+    assert "scenarios_iterated" in text and "scenarios_greedy" in text
+    assert "  gap = " in text and "  rounds = " in text
     assert main(["report", "--rundir", str(rundir), "--format", "json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     section = doc["grouping"]
-    assert section["scenarios_maxclique"] <= section["scenarios_greedy"]
-    assert section["gap"] == section["scenarios_maxclique"] - section["lower_bound"] >= 0
-    assert section["clique_calls"] >= 1 and section["clique_fallbacks"] == 0
+    assert section["scenarios_iterated"] <= section["scenarios_greedy"]
+    assert section["gap"] == section["scenarios_iterated"] - section["lower_bound"] >= 0
+    assert section["rounds"] >= 0 and section["algorithm"] == "iterated"
     assert "sim" in doc and doc["sim"]["collisions"] == 0
 
 
@@ -586,7 +577,7 @@ def test_sweep_unknown_algorithm_is_config_error(tmp_path, capsys):
     assert main(["sweep", "--rundir", str(rundir), "--sizes", "10",
                  "--densities", "0.15", "--seeds", "0", "--algorithms", "greedy,bogus"]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "bogus" in err and "greedy" in err and "maxclique" in err
+    assert "bogus" in err and "greedy" in err and "iterated" in err
     assert not (rundir / "sweep.csv").exists()
     assert not rundir.exists()
 
@@ -594,7 +585,7 @@ def test_sweep_unknown_algorithm_is_config_error(tmp_path, capsys):
 def test_sweep_repeated_algorithm_is_config_error(tmp_path, capsys):
     rundir = tmp_path / "sweep"
     assert main(["sweep", "--rundir", str(rundir), "--sizes", "12", "--densities", "0.2", "--seeds", "0",
-                 "--algorithms", "greedy,maxclique,greedy"]) == EXIT_CONFIG
+                 "--algorithms", "greedy,iterated,greedy"]) == EXIT_CONFIG
     assert "bad sweep parameter --algorithms: greedy (named twice)" in capsys.readouterr().err
     assert not rundir.exists()
 
@@ -734,7 +725,7 @@ def test_config_overrides(tmp_path):
 
 
 def test_clique_budget_key_is_config_error(tmp_path, capsys):
-    # the clique search stops on a fixed node count, not on a configurable time
+    # no grouper stops on a configurable time
     cfg = write_config(tmp_path)
     assert main(["run", "--config", cfg, "--rundir", str(tmp_path / "run"),
                  "--set", "grouping.clique_budget_s=5"]) == EXIT_CONFIG

@@ -1,13 +1,14 @@
-"""Property tests: the structural conflict build agrees with the pairwise
-resource-set oracle, validation agrees with the oracle on any assignment
-of paths to scenarios, the structural bound lies below the oracle's
-clique number, group_greedy is the oracle's per-path first-fit and the
-conflict graph's colour classes, max_clique returns the oracle's
-lexicographically first maximum clique and, cut short by its node
-budget, a clique no smaller than the largest rung star, the switch-state
-matrix of either grouper's partition agrees row by row with the
-per-switch oracle, and a scenarios.json record gives back the partition
-and that matrix."""
+"""Property tests: the reference's structural conflict build agrees with
+the pairwise resource-set oracle, validation agrees with the oracle on
+any assignment of paths to scenarios, the structural bound lies below
+the oracle's clique number, group_greedy is the oracle's per-path
+first-fit and the conflict graph's colour classes, group_iterated is a
+valid grouping between the bound and first-fit and the same on every
+run, the reference max_clique returns the oracle's lexicographically
+first maximum clique and, cut short by its node budget, a clique no
+smaller than the largest rung star, the switch-state matrix of either
+grouper's partition agrees row by row with the per-switch oracle, and a
+scenarios.json record gives back the partition and that matrix."""
 
 import collections
 import itertools
@@ -19,25 +20,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import (
+    build_conflict_graph,
+    colour_classes,
     conflict_edges_from_oracle,
+    group_max_clique,
     ladder_paths,
+    mask_members,
+    max_clique,
     optimal_grouping_exact,
     oracle_first_fit,
     oracle_intersect,
     oracle_max_clique,
+    oracle_path_resources,
     oracle_switch_vector,
 )
 
-from ladderbus import grouping
 from ladderbus.grouping import (
     GROUPING_ALGORITHMS,
-    build_conflict_graph,
     compressed_scenario_bits,
     group_greedy,
-    group_max_clique,
+    group_iterated,
     group_paths,
-    max_clique,
     scenario_lower_bound,
     scenario_set_from_record,
     scenario_set_record,
@@ -68,7 +73,8 @@ def test_validate_accepts_greedy_and_rejects_a_conflicting_move(instance):
     topo, paths = instance
     g = build_conflict_graph(paths)
     sset = group_greedy(paths)
-    for partition in (sset, group_max_clique(g), optimal_grouping_exact(g)):
+    for partition in (sset, group_iterated(paths, scenario_lower_bound(paths)), group_max_clique(g),
+                      optimal_grouping_exact(g)):
         validate_scenario_set(partition.scenarios, paths)
     if not paths:
         return
@@ -115,7 +121,25 @@ def test_greedy_is_per_path_first_fit(instance):
     topo, paths = instance
     partition = group_greedy(paths)
     assert partition.scenarios == oracle_first_fit(paths, topo)
-    assert partition.stats.algorithm == "greedy"
+    assert partition.algorithm == "greedy" and partition.stats is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_paths())
+def test_iterated_is_a_valid_grouping_between_bound_and_first_fit(instance):
+    topo, paths = instance
+    bound = scenario_lower_bound(paths)
+    partition = group_iterated(paths, bound)
+    validate_scenario_set(partition.scenarios, paths)
+    res = [oracle_path_resources(p, topo) for p in paths]
+    assert sorted(pid for s in partition.scenarios for pid in s) == list(range(len(paths)))
+    for members in partition.scenarios:
+        assert list(members) == sorted(members)
+        for a, b in itertools.combinations(members, 2):
+            assert not res[a] & res[b]
+    assert bound <= partition.n_scenarios <= group_greedy(paths).n_scenarios
+    assert partition.algorithm == "iterated"
+    assert group_iterated(list(paths), bound) == partition
 
 
 @settings(max_examples=300, deadline=None)
@@ -123,8 +147,8 @@ def test_greedy_is_per_path_first_fit(instance):
 def test_greedy_is_the_colour_classes_of_the_conflict_graph(instance):
     # first-fit and the clique search's colouring stay one partition
     _topo, paths = instance
-    classes = grouping._colour_classes(build_conflict_graph(paths).adj, (1 << len(paths)) - 1)
-    assert group_greedy(paths).scenarios == tuple(grouping._members(c) for c in classes)
+    classes = colour_classes(build_conflict_graph(paths).adj, (1 << len(paths)) - 1)
+    assert group_greedy(paths).scenarios == tuple(mask_members(c) for c in classes)
 
 
 @settings(max_examples=300, deadline=None)
@@ -135,11 +159,11 @@ def test_colour_classes_and_members_of_any_path_subset(instance, data):
     p = data.draw(st.integers(0, (1 << len(paths)) - 1))
     wide = data.draw(st.integers(0, (1 << 200) - 1))
     for mask in (p, wide):
-        assert grouping._members(mask) == tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
+        assert mask_members(mask) == tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
     edges = conflict_edges_from_oracle(paths, topo)
-    classes = [grouping._members(c) for c in grouping._colour_classes(build_conflict_graph(paths).adj, p)]
+    classes = [mask_members(c) for c in colour_classes(build_conflict_graph(paths).adj, p)]
     assert all(classes)
-    assert sorted(v for c in classes for v in c) == list(grouping._members(p))
+    assert sorted(v for c in classes for v in c) == list(mask_members(p))
     for k, members in enumerate(classes):
         assert not any(frozenset(pair) in edges for pair in itertools.combinations(members, 2))
         for v in members:  # greedy: v met a conflict in every earlier class
@@ -153,6 +177,7 @@ def test_lower_bound_below_clique_number_below_groupings(instance):
     omega = len(oracle_max_clique(len(paths), conflict_edges_from_oracle(paths, topo)))
     assert scenario_lower_bound(paths) <= omega
     assert omega <= group_greedy(paths).n_scenarios
+    assert omega <= group_iterated(paths, scenario_lower_bound(paths)).n_scenarios
     assert omega <= group_max_clique(build_conflict_graph(paths)).n_scenarios
 
 
@@ -171,7 +196,7 @@ def test_budget_expired_clique_not_below_largest_rung(instance):
     topo, paths = instance
     if paths:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(grouping, "CLIQUE_TICK_LIMIT", 1)  # cut at the search's second node
+            mp.setattr(conftest, "CLIQUE_TICK_LIMIT", 1)  # cut at the search's second node
             clique = max_clique(build_conflict_graph(paths))
         assert all(oracle_intersect(paths[u], paths[v], topo) for u, v in itertools.combinations(clique, 2))
         star = collections.Counter(c for p in paths for c in {p.cmin, p.cmax})
@@ -182,7 +207,7 @@ def test_budget_expired_clique_not_below_largest_rung(instance):
 @given(ladder_paths(), st.sampled_from(GROUPING_ALGORITHMS), st.data())
 def test_scenario_switch_matrix_matches_oracle(instance, algorithm, data):
     topo, paths = instance
-    partition = group_paths(algorithm, paths)
+    partition = group_paths(algorithm, paths, scenario_lower_bound(paths))
     # the members of an independent set write disjoint switches, so their order is free
     scenarios = [data.draw(st.permutations(s)) for s in partition.scenarios]
     matrix = scenario_switch_matrix(scenarios, paths, topo)
@@ -194,7 +219,7 @@ def test_scenario_switch_matrix_matches_oracle(instance, algorithm, data):
 @given(ladder_paths(), st.sampled_from(GROUPING_ALGORITHMS))
 def test_scenario_record_json_round_trip(instance, algorithm):
     topo, paths = instance
-    partition = group_paths(algorithm, paths)
+    partition = group_paths(algorithm, paths, scenario_lower_bound(paths))
     matrix = scenario_switch_matrix(partition.scenarios, paths, topo)
     rec = json.loads(json.dumps(scenario_set_record(partition, matrix)))
     back, back_matrix = scenario_set_from_record(rec, topo.n_switches, len(paths))

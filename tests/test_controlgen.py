@@ -20,7 +20,7 @@ from ladderbus.controlgen import (
     parse_program,
     partition_regions,
 )
-from ladderbus.grouping import build_conflict_graph, group_max_clique, scenario_switch_matrix
+from ladderbus.grouping import group_iterated, scenario_lower_bound, scenario_switch_matrix
 from ladderbus.placement import place_anneal
 from ladderbus.routing import extract_paths
 from ladderbus.topology import build_topology
@@ -31,7 +31,7 @@ def pipeline(n, e, seed):
     topo = build_topology(max(n, 2))
     placement = place_anneal(g, topo, seed=seed + 1)
     paths = extract_paths(g, topo, placement)
-    partition = group_max_clique(build_conflict_graph(paths))
+    partition = group_iterated(paths, scenario_lower_bound(paths))
     return topo, paths, scenario_switch_matrix(partition.scenarios, paths, topo)
 
 
@@ -264,7 +264,18 @@ def test_parse_rejects_word_wider_than_word_bits():
 @pytest.mark.parametrize("key, values, message", [
     ("mem", "zz", "program line 'mem zz': 'zz' is not a hexadecimal integer"),
     ("columns", "0 x", "program line 'columns 0 x': 'x' is not a decimal integer"),
-], ids=["mem-word-not-hexadecimal", "columns-value-not-decimal"])
+    # spellings Python's int accepts and format_program never writes
+    ("mem", "0x5 0_a", "program line 'mem 0x5 0_a': '0x5' is not a hexadecimal integer"),
+    ("mem", "5 0_a", "program line 'mem 5 0_a': '0_a' is not a hexadecimal integer"),
+    ("mem", "5 +a", r"program line 'mem 5 \+a': '\+a' is not a hexadecimal integer"),
+    ("mem", "5 A", "program line 'mem 5 A': 'A' is not a hexadecimal integer"),
+    ("mem", "\u0665", "program line 'mem \u0665': '\u0665' is not a hexadecimal integer"),
+    ("columns", "+0 0_1", r"program line 'columns \+0 0_1': '\+0' is not a decimal integer"),
+    ("columns", "0 0_1", "program line 'columns 0 0_1': '0_1' is not a decimal integer"),
+    ("columns", "0 \u0661", "program line 'columns 0 \u0661': '\u0661' is not a decimal integer"),
+], ids=["mem-word-not-hexadecimal", "columns-value-not-decimal", "mem-word-with-0x-prefix",
+        "mem-word-with-underscore", "mem-word-with-sign", "mem-word-upper-case", "mem-word-non-ascii-digit",
+        "columns-value-with-sign", "columns-value-with-underscore", "columns-value-non-ascii-digit"])
 def test_parse_names_the_line_of_a_value_that_is_not_an_integer(key, values, message):
     text = "".join(f"{key} {values}\n" if ln.startswith(key + " ") else ln
                    for ln in _program_text().splitlines(keepends=True))

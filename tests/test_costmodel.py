@@ -175,7 +175,7 @@ def test_cost_report_fraction_bounds():
 
 def test_sweep_instance_zero_density():
     model = calibrate(reference_observations())
-    rows = sweep_instance(10, 0.0, 0, ["greedy", "maxclique"], model)
+    rows = sweep_instance(10, 0.0, 0, ["greedy", "iterated"], model)
     for row in rows:
         assert row["E"] == 0
         assert row["scenarios"] == 0
@@ -183,7 +183,7 @@ def test_sweep_instance_zero_density():
 
 
 def test_sweep_rows_and_csv_format():
-    rows = scaling_sweep([10, 14], [0.15], [0, 1], ["greedy", "maxclique"])
+    rows = scaling_sweep([10, 14], [0.15], [0, 1], ["greedy", "iterated"])
     assert len(rows) == 2 * 2 * 2
     keys = [(r["n"], r["density"], r["seed"], r["algo"]) for r in rows]
     assert keys == sorted(keys)
@@ -201,7 +201,7 @@ def test_sweep_rows_and_csv_format():
 
 
 def test_sweep_scenarios_respect_lower_bound():
-    rows = scaling_sweep([12, 20], [0.2], [0], ["greedy", "maxclique"])
+    rows = scaling_sweep([12, 20], [0.2], [0], ["greedy", "iterated"])
     for row in rows:
         g = generate_synthetic(row["n"], row["E"], row["seed"])
         assert row["scenarios"] >= row["lower_bound"] >= max(g.total_degrees())
@@ -211,8 +211,8 @@ def test_sweep_complete_small_graph():
     # complete directed graph on 4 clusters (total degree 6) in 2 columns: all
     # 12 connections but the 2 inside the other column use a column's rung, so
     # B = 10; the exhaustive coloring oracle gives 10 scenarios on this
-    # topology, and max-clique grouping attains it
-    rows = sweep_instance(4, 1.0, 0, ["maxclique"], calibrate(reference_observations()))
+    # topology, and iterated first-fit attains it
+    rows = sweep_instance(4, 1.0, 0, ["iterated"], calibrate(reference_observations()))
     row = rows[0]
     assert row["E"] == 12
     assert row["lower_bound"] == 10
@@ -230,39 +230,26 @@ def test_sweep_checks_algorithm_names_before_generating(monkeypatch):
         raise AssertionError("instance generated before the algorithm names were checked")
 
     monkeypatch.setattr(costmodel, "generate_synthetic", no_generation)
-    with pytest.raises(ValueError, match="unknown grouping algorithm 'magic'.*greedy, maxclique"):
+    with pytest.raises(ValueError, match="unknown grouping algorithm 'magic'.*greedy, iterated"):
         sweep_instance(8, 0.1, 0, ["greedy", "magic"], calibrate(reference_observations()))
 
 
-def test_sweep_builds_one_conflict_graph_and_no_switch_vectors(monkeypatch):
-    builds = []
-    build = grouping.build_conflict_graph
-
-    def counted(paths):
-        builds.append(len(paths))
-        return build(paths)
-
+def test_sweep_builds_no_switch_vectors(monkeypatch):
     def no_vectors(*args):
         raise AssertionError("the sweep built a switch vector")
 
-    monkeypatch.setattr(grouping, "build_conflict_graph", counted)
     monkeypatch.setattr(grouping, "scenario_switch_matrix", no_vectors)
-    rows = sweep_instance(12, 0.2, 0, ["greedy", "maxclique"], calibrate(reference_observations()))
-    assert len(builds) == 1
-    assert [r["algo"] for r in rows] == ["greedy", "maxclique"]
+    rows = sweep_instance(12, 0.2, 0, ["greedy", "iterated"], calibrate(reference_observations()))
+    assert [r["algo"] for r in rows] == ["greedy", "iterated"]
+    assert rows[1]["lower_bound"] <= rows[1]["scenarios"] <= rows[0]["scenarios"]
 
 
-def test_greedy_sweep_builds_no_conflict_graph(monkeypatch):
-    builds = []
-    build = grouping.build_conflict_graph
+def test_greedy_sweep_runs_first_fit_alone(monkeypatch):
+    def no_iterated(*args):
+        raise AssertionError("the greedy sweep ran the iterated grouper")
 
-    def counted(paths):
-        builds.append(len(paths))
-        return build(paths)
-
-    monkeypatch.setattr(grouping, "build_conflict_graph", counted)
+    monkeypatch.setattr(grouping, "group_iterated", no_iterated)
     rows = sweep_instance(12, 0.2, 0, ["greedy"], calibrate(reference_observations()))
-    assert builds == []
     assert [r["algo"] for r in rows] == ["greedy"]
 
 

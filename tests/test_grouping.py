@@ -9,8 +9,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import conftest
 from conftest import (
+    ConflictGraph,
+    build_conflict_graph,
+    colour_classes,
     conflict_edges_from_oracle,
+    group_max_clique,
+    mask_members,
+    max_clique,
     optimal_grouping_exact,
     oracle_chromatic_number,
     oracle_max_clique,
@@ -19,13 +26,10 @@ from conftest import (
 from ladderbus import grouping
 from ladderbus.appgraph import generate_synthetic, make_cluster_graph
 from ladderbus.grouping import (
-    ConflictGraph,
     GroupingStats,
-    build_conflict_graph,
     compressed_scenario_bits,
     group_greedy,
-    group_max_clique,
-    max_clique,
+    group_iterated,
     raw_scenario_bits,
     rle_decode,
     rle_encode,
@@ -61,8 +65,12 @@ def routed_instance(n, e, seed):
     return g, topo, extract_paths(g, topo, placement)
 
 
+def iterated(paths):
+    return group_iterated(paths, scenario_lower_bound(paths))
+
+
 # ---------------------------------------------------------------------------
-# conflict graph
+# conflict graph (the max-clique reference's, in conftest)
 
 
 def test_conflict_graph_no_conflicts():
@@ -129,10 +137,10 @@ def test_greedy_is_the_colour_classes_on_routed_instances():
     # scenario masks wider than one 30-bit int digit, which the property tests' 12 paths never reach
     for shape in [(60, 772, 0), (96, 1068, 0)]:
         _, topo, paths = routed_instance(*shape)
-        classes = grouping._colour_classes(build_conflict_graph(paths).adj, (1 << len(paths)) - 1)
+        classes = colour_classes(build_conflict_graph(paths).adj, (1 << len(paths)) - 1)
         partition = group_greedy(paths)
         assert partition.n_scenarios > 30
-        assert partition.scenarios == tuple(grouping._members(c) for c in classes)
+        assert partition.scenarios == tuple(mask_members(c) for c in classes)
 
 
 def test_greedy_memory_is_far_below_the_conflict_graph():
@@ -158,7 +166,90 @@ def test_greedy_first_fit_bound():
 
 
 # ---------------------------------------------------------------------------
-# max clique
+# iterated first-fit
+
+
+def test_iterated_small_cases():
+    topo = build_topology(12, 5)
+    assert iterated([]) == grouping.Partition((), "iterated", GroupingStats(rounds=0))
+    assert iterated(star_paths(5, topo)).n_scenarios == 5
+    same_column = [RoutedPath(i, 2 * i, 2 * i + 1, lane=0, cmin=i, cmax=i) for i in range(4)]
+    assert iterated(same_column).scenarios == ((0, 1, 2, 3),)
+
+
+def test_iterated_reaches_the_bound_first_fit_misses():
+    # conflicts 0-2, 2-3 and 3-1 only (shared rungs at columns 1, 2 and 3): a
+    # chain that first-fit in id order splits [{0, 1}, {2}, {3}], and that the
+    # reversed round packs into B = 2 scenarios
+    paths = [RoutedPath(0, 0, 2, lane=0, cmin=0, cmax=1), RoutedPath(1, 6, 8, lane=1, cmin=3, cmax=4),
+             RoutedPath(2, 3, 4, lane=1, cmin=1, cmax=2), RoutedPath(3, 4, 6, lane=0, cmin=2, cmax=3)]
+    assert group_greedy(paths).n_scenarios == 3
+    assert scenario_lower_bound(paths) == 2
+    part = iterated(paths)
+    validate_scenario_set(part.scenarios, paths)
+    assert part.n_scenarios == 2 and part.stats == GroupingStats(rounds=1)
+
+
+def test_iterated_starts_from_first_fit_and_stops_at_the_bound():
+    # here first-fit already stores B scenarios, so no round runs
+    _, _, paths = routed_instance(11, 18, seed=2)
+    assert group_greedy(paths).n_scenarios == scenario_lower_bound(paths)
+    part = iterated(paths)
+    assert part.scenarios == group_greedy(paths).scenarios and part.stats.rounds == 0
+
+
+def test_iterated_stops_after_stall_rounds(monkeypatch):
+    # an unreachable bound: only the rounds without a gain stop the search
+    _, _, paths = routed_instance(60, 772, seed=0)
+    counts = []
+    first_fit = grouping._first_fit
+
+    def counted(paths, order):
+        counts.append(len(result := first_fit(paths, order)))
+        return result
+
+    monkeypatch.setattr(grouping, "_first_fit", counted)
+    part = group_iterated(paths, 0)
+    assert part.stats.rounds == len(counts) - 1 >= grouping.STALL_ROUNDS
+    assert counts == sorted(counts, reverse=True) and counts[-1] == part.n_scenarios
+    # the last STALL_ROUNDS rounds gained nothing, the one before them did
+    assert counts[-grouping.STALL_ROUNDS - 1:] == [part.n_scenarios] * (grouping.STALL_ROUNDS + 1)
+    assert len(counts) == grouping.STALL_ROUNDS + 1 or counts[-grouping.STALL_ROUNDS - 2] > part.n_scenarios
+
+
+def test_iterated_never_above_first_fit_on_routed_instances():
+    for shape in [(24, 128, 0), (40, 292, 1), (60, 772, 0), (96, 1068, 0)]:
+        _, _, paths = routed_instance(*shape)
+        part = iterated(paths)
+        validate_scenario_set(part.scenarios, paths)
+        assert scenario_lower_bound(paths) <= part.n_scenarios <= group_greedy(paths).n_scenarios
+        assert all(list(s) == sorted(s) for s in part.scenarios)
+
+
+# sha256 prefix of [scenarios, rounds] as JSON, on the instances whose max-clique
+# partitions are pinned below, which reach B in one round, and on two that stop
+# above B after STALL_ROUNDS rounds without a gain and so run every order of the
+# rotation: a change to the rotation or the stop rule must not move them silently
+PINNED_ITERATED_PARTITIONS = {
+    (24, 128, 0): "d6ee73600de22a38",  # 27 scenarios = B, 1 round
+    (40, 160, 6): "fa9a7bb42754069d",  # 21 scenarios, B = 20, 11 rounds
+    (40, 292, 0): "c89f87fb2942ba46",  # 38 scenarios = B, 1 round
+    (60, 772, 0): "e01ec8e2d6f317c1",  # 69 scenarios = B, 1 round
+    (96, 1068, 0): "c95c7c37a0d86e58",  # 61 scenarios = B, 1 round
+    (96, 1068, 3): "70bc8622563d31d3",  # 59 scenarios, B = 58, 17 rounds
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_ITERATED_PARTITIONS))
+def test_group_iterated_partitions_pinned(shape):
+    _, topo, paths = routed_instance(*shape)
+    part = iterated(paths)
+    doc = json.dumps([part.scenarios, part.stats.rounds])
+    assert hashlib.sha256(doc.encode()).hexdigest()[:16] == PINNED_ITERATED_PARTITIONS[shape]
+
+
+# ---------------------------------------------------------------------------
+# max clique (the reference in conftest)
 
 
 def test_max_clique_triangle_with_pendant():
@@ -203,7 +294,7 @@ def test_max_clique_budget_fallback_counted(monkeypatch):
     n = 80
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.5]
     g = graph_from_edges(n, edges)
-    monkeypatch.setattr(grouping, "CLIQUE_TICK_LIMIT", 100)
+    monkeypatch.setattr(conftest, "CLIQUE_TICK_LIMIT", 100)
     stats = group_max_clique(g).stats
     assert 1 <= stats.clique_fallbacks <= stats.clique_calls
     clique = max_clique(g)
@@ -218,7 +309,7 @@ def test_budget_expired_clique_not_below_largest_rung(monkeypatch):
     # here a greedy most-neighbours clique has 59 members, the largest rung 69
     _, _, paths = routed_instance(60, 772, seed=0)
     g = build_conflict_graph(paths)
-    monkeypatch.setattr(grouping, "CLIQUE_TICK_LIMIT", 1)  # cut at the search's second node
+    monkeypatch.setattr(conftest, "CLIQUE_TICK_LIMIT", 1)  # cut at the search's second node
     clique = max_clique(g)
     assert all(g.has_edge(u, v) for u, v in itertools.combinations(clique, 2))
     star = collections.Counter(c for p in paths for c in {p.cmin, p.cmax})
@@ -226,7 +317,7 @@ def test_budget_expired_clique_not_below_largest_rung(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# max-clique grouping
+# max-clique grouping (the reference in conftest)
 
 
 def test_group_max_clique_complete_graph():
@@ -300,6 +391,7 @@ def test_grouping_deterministic():
     first, second = build_conflict_graph(paths), build_conflict_graph(paths)
     assert group_max_clique(first).scenarios == group_max_clique(second).scenarios
     assert group_greedy(paths).scenarios == group_greedy(list(paths)).scenarios
+    assert iterated(paths) == iterated(list(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +429,14 @@ def test_lower_bound_holds_for_groupings():
         bound = scenario_lower_bound(paths)
         assert bound >= max(g.total_degrees())
         assert group_greedy(paths).n_scenarios >= bound
+        assert group_iterated(paths, bound).n_scenarios >= bound
         assert group_max_clique(build_conflict_graph(paths)).n_scenarios >= bound
 
 
 def test_lower_bound_synth60_772_paper_value_respected():
     g, topo, paths = routed_instance(60, 772, seed=1)
     # the published largest-degree figure for this shape
+    assert iterated(paths).n_scenarios >= 21
     assert group_max_clique(build_conflict_graph(paths)).n_scenarios >= 21
 
 
@@ -419,7 +513,7 @@ def test_switch_matrix_rejects_path_off_the_ladder(lane, cmin, cmax):
 
 def test_scenario_vectors_idle_elsewhere():
     _, topo, paths = routed_instance(10, 20, seed=1)
-    scenarios = group_max_clique(build_conflict_graph(paths)).scenarios
+    scenarios = iterated(paths).scenarios
     matrix = scenario_switch_matrix(scenarios, paths, topo)
     assert matrix.shape == (len(scenarios), topo.n_switches) and matrix.dtype == np.int8
     for members, vec in zip(scenarios, matrix):
@@ -449,21 +543,24 @@ def test_rle_round_trip(vec, runs):
 
 def test_scenario_record_round_trip():
     _, topo, paths = routed_instance(12, 30, seed=2)
-    partition = group_max_clique(build_conflict_graph(paths))
-    matrix = scenario_switch_matrix(partition.scenarios, paths, topo)
-    rec = scenario_set_record(partition, matrix)
-    back, back_matrix = scenario_set_from_record(rec, topo.n_switches, len(paths))
-    assert back.scenarios == partition.scenarios
-    assert back_matrix.tolist() == matrix.tolist()
-    assert back.stats == partition.stats == GroupingStats("maxclique", clique_calls=rec["stats"]["clique_calls"])
-    assert scenario_set_record(back, back_matrix) == rec
-    with pytest.raises(ValueError, match="'stats' needs"):
-        scenario_set_from_record({**rec, "stats": {"clique_calls": 1}}, topo.n_switches, len(paths))
+    for partition in (iterated(paths), group_greedy(paths)):
+        matrix = scenario_switch_matrix(partition.scenarios, paths, topo)
+        rec = scenario_set_record(partition, matrix)
+        back, back_matrix = scenario_set_from_record(rec, topo.n_switches, len(paths))
+        assert back == partition and back_matrix.tolist() == matrix.tolist()
+        assert scenario_set_record(back, back_matrix) == rec
+    # first-fit searches nothing, so its record has no stats
+    assert "stats" not in rec and back.stats is None
+    rec = scenario_set_record(iterated(paths), matrix)
+    assert rec["algorithm"] == "iterated" and rec["stats"] == {"rounds": iterated(paths).stats.rounds}
+    for stats in ({"clique_calls": 1}, {"rounds": True}, [0]):
+        with pytest.raises(ValueError, match="'stats' needs the integer 'rounds'"):
+            scenario_set_from_record({**rec, "stats": stats}, topo.n_switches, len(paths))
 
 
 def test_bit_accounting():
     _, topo, paths = routed_instance(12, 30, seed=2)
-    partition = group_max_clique(build_conflict_graph(paths))
+    partition = iterated(paths)
     rec = scenario_set_record(partition, scenario_switch_matrix(partition.scenarios, paths, topo))
     assert raw_scenario_bits(partition.n_scenarios, topo) == partition.n_scenarios * 2 * topo.n_switches
     assert 0 < compressed_scenario_bits(rec, topo)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conflict_edges_from_oracle, oracle_intersect, oracle_route
+from conftest import build_conflict_graph, conflict_edges_from_oracle, oracle_intersect, oracle_route
 
 from ladderbus.appgraph import generate_synthetic, make_cluster_graph
-from ladderbus.grouping import build_conflict_graph, scenario_switch_matrix
+from ladderbus.grouping import scenario_switch_matrix
 from ladderbus.placement import TilePlacement, place_anneal
 from ladderbus.routing import (
     RoutedPath,

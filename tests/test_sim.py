@@ -15,7 +15,7 @@ from ladderbus.controlgen import (
     encode_scenarios,
     partition_regions,
 )
-from ladderbus.grouping import build_conflict_graph, group_max_clique, scenario_switch_matrix
+from ladderbus.grouping import group_iterated, scenario_lower_bound, scenario_switch_matrix
 from ladderbus.placement import place_anneal
 from ladderbus.routing import RoutedPath, extract_paths
 from ladderbus.sim import run_frames
@@ -23,8 +23,8 @@ from ladderbus.topology import SwitchState, build_topology
 
 
 def grouped(paths, topo):
-    """Max-clique scenarios of the paths and their switch-state matrix."""
-    scenarios = group_max_clique(build_conflict_graph(paths)).scenarios
+    """Iterated first-fit scenarios of the paths and their switch-state matrix."""
+    scenarios = group_iterated(paths, scenario_lower_bound(paths)).scenarios
     return scenarios, scenario_switch_matrix(scenarios, paths, topo)
 
 
