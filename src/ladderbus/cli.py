@@ -260,41 +260,38 @@ class RunState:
 
     @cached_property
     def paths(self):
-        """The routed paths, path i checked to be edge i and to span exactly its
-        tiles' columns on the ladder of topology.json."""
+        """The routed paths, one per edge of graph.json: path i checked to be
+        edge i between its clusters' tiles of placement.json, over those tiles'
+        columns (tile t sits in column t // 2), on a lane of topology.json."""
         recs = _fields(_read_state(self.rundir, "paths.json", "route"), "paths.json", ("paths",), list)["paths"]
+        edges, tiles = self.graph.edges, self.placement.assignment
+        if len(recs) != len(edges):
+            k = min(len(recs), len(edges))
+            raise ConfigError(f"state file paths.json (path {k}): {'missing' if k == len(recs) else 'extra'}, "
+                              f"the file holds {len(recs)} paths for graph.json's {len(edges)} edges")
         keys = ("edge", "src", "dst", "lane", "cmin", "cmax")
         paths = [path_from_record(_fields(r, f"paths.json (path {i})", keys, int)) for i, r in enumerate(recs)]
-        topo = self.topology
-        tiles, lanes, cols = topo.n_tiles, topo.n_lanes, topo.n_columns
-        for i, p in enumerate(paths):
-            c1, c2 = p.src_tile // 2, p.dst_tile // 2
-            if not (p.edge_id == i and 0 <= p.src_tile < tiles and 0 <= p.dst_tile < tiles
-                    and 0 <= p.lane < lanes and p.cmin == min(c1, c2) and p.cmax == max(c1, c2)):
-                for key, value, lo, hi in (("src", p.src_tile, 0, tiles - 1), ("dst", p.dst_tile, 0, tiles - 1),
-                                           ("lane", p.lane, 0, lanes - 1), ("cmin", p.cmin, 0, p.cmax),
-                                           ("cmax", p.cmax, p.cmin, cols - 1)):
-                    if not lo <= value <= hi:
-                        raise ConfigError(f"state file paths.json (path {i}): '{key}' is {value}, outside {lo}..{hi}")
-                for key, value, want in (("edge", p.edge_id, i), ("cmin", p.cmin, min(c1, c2)),
-                                         ("cmax", p.cmax, max(c1, c2))):
-                    if value != want:
-                        raise ConfigError(f"state file paths.json (path {i}): '{key}' is {value}, not {want} "
-                                          "(path i is edge i, over its tiles' columns)")
+        lanes = self.topology.n_lanes
+        for i, (p, (u, v, _w)) in enumerate(zip(paths, edges)):
+            src, dst = tiles[u], tiles[v]
+            c1, c2 = src // 2, dst // 2
+            want = (i, src, dst, min(c1, c2), max(c1, c2))
+            if (p.edge_id, p.src_tile, p.dst_tile, p.cmin, p.cmax) != want or not 0 <= p.lane < lanes:
+                for key, value, expected in zip(("edge", "src", "dst", "cmin", "cmax"),
+                                                (p.edge_id, p.src_tile, p.dst_tile, p.cmin, p.cmax), want):
+                    if value != expected:
+                        raise ConfigError(f"state file paths.json (path {i}): '{key}' is {value}, not {expected} "
+                                          "(path i is edge i between its clusters' tiles, over their columns)")
+                raise ConfigError(f"state file paths.json (path {i}): 'lane' is {p.lane}, outside 0..{lanes - 1}")
         return paths
 
     @cached_property
-    def scenarios(self) -> dict:
-        """The scenarios.json record, its scenario list and memory bits checked."""
+    def partition(self):
+        """The partition scenarios.json stores, its path ids checked against paths.json."""
         rec = _read_state(self.rundir, "scenarios.json", "group")
         _fields(rec, "scenarios.json", ("scenarios",), list)
-        _fields(rec, "scenarios.json", ("raw_bits", "compressed_bits"), int)
-        return rec
-
-    @cached_property
-    def scenario_set(self):  # (partition, switch-state matrix)
         try:
-            return grouping.scenario_set_from_record(self.scenarios, self.topology.n_switches, len(self.paths))
+            return grouping.partition_from_record(rec, len(self.paths))
         except ValueError as exc:
             raise ConfigError(f"state file scenarios.json: {exc}") from exc
 
@@ -410,8 +407,8 @@ def stage_group(cfg: dict, state: RunState) -> None:
 
 
 def stage_emit_ctrl(cfg: dict, state: RunState) -> None:
-    topo = state.topology
-    _partition, matrix = state.scenario_set
+    topo, paths, partition = state.topology, state.paths, state.partition
+    matrix = grouping.scenario_switch_matrix(partition.scenarios, paths, topo)
     regions = controlgen.partition_regions(topo, _controller_count(cfg, topo))
     programs = controlgen.encode_scenarios(matrix, regions, topo)
     progdir = state.rundir / "programs"
@@ -431,7 +428,7 @@ def stage_emit_ctrl(cfg: dict, state: RunState) -> None:
 
 def stage_sim(cfg: dict, state: RunState) -> None:
     topo, paths = state.topology, state.paths
-    scenarios, programs = state.scenario_set[0].scenarios, state.programs
+    scenarios, programs = state.partition.scenarios, state.programs
     n_frames = cfg["sim"]["frames"]
     with open(state.rundir / "trace.log", "w") if cfg["sim"]["trace"] else nullcontext() as trace:
         report = sim.run_frames(topo, programs, paths, scenarios, n_frames, trace=trace)
@@ -454,7 +451,7 @@ def stage_sim(cfg: dict, state: RunState) -> None:
 
 def stage_cost(cfg: dict, state: RunState) -> None:
     """Price the controllers emit-ctrl wrote, not the config's count."""
-    topo, scen, ctrl = state.topology, state.scenarios, state.controllers
+    topo, ctrl = state.topology, state.controllers
     model = costmodel.calibrate(costmodel.reference_observations())
     rep = costmodel.cost_report(topo, ctrl["memory_bits"], ctrl["count"], model)
     _save_json(state.rundir / "cost_report.json", {
@@ -462,8 +459,6 @@ def stage_cost(cfg: dict, state: RunState) -> None:
         "control_plane_units": rep.control_plane_units,
         "control_fraction": rep.control_fraction,
         "coefficients": {"a": model.a, "b": model.b, "c": model.c, "d": model.d},
-        "raw_bits": scen["raw_bits"],
-        "compressed_bits": scen["compressed_bits"],
         "n_controllers": ctrl["count"],
     })
 

@@ -68,7 +68,6 @@ class CostReport:
     data_plane_units: float
     control_plane_units: float
     control_fraction: float
-    coefficients: CostModel
 
 
 def _observation_shape(obs: CalibrationObservation) -> tuple[LadderTopology, int, int]:
@@ -143,8 +142,7 @@ def cost_report(
     d = data_plane_cost(topo, model)
     c = control_plane_cost(scenario_bits, n_controllers, model)
     frac = c / (c + d) if (c + d) > 0 else 0.0
-    return CostReport(data_plane_units=d, control_plane_units=c,
-                      control_fraction=frac, coefficients=model)
+    return CostReport(data_plane_units=d, control_plane_units=c, control_fraction=frac)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ Partition is the one scenario-set type. Its switch vectors are one
 (n_scenarios, n_switches) int8 matrix, row k the 2-bit states scenario k
 sets, written by scenario_switch_matrix alone. The scenarios.json record
 pairs the stored partition with each row run-length encoded;
-compressed_scenario_bits counts that record's runs. Loading the record gives back (partition,
-matrix): the controller compiler takes the matrix, the simulator the
-memberships.
+compressed_scenario_bits counts that record's runs. Loading the record
+gives back the partition alone: the controller compiler rebuilds the
+matrix from its memberships, and the simulator takes the memberships.
 
 First-fit's sets of scenarios are bitmasks (Python ints). No bitset
 step takes a negative operand: CPython evaluates & and | with one by
@@ -254,12 +254,6 @@ def rle_encode(vec) -> list[list[int]]:
     return [[state, run] for state, run in zip(vec[bounds[:-1]].tolist(), np.diff(bounds).tolist())]
 
 
-def rle_decode(runs) -> np.ndarray:
-    """The int8 vector of [[state, run], ...] runs, by one np.repeat."""
-    states, counts = np.array(runs, dtype=np.int64).reshape(-1, 2).T
-    return np.repeat(states, counts).astype(np.int8)
-
-
 def raw_scenario_bits(n_scenarios: int, topo: LadderTopology) -> int:
     """Uncompressed control memory: 2 bits per switch per scenario."""
     return n_scenarios * 2 * topo.n_switches
@@ -287,31 +281,20 @@ def scenario_set_record(partition: Partition, matrix: np.ndarray) -> dict:
     return rec
 
 
-def scenario_set_from_record(rec: dict, n_switches: int, n_paths: int) -> tuple[Partition, np.ndarray]:
-    """Inverse of scenario_set_record for a ladder of n_switches switches and
-    n_paths routed paths: (partition, switch-state matrix). Raises ValueError
-    naming the first scenario that does not fit them."""
+def partition_from_record(rec: dict, n_paths: int) -> Partition:
+    """The partition a scenario_set_record stores, for n_paths routed paths;
+    its switch runs are not read. Raises ValueError naming the first scenario
+    whose path ids do not fit."""
     for k, s in enumerate(rec["scenarios"]):
-        if not isinstance(s, dict) or not all(isinstance(s.get(key), list) for key in ("paths", "switches_rle")):
-            raise ValueError(f"scenario {k}: needs the lists 'paths' and 'switches_rle'")
+        if not isinstance(s, dict) or not isinstance(s.get("paths"), list):
+            raise ValueError(f"scenario {k}: needs the list 'paths'")
         for pid in s["paths"]:
             if type(pid) is not int or not 0 <= pid < n_paths:  # JSON true/false are not ids
                 raise ValueError(f"scenario {k}: path id {pid!r} is not one of the {n_paths} routed paths")
-        for run in s["switches_rle"]:
-            if not (isinstance(run, list) and len(run) == 2 and all(type(v) is int for v in run)
-                    and 0 <= run[0] <= 3 and run[1] >= 1):
-                raise ValueError(f"scenario {k}: switch run {run!r} is not [state 0..3, run length >= 1]")
-        total = sum(count for _state, count in s["switches_rle"])
-        if total != n_switches:
-            raise ValueError(f"scenario {k}: switch runs cover {total} switches, not the ladder's {n_switches}")
-    scenarios = tuple(tuple(s["paths"]) for s in rec["scenarios"])
-    matrix = np.zeros((len(scenarios), n_switches), dtype=np.int8)
-    for k, s in enumerate(rec["scenarios"]):
-        matrix[k] = rle_decode(s["switches_rle"])
     stats = rec.get("stats")
     if stats is not None:
         rounds = stats.get("rounds") if isinstance(stats, dict) else None
         if type(rounds) is not int:
             raise ValueError("'stats' needs the integer 'rounds'")
         stats = GroupingStats(rounds)
-    return Partition(scenarios, rec.get("algorithm", ""), stats), matrix
+    return Partition(tuple(tuple(s["paths"]) for s in rec["scenarios"]), rec.get("algorithm", ""), stats)

@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import or_
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -179,6 +180,13 @@ def oracle_switch_vector(topo, members, paths) -> tuple[int, ...]:
                 raise ValueError(f"switch ({p.lane},{c}) demanded in states {int(vec[idx])} and {int(want)}")
             vec[idx] = want
     return tuple(int(state) for state in vec)
+
+
+def decode_switch_runs(rec: dict) -> list[list[int]]:
+    """The switch vectors a scenarios.json record's [[state, run], ...] runs
+    spell, one per scenario, each expanded by one np.repeat."""
+    return [np.repeat(*np.array(s["switches_rle"], dtype=np.int64).reshape(-1, 2).T).tolist()
+            for s in rec["scenarios"]]
 
 
 def oracle_region_words(topo, vectors, col_start: int, col_end: int) -> list[int]:

@@ -149,44 +149,41 @@ def test_collision_yields_invariant_exit_code(tmp_path):
     assert all(type(v) is int for ev in events for v in [*ev["resource"][1:], ev["claims"], ev["step"]])
 
 
-def _drop_scenario_zero_switches(doc, _paths):
-    doc["scenarios"][0]["switches_rle"] = [[0, sum(run for _state, run in doc["scenarios"][0]["switches_rle"])]]
+def _zero_scenario_zero_words(rundir, paths):
+    """Every program's word for scenario 0 set to all IDLE switches."""
+    for prog in sorted((rundir / "programs").glob("ctrl_*.txt")):
+        lines = prog.read_text().splitlines()
+        k = next(k for k, ln in enumerate(lines) if ln.startswith("mem "))
+        words = lines[k].split()
+        words[1] = "0" * len(words[1])  # words[0] is the keyword
+        lines[k] = " ".join(words)
+        prog.write_text("\n".join(lines) + "\n")
+    members = json.loads((rundir / "scenarios.json").read_text())["scenarios"][0]["paths"]
     # a same-column connection needs no switch, so it is still delivered
-    return min(pid for pid in doc["scenarios"][0]["paths"] if _paths[pid]["cmin"] != _paths[pid]["cmax"])
+    return min(pid for pid in members if paths[pid]["cmin"] != paths[pid]["cmax"])
 
 
-def _drop_one_path_from_its_scenario(doc, _paths):
-    return doc["scenarios"][0]["paths"].pop()
+def _drop_one_path_from_its_scenario(rundir, _paths):
+    doc = json.loads((rundir / "scenarios.json").read_text())
+    undelivered = doc["scenarios"][0]["paths"].pop()
+    (rundir / "scenarios.json").write_text(json.dumps(doc))
+    assert main(["emit-ctrl", "--rundir", str(rundir)]) == EXIT_OK  # emit-ctrl does not re-validate the set
+    return undelivered
 
 
-@pytest.mark.parametrize("corrupt", [_drop_scenario_zero_switches, _drop_one_path_from_its_scenario])
+@pytest.mark.parametrize("corrupt", [_zero_scenario_zero_words, _drop_one_path_from_its_scenario])
 def test_undelivered_connection_is_invariant_violation(tmp_path, capsys, corrupt):
     cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
     rundir = tmp_path / "run"
     assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
-    doc = json.loads((rundir / "scenarios.json").read_text())
     paths = json.loads((rundir / "paths.json").read_text())["paths"]
-    undelivered = corrupt(doc, paths)
-    (rundir / "scenarios.json").write_text(json.dumps(doc))
-    assert main(["emit-ctrl", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    undelivered = corrupt(rundir, paths)
     capsys.readouterr()
     assert main(["sim", "--config", cfg, "--rundir", str(rundir)]) == EXIT_INVARIANT
     assert f"connection {undelivered} delivered 0 time(s)" in capsys.readouterr().err
     report = json.loads((rundir / "sim_report.json").read_text())
     assert report["collisions"] == 0
     assert report["delivered"][str(undelivered)] == 0
-
-
-def _set_state_7(scenario):
-    scenario["switches_rle"][0][0] = 7
-
-
-def _set_run_0(scenario):
-    scenario["switches_rle"].append([0, 0])
-
-
-def _cover_one_switch_too_many(scenario):
-    scenario["switches_rle"].append([0, 1])
 
 
 def _set_path_999(scenario):
@@ -197,18 +194,10 @@ def _set_path_a(scenario):
     scenario["paths"][0] = "a"
 
 
-def _drop_switches_rle(scenario):
-    del scenario["switches_rle"]
-
-
 @pytest.mark.parametrize("corrupt, message", [
-    (_set_state_7, "[7, "),
-    (_set_run_0, "[0, 0]"),
-    (_cover_one_switch_too_many, "switches, not the ladder's"),
     (_set_path_999, "path id 999 "),
     (_set_path_a, "path id 'a' "),
-    (_drop_switches_rle, "'switches_rle'"),
-], ids=["state-7", "run-0", "runs-too-long", "path-999", "path-a", "no-switches_rle"])
+], ids=["path-999", "path-a"])
 def test_malformed_scenario_record_is_stage_error(tmp_path, capsys, corrupt, message):
     """Both stages that read scenarios.json reject the record, as a config error naming the file."""
     cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
@@ -225,6 +214,27 @@ def test_malformed_scenario_record_is_stage_error(tmp_path, capsys, corrupt, mes
         assert f"config error: state file scenarios.json: scenario {last}: " in err and message in err, err
 
 
+def test_emit_ctrl_builds_the_switch_matrix_from_the_memberships(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    before = read_all_state(rundir / "programs")
+    doc = json.loads((rundir / "scenarios.json").read_text())
+    for s in doc["scenarios"]:
+        del s["switches_rle"]
+    (rundir / "scenarios.json").write_text(json.dumps(doc))
+    build, built = grouping.scenario_switch_matrix, []
+
+    def recorded(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(grouping, "scenario_switch_matrix", recorded)
+    assert main(["emit-ctrl", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    assert len(built) == 1 and len(built[0]) == len(doc["scenarios"])
+    assert read_all_state(rundir / "programs") == before
+
+
 def test_scenario_record_that_is_a_list_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
     rundir = tmp_path / "run"
@@ -234,8 +244,7 @@ def test_scenario_record_that_is_a_list_is_config_error(tmp_path, capsys):
     (rundir / "scenarios.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["emit-ctrl", "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
-    assert ("config error: state file scenarios.json: scenario 0: needs the lists 'paths' and 'switches_rle'"
-            in capsys.readouterr().err)
+    assert "config error: state file scenarios.json: scenario 0: needs the list 'paths'" in capsys.readouterr().err
 
 
 def test_group_stage_compare_runs_the_other_grouper(tmp_path):
@@ -347,6 +356,7 @@ def test_report_without_sim_section(tmp_path, capsys):
 
 @pytest.mark.parametrize("state, key", [
     ("scenarios.json", "lower_bound"),
+    ("scenarios.json", "raw_bits"),
     ("sim_report.json", "energy"),
 ])
 def test_report_on_state_missing_a_key_is_config_error(tmp_path, capsys, state, key):
@@ -425,9 +435,8 @@ def _set_assignment_0_a(rec):
     ("paths.json", "group", _del_path_3_lane, "paths.json (path 3) lacks key 'lane'"),
     ("scenarios.json", "emit-ctrl", lambda rec: rec.pop("scenarios"), "scenarios.json lacks key 'scenarios'"),
     ("controllers.json", "sim", lambda rec: rec.pop("count"), "controllers.json lacks key 'count'"),
-    ("scenarios.json", "cost", lambda rec: rec.pop("raw_bits"), "scenarios.json lacks key 'raw_bits'"),
 ], ids=["no-n_tiles", "n_tiles-string", "placement-not-json", "assignment-string", "path-without-lane",
-        "no-scenarios", "no-count", "no-raw_bits"])
+        "no-scenarios", "no-count"])
 def test_stage_on_malformed_state_is_config_error(tmp_path, capsys, state, stage, corrupt, message):
     cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
     rundir = tmp_path / "run"
@@ -462,13 +471,14 @@ def test_path_off_the_ladder_is_config_error(tmp_path, capsys, key, bad):
     topo = json.loads((rundir / "topology.json").read_text())
     # a same-column path drives no switch, so no later stage would look at its lane
     i = next(i for i, path in enumerate(doc["paths"]) if path["cmin"] == path["cmax"])
+    want = f"outside 0..{topo['n_lanes'] - 1}" if key == "lane" else f"not {doc['paths'][i][key]}"
     value = doc["paths"][i][key] = bad(doc["paths"][i], topo)
     (rundir / "paths.json").write_text(json.dumps(doc))
     for stage in ("group", "sim"):
         capsys.readouterr()
         assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"config error: state file paths.json (path {i}): '{key}' is {value}, outside" in err, err
+        assert f"config error: state file paths.json (path {i}): '{key}' is {value}, {want}" in err, err
 
 
 def _set_edge_5(path, _i):
@@ -501,6 +511,41 @@ def test_path_not_its_edge_over_its_tiles_columns_is_config_error(tmp_path, caps
         err = capsys.readouterr().err
         assert (f"config error: state file paths.json (path {i}): '{key}' is {doc['paths'][i][key]}, "
                 f"not {want}") in err, err
+
+
+def _drop_last_path(doc, _assignment):
+    doc["paths"].pop()
+    return len(doc["paths"]), "missing, the file holds 29 paths for graph.json's 30 edges"
+
+
+def _repeat_last_path(doc, _assignment):
+    doc["paths"].append({**doc["paths"][-1], "edge": len(doc["paths"])})
+    return len(doc["paths"]) - 1, "extra, the file holds 31 paths for graph.json's 30 edges"
+
+
+def _move_path_0(doc, assignment):
+    """Path 0 between two other clusters' tiles, over their columns."""
+    path = doc["paths"][0]
+    src, dst = [t for t in assignment if t not in (path["src"], path["dst"])][:2]
+    want = path["src"]
+    path.update(src=src, dst=dst, cmin=min(src // 2, dst // 2), cmax=max(src // 2, dst // 2))
+    return 0, f"'src' is {src}, not {want}"
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last_path, _repeat_last_path, _move_path_0],
+                         ids=["truncated", "path-repeated", "path-0-moved"])
+def test_paths_not_one_per_edge_between_its_tiles_is_config_error(tmp_path, capsys, corrupt):
+    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    doc = json.loads((rundir / "paths.json").read_text())
+    i, message = corrupt(doc, json.loads((rundir / "placement.json").read_text())["assignment"])
+    (rundir / "paths.json").write_text(json.dumps(doc))
+    for stage in ("group", "sim"):
+        capsys.readouterr()
+        assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: state file paths.json (path {i}): {message}" in err, err
 
 
 def _repeat_tile(assignment, n_tiles):
@@ -539,6 +584,9 @@ def test_cost_prices_the_emitted_controllers(tmp_path):
     before = (rundir / "cost_report.json").read_bytes()
     assert json.loads(before)["n_controllers"] == json.loads((rundir / "controllers.json").read_text())["count"] == 2
     assert main(["cost", "--config", cfg, "--rundir", str(rundir), "--set", "controllers.count=1"]) == EXIT_OK
+    assert (rundir / "cost_report.json").read_bytes() == before
+    (rundir / "scenarios.json").unlink()  # cost reads the controllers, not the scenario set
+    assert main(["cost", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
     assert (rundir / "cost_report.json").read_bytes() == before
 
 

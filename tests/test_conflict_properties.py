@@ -25,6 +25,7 @@ from conftest import (
     build_conflict_graph,
     colour_classes,
     conflict_edges_from_oracle,
+    decode_switch_runs,
     group_max_clique,
     ladder_paths,
     mask_members,
@@ -43,8 +44,8 @@ from ladderbus.grouping import (
     group_greedy,
     group_iterated,
     group_paths,
+    partition_from_record,
     scenario_lower_bound,
-    scenario_set_from_record,
     scenario_set_record,
     scenario_switch_matrix,
     validate_scenario_set,
@@ -222,10 +223,9 @@ def test_scenario_record_json_round_trip(instance, algorithm):
     partition = group_paths(algorithm, paths, scenario_lower_bound(paths))
     matrix = scenario_switch_matrix(partition.scenarios, paths, topo)
     rec = json.loads(json.dumps(scenario_set_record(partition, matrix)))
-    back, back_matrix = scenario_set_from_record(rec, topo.n_switches, len(paths))
-    assert back == partition  # memberships and stats, algorithm included
+    assert partition_from_record(rec, len(paths)) == partition  # memberships and stats, algorithm included
     expected = [oracle_switch_vector(topo, s, paths) for s in partition.scenarios]
-    assert back_matrix.tolist() == matrix.tolist() == [list(vec) for vec in expected]
+    assert decode_switch_runs(rec) == matrix.tolist() == [list(vec) for vec in expected]
     runs = sum(len(list(itertools.groupby(vec))) for vec in expected)
     length_bits = max((topo.n_switches - 1).bit_length(), 1)
     assert compressed_scenario_bits(rec, topo) == runs * (2 + length_bits)

@@ -15,6 +15,7 @@ from conftest import (
     build_conflict_graph,
     colour_classes,
     conflict_edges_from_oracle,
+    decode_switch_runs,
     group_max_clique,
     mask_members,
     max_clique,
@@ -30,11 +31,10 @@ from ladderbus.grouping import (
     compressed_scenario_bits,
     group_greedy,
     group_iterated,
+    partition_from_record,
     raw_scenario_bits,
-    rle_decode,
     rle_encode,
     scenario_lower_bound,
-    scenario_set_from_record,
     scenario_set_record,
     scenario_switch_matrix,
     validate_scenario_set,
@@ -537,8 +537,7 @@ def test_scenario_vectors_idle_elsewhere():
 ], ids=["empty", "one-run", "alternating", "all-four-states"])
 def test_rle_round_trip(vec, runs):
     assert rle_encode(np.array(vec, dtype=np.int8)) == runs
-    assert rle_decode(runs).dtype == np.int8
-    assert rle_decode(runs).tolist() == list(vec)
+    assert decode_switch_runs({"scenarios": [{"switches_rle": runs}]}) == [list(vec)]
 
 
 def test_scenario_record_round_trip():
@@ -546,16 +545,16 @@ def test_scenario_record_round_trip():
     for partition in (iterated(paths), group_greedy(paths)):
         matrix = scenario_switch_matrix(partition.scenarios, paths, topo)
         rec = scenario_set_record(partition, matrix)
-        back, back_matrix = scenario_set_from_record(rec, topo.n_switches, len(paths))
-        assert back == partition and back_matrix.tolist() == matrix.tolist()
-        assert scenario_set_record(back, back_matrix) == rec
+        back = partition_from_record(rec, len(paths))
+        assert back == partition and decode_switch_runs(rec) == matrix.tolist()
+        assert scenario_set_record(back, scenario_switch_matrix(back.scenarios, paths, topo)) == rec
     # first-fit searches nothing, so its record has no stats
     assert "stats" not in rec and back.stats is None
     rec = scenario_set_record(iterated(paths), matrix)
     assert rec["algorithm"] == "iterated" and rec["stats"] == {"rounds": iterated(paths).stats.rounds}
     for stats in ({"clique_calls": 1}, {"rounds": True}, [0]):
         with pytest.raises(ValueError, match="'stats' needs the integer 'rounds'"):
-            scenario_set_from_record({**rec, "stats": stats}, topo.n_switches, len(paths))
+            partition_from_record({**rec, "stats": stats}, len(paths))
 
 
 def test_bit_accounting():
