@@ -11,7 +11,11 @@ Usage:
     ladderbus run --config cfg.json --rundir out/
     ladderbus group --rundir out/            # re-run one stage on out/config.json
     ladderbus report --rundir out/ --format json
-    ladderbus sweep --sizes 20,40 --densities 0.15 --seeds 0,1,2 --rundir out/
+    ladderbus sweep --sizes 20,40 --densities 0.15 --seeds 0,1,2 --rundir out/ [--jobs N]
+
+A sweep runs its instances on --jobs worker processes, by default one per
+usable CPU and never more than there are instances; --jobs 1 runs them in
+this process. Its rows are the same bytes for any worker count.
 
 Config (JSON; any subset of DEFAULT_CONFIG; an unknown key or a value of
 another JSON type than its default is a config error, and "graph" holds
@@ -34,6 +38,7 @@ import json
 import sys
 from contextlib import nullcontext
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 from . import controlgen, costmodel, grouping, sim
@@ -45,7 +50,7 @@ from .appgraph import (
     parse_cluster_graph,
 )
 from .placement import TilePlacement, place_anneal, place_greedy, placement_cost
-from .routing import extract_paths, path_from_record, path_record
+from .routing import PATH_KEYS, RoutedPath, extract_paths, path_record, path_values
 from .topology import build_topology
 
 EXIT_OK = 0
@@ -269,21 +274,26 @@ class RunState:
             k = min(len(recs), len(edges))
             raise ConfigError(f"state file paths.json (path {k}): {'missing' if k == len(recs) else 'extra'}, "
                               f"the file holds {len(recs)} paths for graph.json's {len(edges)} edges")
-        keys = ("edge", "src", "dst", "lane", "cmin", "cmax")
-        paths = [path_from_record(_fields(r, f"paths.json (path {i})", keys, int)) for i, r in enumerate(recs)]
+        try:  # one pass over every record; a path is labelled only if one fails
+            vals = list(map(path_values, recs))
+            ok = set(map(type, chain.from_iterable(vals))) <= {int}  # booleans are no numbers
+        except (KeyError, TypeError):  # a record that is not an object, or lacks a key
+            ok = False
+        if not ok:
+            for i, r in enumerate(recs):  # raises at the first bad path
+                _fields(r, f"paths.json (path {i})", PATH_KEYS, int)
         lanes = self.topology.n_lanes
-        for i, (p, (u, v, _w)) in enumerate(zip(paths, edges)):
-            src, dst = tiles[u], tiles[v]
-            c1, c2 = src // 2, dst // 2
-            want = (i, src, dst, min(c1, c2), max(c1, c2))
-            if (p.edge_id, p.src_tile, p.dst_tile, p.cmin, p.cmax) != want or not 0 <= p.lane < lanes:
-                for key, value, expected in zip(("edge", "src", "dst", "cmin", "cmax"),
-                                                (p.edge_id, p.src_tile, p.dst_tile, p.cmin, p.cmax), want):
+        for i, ((edge, src, dst, lane, cmin, cmax), (u, v, _w)) in enumerate(zip(vals, edges)):
+            t1, t2 = tiles[u], tiles[v]
+            c1, c2 = t1 // 2, t2 // 2
+            got, want = (edge, src, dst, cmin, cmax), (i, t1, t2, min(c1, c2), max(c1, c2))
+            if got != want or not 0 <= lane < lanes:
+                for key, value, expected in zip(("edge", "src", "dst", "cmin", "cmax"), got, want):
                     if value != expected:
                         raise ConfigError(f"state file paths.json (path {i}): '{key}' is {value}, not {expected} "
                                           "(path i is edge i between its clusters' tiles, over their columns)")
-                raise ConfigError(f"state file paths.json (path {i}): 'lane' is {p.lane}, outside 0..{lanes - 1}")
-        return paths
+                raise ConfigError(f"state file paths.json (path {i}): 'lane' is {lane}, outside 0..{lanes - 1}")
+        return [RoutedPath(*v) for v in vals]  # positional: PATH_KEYS is the field order
 
     @cached_property
     def partition(self):
@@ -555,7 +565,9 @@ def main(argv: list[str] | None = None) -> int:
     p_sw.add_argument("--densities", required=True, help="comma-separated densities")
     p_sw.add_argument("--seeds", required=True, help="comma-separated seeds")
     p_sw.add_argument("--algorithms", default=",".join(grouping.GROUPING_ALGORITHMS))
-    p_sw.add_argument("--jobs", type=int, default=1)
+    p_sw.add_argument("--jobs", type=int, default=None,
+                      help="worker processes (default: all usable CPUs, capped at the instance count; "
+                           "1 runs in-process)")
 
     args = parser.parse_args(argv)
 
@@ -589,7 +601,7 @@ def main(argv: list[str] | None = None) -> int:
             for d in densities:
                 if not 0 <= d <= 1:
                     raise ConfigError(f"bad sweep parameter --densities: {d:g} (a density lies in 0..1)")
-            if args.jobs < 1:
+            if args.jobs is not None and args.jobs < 1:
                 raise ConfigError(f"bad sweep parameter --jobs: {args.jobs} (at least 1 worker process)")
             algos = args.algorithms.split(",")
             _check_algorithms(algos)

@@ -21,6 +21,7 @@ control-plane fractions.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -153,13 +154,18 @@ SWEEP_COLUMNS = {"n": int, "density": float, "seed": int, "algo": str, "E": int,
                  "lower_bound": int, "gap": int, "ctrl_bits": int, "ctrl_frac": float}
 
 
+def _edge_count(n: int, density: float) -> int:
+    """Directed edges of the synthetic instance of n clusters at a density."""
+    return round(density * n * (n - 1))
+
+
 def sweep_instance(n: int, density: float, seed: int, algorithms: list[str],
                    model: CostModel) -> list[dict]:
     """Full flow on one synthetic instance; one row per algorithm, all grouping
     one set of routed paths."""
     for algo in algorithms:
         grouping.check_algorithm(algo)
-    n_edges = round(density * n * (n - 1))
+    n_edges = _edge_count(n, density)
     g = generate_synthetic(n, n_edges, seed)
     topo = build_topology(n)
     placement = place_greedy(g, topo)
@@ -183,14 +189,27 @@ def _sweep_worker(args):
     return sweep_instance(*args)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def scaling_sweep(
     cluster_sizes: list[int],
     densities: list[float],
     seeds: list[int],
     algorithms: list[str] = grouping.GROUPING_ALGORITHMS,
-    jobs: int = 1,
+    jobs: int | None = None,
 ) -> list[dict]:
-    """Cross product of sizes x densities x seeds, merged in instance-key order."""
+    """Cross product of sizes x densities x seeds, merged in instance-key order.
+
+    Runs on `jobs` worker processes (default: one per usable CPU), never more
+    than there are instances; one worker runs every instance in this process.
+    Instances go to the pool largest (most edges) first, so the longest ones
+    do not start last; the rows do not depend on the order or the worker count.
+    """
     model = calibrate(reference_observations())
     tasks = [
         (n, density, seed, list(algorithms), model)
@@ -198,11 +217,13 @@ def scaling_sweep(
         for density in densities
         for seed in seeds
     ]
-    if jobs > 1:
+    workers = min(_usable_cpus() if jobs is None else jobs, len(tasks))
+    if workers > 1:
         # imported here: multiprocessing is start-up cost every other command would pay
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        tasks.sort(key=lambda t: _edge_count(t[0], t[1]), reverse=True)  # stable: ties keep key order
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_worker, tasks))
     else:
         chunks = [sweep_instance(*t) for t in tasks]

@@ -161,10 +161,19 @@ def place_anneal(
     best = tile_of[:n]
     temp = cost / T0_DIVISOR
     rng = random.Random(seed)
+    # a tile is drawn as randrange(n_tiles) draws it: k-bit words until one is
+    # below n_tiles, the same stream without randrange's Python frames
+    n_tiles = topo.n_tiles
+    k = n_tiles.bit_length()
+    getrandbits = rng.getrandbits
 
     for it in range(MOVES_PER_CLUSTER * n):
-        t1 = rng.randrange(topo.n_tiles)
-        t2 = rng.randrange(topo.n_tiles)
+        t1 = getrandbits(k)
+        while t1 >= n_tiles:
+            t1 = getrandbits(k)
+        t2 = getrandbits(k)
+        while t2 >= n_tiles:
+            t2 = getrandbits(k)
         c1, c2 = slot[t1], slot[t2]
         a, b = tile_col[t1], tile_col[t2]
         delta = int((w_row[c1] - w_row[c2]).dot(away_row[b] - away_row[a]))  # ndarray.dot skips np.dot's dispatch

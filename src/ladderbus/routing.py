@@ -11,6 +11,7 @@ contend is decided from those intervals in ``grouping``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -86,8 +87,10 @@ def path_record(path: RoutedPath) -> dict:
     }
 
 
+# a path record's keys, in RoutedPath's field order
+PATH_KEYS = ("edge", "src", "dst", "lane", "cmin", "cmax")
+path_values = itemgetter(*PATH_KEYS)  # a record's values, in that order
+
+
 def path_from_record(rec: dict) -> RoutedPath:
-    return RoutedPath(
-        edge_id=rec["edge"], src_tile=rec["src"], dst_tile=rec["dst"],
-        lane=rec["lane"], cmin=rec["cmin"], cmax=rec["cmax"],
-    )
+    return RoutedPath(*path_values(rec))

@@ -426,6 +426,10 @@ def _set_assignment_0_a(rec):
     rec["assignment"][0] = "a"
 
 
+def _make_path_1_a_list(rec):
+    rec["paths"][1] = list(rec["paths"][1].values())
+
+
 @pytest.mark.parametrize("state, stage, corrupt, message", [
     ("topology.json", "route", lambda rec: rec.pop("n_tiles"), "topology.json lacks key 'n_tiles'"),
     ("topology.json", "route", lambda rec: rec.update(n_tiles="12"),
@@ -433,10 +437,17 @@ def _set_assignment_0_a(rec):
     ("placement.json", "route", None, "placement.json is not valid JSON"),
     ("placement.json", "route", _set_assignment_0_a, "placement.json: 'assignment' holds a value"),
     ("paths.json", "group", _del_path_3_lane, "paths.json (path 3) lacks key 'lane'"),
+    ("paths.json", "group", lambda rec: rec["paths"][2].update(lane=True),
+     "paths.json (path 2): 'lane' is true, not an integer"),
+    ("paths.json", "sim", lambda rec: rec["paths"][4].update(src="4"),
+     "paths.json (path 4): 'src' is \"4\", not an integer"),
+    ("paths.json", "group", lambda rec: rec["paths"][0].update(cmax=1.0),
+     "paths.json (path 0): 'cmax' is 1.0, not an integer"),
+    ("paths.json", "group", _make_path_1_a_list, "paths.json (path 1) is not a JSON object"),
     ("scenarios.json", "emit-ctrl", lambda rec: rec.pop("scenarios"), "scenarios.json lacks key 'scenarios'"),
     ("controllers.json", "sim", lambda rec: rec.pop("count"), "controllers.json lacks key 'count'"),
 ], ids=["no-n_tiles", "n_tiles-string", "placement-not-json", "assignment-string", "path-without-lane",
-        "no-scenarios", "no-count"])
+        "path-lane-boolean", "path-src-string", "path-cmax-float", "path-a-list", "no-scenarios", "no-count"])
 def test_stage_on_malformed_state_is_config_error(tmp_path, capsys, state, stage, corrupt, message):
     cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
     rundir = tmp_path / "run"

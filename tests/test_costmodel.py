@@ -257,3 +257,106 @@ def test_sweep_parallel_matches_serial():
     serial = scaling_sweep([10, 12], [0.15], [0, 1], ["greedy"], jobs=1)
     parallel = scaling_sweep([10, 12], [0.15], [0, 1], ["greedy"], jobs=2)
     assert serial == parallel
+
+
+class PoolRecorder:
+    """Stands in for ProcessPoolExecutor: starts no process, runs map's calls
+    here and records the worker count and the submission order."""
+
+    def __init__(self, built, max_workers):
+        self.max_workers = max_workers
+        self.submitted = []
+        built.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        self.submitted = list(tasks)
+        return [fn(t) for t in self.submitted]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The pools a sweep builds, recorded instead of started."""
+    import concurrent.futures
+
+    built = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: PoolRecorder(built, max_workers))
+    return built
+
+
+def set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_sweep_on_one_usable_cpu_builds_no_pool(monkeypatch, pools):
+    set_cpus(monkeypatch, 1)
+    rows = scaling_sweep([10, 12], [0.15], [0, 1], ["greedy"])
+    assert pools == []
+    assert rows == scaling_sweep([10, 12], [0.15], [0, 1], ["greedy"], jobs=1)
+
+
+def test_sweep_workers_default_to_usable_cpus_capped_at_instances(monkeypatch, pools):
+    set_cpus(monkeypatch, 3)
+    scaling_sweep([10, 12], [0.15], [0], ["greedy"])
+    scaling_sweep([10, 12], [0.15], [0, 1], ["greedy"])
+    assert [p.max_workers for p in pools] == [2, 3]
+
+
+def test_sweep_without_affinity_uses_cpu_count(monkeypatch, pools):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    scaling_sweep([10, 12], [0.15], [0, 1], ["greedy"])
+    assert [p.max_workers for p in pools] == [3]
+
+
+def test_sweep_jobs_beyond_instances_start_no_extra_workers(pools):
+    # a pool forks all of its max_workers at once, used or not
+    scaling_sweep([10], [0.15], [0], ["greedy"], jobs=64)
+    scaling_sweep([10, 12], [0.15], [0], ["greedy"], jobs=64)
+    assert [p.max_workers for p in pools] == [2]
+
+
+def test_sweep_submits_largest_instances_first(monkeypatch, pools):
+    set_cpus(monkeypatch, 2)
+    rows = scaling_sweep([10, 30, 20], [0.1, 0.2], [0, 1], ["greedy"])
+    # E = 174, 87, 76, 38, 18, 9; the seeds of one size and density tie and keep their order
+    by_size = [(30, 0.2), (30, 0.1), (20, 0.2), (20, 0.1), (10, 0.2), (10, 0.1)]
+    assert [t[:3] for t in pools[0].submitted] == [(n, d, s) for n, d in by_size for s in (0, 1)]
+    assert [(r["n"], r["density"], r["seed"]) for r in rows] == sorted(t[:3] for t in pools[0].submitted)
+
+
+def test_sweep_default_matches_serial_when_submission_order_differs(monkeypatch):
+    # two real worker processes; the largest-first order is not the key order
+    set_cpus(monkeypatch, 2)
+    grid = ([10, 30, 20], [0.1, 0.2], [0])
+    assert scaling_sweep(*grid, ["greedy"]) == scaling_sweep(*grid, ["greedy"], jobs=1)
+
+
+def test_cli_sweep_defaults_to_usable_cpus_with_the_serial_bytes(tmp_path, monkeypatch, pools):
+    from ladderbus.cli import main
+
+    set_cpus(monkeypatch, 3)
+    args = ["--sizes", "10,12", "--densities", "0.15", "--seeds", "0", "--algorithms", "greedy"]
+    assert main(["sweep", "--rundir", str(tmp_path / "default"), *args]) == 0
+    assert [p.max_workers for p in pools] == [2]
+    assert main(["sweep", "--rundir", str(tmp_path / "serial"), *args, "--jobs", "1"]) == 0
+    assert len(pools) == 1
+    for name in ("sweep.csv", "sweep.json"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_serial_sweep_imports_no_process_pool():
+    # one usable CPU: the default sweep runs in this process
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0}; from ladderbus import costmodel; "
+            "costmodel.scaling_sweep([10, 12], [0.15], [0], ['greedy']); "
+            "print(sorted({'multiprocessing', 'concurrent'} & {m.split('.')[0] for m in sys.modules}))")
+    src = str(Path(ladderbus.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
