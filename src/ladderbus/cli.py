@@ -397,15 +397,16 @@ def stage_group(cfg: dict, state: RunState) -> None:
     algo = gcfg["algorithm"]
     _check_algorithms([algo])
     bound = grouping.scenario_lower_bound(paths)
-    partition = grouping.group_paths(algo, paths, bound)
+    greedy = grouping.group_greedy(paths)  # the iterated grouper's start
+    partition = greedy if algo == "greedy" else grouping.group_iterated(paths, bound, greedy)
     try:
         grouping.validate_scenario_set(partition.scenarios, paths)
     except ValueError as exc:
         raise InvariantViolation(f"grouping produced an invalid scenario set: {exc}") from exc
     counts = {algo: partition.n_scenarios}
     if gcfg["compare"]:
-        other = "greedy" if algo == "iterated" else "iterated"
-        counts[other] = grouping.group_paths(other, paths, bound).n_scenarios
+        other = greedy if algo == "iterated" else grouping.group_iterated(paths, bound, greedy)
+        counts[other.algorithm] = other.n_scenarios
     matrix = grouping.scenario_switch_matrix(partition.scenarios, paths, topo)
     doc = grouping.scenario_set_record(partition, matrix)
     doc["counts"] = counts

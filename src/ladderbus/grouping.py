@@ -173,8 +173,9 @@ STALL_ROUNDS = 10  # rounds without a gain before group_iterated stops
 SHUFFLE_SEED = 0  # of group_iterated's shuffled rounds
 
 
-def group_iterated(paths: list[RoutedPath], bound: int) -> Partition:
-    """Iterated first-fit from group_greedy's partition. Round r re-runs
+def group_iterated(paths: list[RoutedPath], bound: int, initial: Partition | None = None) -> Partition:
+    """Iterated first-fit from `initial` (default group_greedy's partition),
+    whose scenarios must partition the paths feasibly. Round r re-runs
     first-fit over the paths scenario by scenario, in the previous round's
     scenario order reversed (r % 3 == 0), largest first (r % 3 == 1, ties in
     that order) or shuffled by a Random(SHUFFLE_SEED) made per call; each
@@ -185,7 +186,7 @@ def group_iterated(paths: list[RoutedPath], bound: int) -> Partition:
     which no grouping goes below) or after STALL_ROUNDS rounds in a row
     without a gain."""
     _check_vertex_ids(paths)
-    scenarios = _first_fit(paths, range(len(paths)))
+    scenarios = list(initial.scenarios) if initial is not None else _first_fit(paths, range(len(paths)))
     rng = random.Random(SHUFFLE_SEED)
     rounds = stalled = 0
     while len(scenarios) > bound and stalled < STALL_ROUNDS:

@@ -4,7 +4,9 @@ The objective is a proxy for dynamic communication energy: each
 connection costs weight * (column distance between its endpoint tiles
 + 1), the +1 charging the rung hop. Placement is a greedy
 descending-degree construction refined by pairwise-swap simulated
-annealing, on the fixed schedule of the module constants below.
+annealing, on the fixed schedule of the module constants below. The
+schedule starts from the size of one move's cost change, not of the
+whole cost (Johnson, Aragon, McGeoch and Schevon 1989).
 
 The annealer prices a proposed swap with one dense dot product of two
 row differences: one of a symmetric (n+1) x (n+1) weight matrix, whose
@@ -26,9 +28,11 @@ from .appgraph import ClusterGraph
 from .topology import LadderTopology, tile_column
 
 # the annealing schedule, as place_anneal runs it
-MOVES_PER_CLUSTER = 200
-T0_DIVISOR = 10.0
-COOLING = 0.97
+MOVES_PER_CLUSTER = 50
+# t0 = T0_PER_CLUSTER * cost / n_clusters: about the mean cost rise of an uphill
+# swap at the greedy start (0.25-0.55 cost / n_clusters on uniform graphs, n 14..400)
+T0_PER_CLUSTER = 0.5
+COOLING = 0.92  # per epoch of n_clusters moves: 50 epochs end at about t0 / 65
 
 
 @dataclass(frozen=True)
@@ -119,9 +123,9 @@ def place_anneal(
     migrate onto unused tiles: an empty slot holds the phantom cluster
     n_clusters, whose row and column of the weight matrix are zero. The
     schedule is fixed: MOVES_PER_CLUSTER * n_clusters moves, starting at
-    the initial cost / T0_DIVISOR and cooling geometrically by COOLING
-    once per epoch of n_clusters moves. Returns the best placement seen;
-    never worse than the initial one. Deterministic for a fixed seed.
+    T0_PER_CLUSTER * initial cost / n_clusters and cooling geometrically by
+    COOLING once per epoch of n_clusters moves. Returns the best placement
+    seen; never worse than the initial one. Deterministic for a fixed seed.
 
     Swapping cluster c1 on column a with c2 on column b changes the cost
     by (W[c1] - W[c2]) . (|col - b| - |col - a|) + 2 W[c1, c2] |a - b|,
@@ -159,7 +163,7 @@ def place_anneal(
     cost = placement_cost(g, topo, initial)
     best_cost = cost
     best = tile_of[:n]
-    temp = cost / T0_DIVISOR
+    temp = T0_PER_CLUSTER * cost / epoch
     rng = random.Random(seed)
     # a tile is drawn as randrange(n_tiles) draws it: k-bit words until one is
     # below n_tiles, the same stream without randrange's Python frames

@@ -11,6 +11,7 @@ from ladderbus.cli import (
     EXIT_OK,
     EXIT_STAGE,
     STAGE_ORDER,
+    RunState,
     load_config,
     main,
 )
@@ -257,6 +258,33 @@ def test_group_stage_compare_runs_the_other_grouper(tmp_path):
     assert doc["algorithm"] == "iterated" and set(doc["counts"]) == {"greedy", "iterated"}
     assert doc["lower_bound"] <= doc["counts"]["iterated"] == len(doc["scenarios"]) <= doc["counts"]["greedy"]
     assert doc["stats"]["rounds"] >= 0
+
+
+@pytest.mark.parametrize("algorithm", ["iterated", "greedy"])
+def test_group_stage_compare_runs_first_fit_once(tmp_path, monkeypatch, algorithm):
+    # the iterated grouper starts from the greedy partition, so with compare on
+    # the stage runs first-fit once for that start and once per iterated round
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "graph": {"synthetic": {"n_clusters": 40, "n_edges": 292}},
+                                  "grouping": {"algorithm": algorithm, "compare": True}})
+    rundir = tmp_path / "run"
+    for stage in ["gen", "place", "route"]:
+        assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    calls = []
+    first_fit = grouping._first_fit
+
+    def counted(paths, order):
+        calls.append(len(paths))
+        return first_fit(paths, order)
+
+    monkeypatch.setattr(grouping, "_first_fit", counted)
+    assert main(["group", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    n_calls = len(calls)
+    counts = json.loads((rundir / "scenarios.json").read_text())["counts"]
+    paths = RunState(rundir).paths
+    iterated = grouping.group_iterated(paths, grouping.scenario_lower_bound(paths))
+    assert n_calls == 1 + iterated.stats.rounds
+    assert counts == {"greedy": grouping.group_greedy(paths).n_scenarios, "iterated": iterated.n_scenarios}
+    assert counts["iterated"] < counts["greedy"]
 
 
 def test_greedy_group_stage_runs_first_fit_alone(tmp_path, monkeypatch):

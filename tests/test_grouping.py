@@ -198,6 +198,13 @@ def test_iterated_starts_from_first_fit_and_stops_at_the_bound():
     assert part.scenarios == group_greedy(paths).scenarios and part.stats.rounds == 0
 
 
+def test_iterated_from_the_greedy_partition_is_the_default_search():
+    for shape in [(40, 160, 3), (96, 1068, 3)]:
+        _, _, paths = routed_instance(*shape)
+        bound = scenario_lower_bound(paths)
+        assert group_iterated(paths, bound, group_greedy(paths)) == iterated(paths)
+
+
 def test_iterated_stops_after_stall_rounds(monkeypatch):
     # an unreachable bound: only the rounds without a gain stop the search
     _, _, paths = routed_instance(60, 772, seed=0)
@@ -227,16 +234,16 @@ def test_iterated_never_above_first_fit_on_routed_instances():
 
 
 # sha256 prefix of [scenarios, rounds] as JSON, on the instances whose max-clique
-# partitions are pinned below, which reach B in one round, and on two that stop
-# above B after STALL_ROUNDS rounds without a gain and so run every order of the
-# rotation: a change to the rotation or the stop rule must not move them silently
+# partitions are pinned below, and on two more that stop above B after
+# STALL_ROUNDS rounds without a gain and so run every order of the rotation: a
+# change to the rotation or the stop rule must not move them silently
 PINNED_ITERATED_PARTITIONS = {
-    (24, 128, 0): "d6ee73600de22a38",  # 27 scenarios = B, 1 round
-    (40, 160, 6): "fa9a7bb42754069d",  # 21 scenarios, B = 20, 11 rounds
-    (40, 292, 0): "c89f87fb2942ba46",  # 38 scenarios = B, 1 round
-    (60, 772, 0): "e01ec8e2d6f317c1",  # 69 scenarios = B, 1 round
-    (96, 1068, 0): "c95c7c37a0d86e58",  # 61 scenarios = B, 1 round
-    (96, 1068, 3): "70bc8622563d31d3",  # 59 scenarios, B = 58, 17 rounds
+    (24, 128, 0): "442ea522c845b245",  # 29 scenarios = B, 1 round
+    (40, 160, 3): "e13631c65afbd856",  # 21 scenarios, B = 20, 11 rounds
+    (40, 292, 0): "06d01b39e785b76d",  # 42 scenarios = B, 0 rounds
+    (60, 772, 0): "123ef6027d79fd0f",  # 72 scenarios = B, 1 round
+    (96, 1068, 0): "bcdc1e811e19d592",  # 59 scenarios, B = 57, 17 rounds
+    (96, 1068, 3): "19a2f2724bc62833",  # 60 scenarios, B = 57, 16 rounds
 }
 
 
@@ -367,13 +374,12 @@ def test_group_max_clique_ignores_wall_clock(monkeypatch):
     assert slow.stats == expected.stats and slow.stats.clique_fallbacks == 0
 
 
-# sha256 prefix of [scenarios, clique_calls, clique_fallbacks] as JSON; recorded
-# with the Bron-Kerbosch search this clique search replaced
+# sha256 prefix of [scenarios, clique_calls, clique_fallbacks] as JSON
 PINNED_MAX_CLIQUE_PARTITIONS = {
-    (24, 128, 0): "aff7042533ea8b5f",
-    (40, 292, 0): "50a38971373a5690",
-    (60, 772, 0): "1d546786b3156763",
-    (96, 1068, 0): "42a8e5c82d3d9139",
+    (24, 128, 0): "a2e9312983b76b2e",
+    (40, 292, 0): "3a86c1207fe5bef1",
+    (60, 772, 0): "036425efed0b2a93",
+    (96, 1068, 0): "43213604e00f3fee",
 }
 
 
