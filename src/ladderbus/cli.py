@@ -397,16 +397,14 @@ def stage_group(cfg: dict, state: RunState) -> None:
     algo = gcfg["algorithm"]
     _check_algorithms([algo])
     bound = grouping.scenario_lower_bound(paths)
-    greedy = grouping.group_greedy(paths)  # the iterated grouper's start
-    partition = greedy if algo == "greedy" else grouping.group_iterated(paths, bound, greedy)
+    names = [algo, "greedy" if algo == "iterated" else "iterated"] if gcfg["compare"] else [algo]
+    partitions = grouping.group_paths(names, paths, bound)
+    partition = partitions[algo]
     try:
         grouping.validate_scenario_set(partition.scenarios, paths)
     except ValueError as exc:
         raise InvariantViolation(f"grouping produced an invalid scenario set: {exc}") from exc
-    counts = {algo: partition.n_scenarios}
-    if gcfg["compare"]:
-        other = greedy if algo == "iterated" else grouping.group_iterated(paths, bound, greedy)
-        counts[other.algorithm] = other.n_scenarios
+    counts = {name: part.n_scenarios for name, part in partitions.items()}
     matrix = grouping.scenario_switch_matrix(partition.scenarios, paths, topo)
     doc = grouping.scenario_set_record(partition, matrix)
     doc["counts"] = counts

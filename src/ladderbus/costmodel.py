@@ -172,9 +172,10 @@ def sweep_instance(n: int, density: float, seed: int, algorithms: list[str],
     paths = extract_paths(g, topo, placement)
     lower = grouping.scenario_lower_bound(paths)
     n_ctrl = default_controller_count(topo)
+    partitions = grouping.group_paths(algorithms, paths, lower)
     rows = []
     for algo in algorithms:
-        n_scenarios = grouping.group_paths(algo, paths, lower).n_scenarios
+        n_scenarios = partitions[algo].n_scenarios
         bits = grouping.raw_scenario_bits(n_scenarios, topo)
         frac = cost_report(topo, bits, n_ctrl, model).control_fraction
         rows.append({

@@ -173,9 +173,9 @@ STALL_ROUNDS = 10  # rounds without a gain before group_iterated stops
 SHUFFLE_SEED = 0  # of group_iterated's shuffled rounds
 
 
-def group_iterated(paths: list[RoutedPath], bound: int, initial: Partition | None = None) -> Partition:
-    """Iterated first-fit from `initial` (default group_greedy's partition),
-    whose scenarios must partition the paths feasibly. Round r re-runs
+def group_iterated(paths: list[RoutedPath], bound: int, start: Partition) -> Partition:
+    """Iterated first-fit from `start`, a partition whose scenarios' members
+    do not intersect (group_paths passes group_greedy's). Round r re-runs
     first-fit over the paths scenario by scenario, in the previous round's
     scenario order reversed (r % 3 == 0), largest first (r % 3 == 1, ties in
     that order) or shuffled by a Random(SHUFFLE_SEED) made per call; each
@@ -186,7 +186,7 @@ def group_iterated(paths: list[RoutedPath], bound: int, initial: Partition | Non
     which no grouping goes below) or after STALL_ROUNDS rounds in a row
     without a gain."""
     _check_vertex_ids(paths)
-    scenarios = list(initial.scenarios) if initial is not None else _first_fit(paths, range(len(paths)))
+    scenarios = list(start.scenarios)
     rng = random.Random(SHUFFLE_SEED)
     rounds = stalled = 0
     while len(scenarios) > bound and stalled < STALL_ROUNDS:
@@ -212,15 +212,17 @@ def check_algorithm(algorithm: str) -> None:
         raise ValueError(f"unknown grouping algorithm '{algorithm}' (choose from {', '.join(GROUPING_ALGORITHMS)})")
 
 
-def group_paths(algorithm: str, paths: list[RoutedPath], bound: int) -> Partition:
-    """Run one of GROUPING_ALGORITHMS by name on the routed paths, whose
-    scenario_lower_bound is `bound` (iterated stops there). The functions are
+def group_paths(algorithms: list[str], paths: list[RoutedPath], bound: int) -> dict[str, Partition]:
+    """Run the GROUPING_ALGORITHMS named in `algorithms` on the routed paths,
+    whose scenario_lower_bound is `bound` (iterated stops there); their
+    partitions by name, in the order named. First-fit runs once: its
+    partition is greedy's and the iterated search's start. The functions are
     looked up in this module at call time, so rebinding (e.g. wrapping) one
     reaches every caller."""
-    check_algorithm(algorithm)
-    if algorithm == "greedy":
-        return group_greedy(paths)
-    return group_iterated(paths, bound)
+    for algorithm in algorithms:
+        check_algorithm(algorithm)
+    greedy = group_greedy(paths)
+    return {a: greedy if a == "greedy" else group_iterated(paths, bound, greedy) for a in algorithms}
 
 
 def scenario_lower_bound(paths: list[RoutedPath]) -> int:

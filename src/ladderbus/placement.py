@@ -28,11 +28,12 @@ from .appgraph import ClusterGraph
 from .topology import LadderTopology, tile_column
 
 # the annealing schedule, as place_anneal runs it
-MOVES_PER_CLUSTER = 50
-# t0 = T0_PER_CLUSTER * cost / n_clusters: about the mean cost rise of an uphill
-# swap at the greedy start (0.25-0.55 cost / n_clusters on uniform graphs, n 14..400)
-T0_PER_CLUSTER = 0.5
-COOLING = 0.92  # per epoch of n_clusters moves: 50 epochs end at about t0 / 65
+MOVES_PER_CLUSTER = 75
+# t0 = T0_PER_CLUSTER * cost / n_clusters: half to all of the mean cost rise of
+# an uphill swap at the greedy start (0.25-0.55 cost / n_clusters on uniform
+# graphs, n 14..400)
+T0_PER_CLUSTER = 0.25
+COOLING = 0.947  # per epoch of n_clusters moves: 75 epochs end at about t0 / 59
 
 
 @dataclass(frozen=True)

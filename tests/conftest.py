@@ -331,8 +331,8 @@ def oracle_route(edges, tiles, topo) -> list[tuple[int, int, int]]:
 
 
 def oracle_anneal(g, topo, seed, initial) -> tuple[int, ...]:
-    """place_anneal's fixed schedule (50 moves per cluster, t0 = cost /
-    (2 n_clusters), cooling by 0.92 per epoch of n_clusters moves), pricing
+    """place_anneal's fixed schedule (75 moves per cluster, t0 = cost /
+    (4 n_clusters), cooling by 0.947 per epoch of n_clusters moves), pricing
     each swap by walking the moved clusters' neighbours before and after a
     tentative move that a rejection undoes. Same RNG draws, so the same
     assignment."""
@@ -350,9 +350,9 @@ def oracle_anneal(g, topo, seed, initial) -> tuple[int, ...]:
 
     cost = sum(w * (abs(tile_of[s] // 2 - tile_of[d] // 2) + 1) for s, d, w in g.edges)
     best_cost, best = cost, list(tile_of)
-    temp = 0.5 * cost / max(1, g.n_clusters)
+    temp = 0.25 * cost / max(1, g.n_clusters)
     rng = random.Random(seed)
-    for it in range(50 * g.n_clusters):
+    for it in range(75 * g.n_clusters):
         t1, t2 = rng.randrange(topo.n_tiles), rng.randrange(topo.n_tiles)
         c1, c2 = slot[t1], slot[t2]
         movers = [c for c in (c1, c2) if c >= 0]
@@ -373,7 +373,7 @@ def oracle_anneal(g, topo, seed, initial) -> tuple[int, ...]:
                     if c >= 0:
                         tile_of[c] = t
         if (it + 1) % max(1, g.n_clusters) == 0:
-            temp *= 0.92
+            temp *= 0.947
     return tuple(best)
 
 
@@ -723,7 +723,7 @@ class CorpusInstance:
         self.placement = place_anneal(self.graph, self.topo, seed=seed + 1)
         self.paths = extract_paths(self.graph, self.topo, self.placement)
         self.sset_greedy = group_greedy(self.paths)
-        self.sset_iterated = group_iterated(self.paths, scenario_lower_bound(self.paths))
+        self.sset_iterated = group_iterated(self.paths, scenario_lower_bound(self.paths), self.sset_greedy)
         self.sset_maxclique = group_max_clique(build_conflict_graph(self.paths))
 
     @property

@@ -31,7 +31,7 @@ from ladderbus.costmodel import (
     reference_observations,
     scaling_sweep,
 )
-from ladderbus.grouping import group_iterated, scenario_lower_bound, scenario_switch_matrix
+from ladderbus.grouping import group_greedy, group_iterated, scenario_lower_bound, scenario_switch_matrix
 from ladderbus.placement import place_anneal
 from ladderbus.routing import extract_paths
 from ladderbus.sim import run_frames
@@ -90,7 +90,7 @@ def test_criterion_3_oracle_bracketing():
 
         exact = optimal_grouping_exact(cg).n_scenarios
         mc_count = group_max_clique(cg).n_scenarios
-        it_count = group_iterated(paths, scenario_lower_bound(paths)).n_scenarios
+        it_count = group_iterated(paths, scenario_lower_bound(paths), group_greedy(paths)).n_scenarios
         max_deg = max(cg.degree(v) for v in range(cg.n))
         assert exact <= mc_count <= max_deg + 1, (n, e, seed)
         assert exact <= it_count <= max_deg + 1, (n, e, seed)
@@ -208,7 +208,7 @@ def test_criterion_9_performance_smoke():
     bound = scenario_lower_bound(paths)
     assert bound >= max(g.total_degrees())
     res = {p.edge_id: oracle_path_resources(p, topo) for p in paths}
-    for name, grouper in (("iterated", lambda: group_iterated(paths, bound)),
+    for name, grouper in (("iterated", lambda: group_iterated(paths, bound, group_greedy(paths))),
                           ("max-clique", lambda: group_max_clique(build_conflict_graph(paths)))):
         start = time.perf_counter()
         sset = grouper()  # a fixed round or node budget, never a clock

@@ -264,7 +264,7 @@ def test_group_stage_compare_runs_the_other_grouper(tmp_path):
 def test_group_stage_compare_runs_first_fit_once(tmp_path, monkeypatch, algorithm):
     # the iterated grouper starts from the greedy partition, so with compare on
     # the stage runs first-fit once for that start and once per iterated round
-    cfg = write_config(tmp_path, {**BASE_CONFIG, "graph": {"synthetic": {"n_clusters": 40, "n_edges": 292}},
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "graph": {"synthetic": {"n_clusters": 24, "n_edges": 128}},
                                   "grouping": {"algorithm": algorithm, "compare": True}})
     rundir = tmp_path / "run"
     for stage in ["gen", "place", "route"]:
@@ -281,9 +281,10 @@ def test_group_stage_compare_runs_first_fit_once(tmp_path, monkeypatch, algorith
     n_calls = len(calls)
     counts = json.loads((rundir / "scenarios.json").read_text())["counts"]
     paths = RunState(rundir).paths
-    iterated = grouping.group_iterated(paths, grouping.scenario_lower_bound(paths))
+    greedy = grouping.group_greedy(paths)
+    iterated = grouping.group_iterated(paths, grouping.scenario_lower_bound(paths), greedy)
     assert n_calls == 1 + iterated.stats.rounds
-    assert counts == {"greedy": grouping.group_greedy(paths).n_scenarios, "iterated": iterated.n_scenarios}
+    assert counts == {"greedy": greedy.n_scenarios, "iterated": iterated.n_scenarios}
     assert counts["iterated"] < counts["greedy"]
 
 

@@ -74,7 +74,7 @@ def test_validate_accepts_greedy_and_rejects_a_conflicting_move(instance):
     topo, paths = instance
     g = build_conflict_graph(paths)
     sset = group_greedy(paths)
-    for partition in (sset, group_iterated(paths, scenario_lower_bound(paths)), group_max_clique(g),
+    for partition in (sset, group_iterated(paths, scenario_lower_bound(paths), sset), group_max_clique(g),
                       optimal_grouping_exact(g)):
         validate_scenario_set(partition.scenarios, paths)
     if not paths:
@@ -130,7 +130,7 @@ def test_greedy_is_per_path_first_fit(instance):
 def test_iterated_is_a_valid_grouping_between_bound_and_first_fit(instance):
     topo, paths = instance
     bound = scenario_lower_bound(paths)
-    partition = group_iterated(paths, bound)
+    partition = group_iterated(paths, bound, group_greedy(paths))
     validate_scenario_set(partition.scenarios, paths)
     res = [oracle_path_resources(p, topo) for p in paths]
     assert sorted(pid for s in partition.scenarios for pid in s) == list(range(len(paths)))
@@ -140,7 +140,7 @@ def test_iterated_is_a_valid_grouping_between_bound_and_first_fit(instance):
             assert not res[a] & res[b]
     assert bound <= partition.n_scenarios <= group_greedy(paths).n_scenarios
     assert partition.algorithm == "iterated"
-    assert group_iterated(list(paths), bound) == partition
+    assert group_iterated(list(paths), bound, group_greedy(list(paths))) == partition
 
 
 @settings(max_examples=300, deadline=None)
@@ -178,7 +178,7 @@ def test_lower_bound_below_clique_number_below_groupings(instance):
     omega = len(oracle_max_clique(len(paths), conflict_edges_from_oracle(paths, topo)))
     assert scenario_lower_bound(paths) <= omega
     assert omega <= group_greedy(paths).n_scenarios
-    assert omega <= group_iterated(paths, scenario_lower_bound(paths)).n_scenarios
+    assert omega <= group_iterated(paths, scenario_lower_bound(paths), group_greedy(paths)).n_scenarios
     assert omega <= group_max_clique(build_conflict_graph(paths)).n_scenarios
 
 
@@ -208,7 +208,7 @@ def test_budget_expired_clique_not_below_largest_rung(instance):
 @given(ladder_paths(), st.sampled_from(GROUPING_ALGORITHMS), st.data())
 def test_scenario_switch_matrix_matches_oracle(instance, algorithm, data):
     topo, paths = instance
-    partition = group_paths(algorithm, paths, scenario_lower_bound(paths))
+    partition = group_paths([algorithm], paths, scenario_lower_bound(paths))[algorithm]
     # the members of an independent set write disjoint switches, so their order is free
     scenarios = [data.draw(st.permutations(s)) for s in partition.scenarios]
     matrix = scenario_switch_matrix(scenarios, paths, topo)
@@ -220,7 +220,7 @@ def test_scenario_switch_matrix_matches_oracle(instance, algorithm, data):
 @given(ladder_paths(), st.sampled_from(GROUPING_ALGORITHMS))
 def test_scenario_record_json_round_trip(instance, algorithm):
     topo, paths = instance
-    partition = group_paths(algorithm, paths, scenario_lower_bound(paths))
+    partition = group_paths([algorithm], paths, scenario_lower_bound(paths))[algorithm]
     matrix = scenario_switch_matrix(partition.scenarios, paths, topo)
     rec = json.loads(json.dumps(scenario_set_record(partition, matrix)))
     assert partition_from_record(rec, len(paths)) == partition  # memberships and stats, algorithm included

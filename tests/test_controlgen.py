@@ -20,7 +20,7 @@ from ladderbus.controlgen import (
     parse_program,
     partition_regions,
 )
-from ladderbus.grouping import group_iterated, scenario_lower_bound, scenario_switch_matrix
+from ladderbus.grouping import group_greedy, group_iterated, scenario_lower_bound, scenario_switch_matrix
 from ladderbus.placement import place_anneal
 from ladderbus.routing import extract_paths
 from ladderbus.topology import build_topology
@@ -31,7 +31,7 @@ def pipeline(n, e, seed):
     topo = build_topology(max(n, 2))
     placement = place_anneal(g, topo, seed=seed + 1)
     paths = extract_paths(g, topo, placement)
-    partition = group_iterated(paths, scenario_lower_bound(paths))
+    partition = group_iterated(paths, scenario_lower_bound(paths), group_greedy(paths))
     return topo, paths, scenario_switch_matrix(partition.scenarios, paths, topo)
 
 

@@ -253,6 +253,27 @@ def test_greedy_sweep_runs_first_fit_alone(monkeypatch):
     assert [r["algo"] for r in rows] == ["greedy"]
 
 
+def test_sweep_runs_first_fit_once_for_both_groupers(monkeypatch):
+    # greedy's partition is the iterated search's start: one first-fit for
+    # both, then one per iterated round
+    calls, rounds = [], []
+    first_fit, iterate = grouping._first_fit, grouping.group_iterated
+
+    def counted(paths, order):
+        calls.append(len(paths))
+        return first_fit(paths, order)
+
+    def recorded(*args):
+        rounds.append((part := iterate(*args)).stats.rounds)
+        return part
+
+    monkeypatch.setattr(grouping, "_first_fit", counted)
+    monkeypatch.setattr(grouping, "group_iterated", recorded)
+    rows = sweep_instance(40, 0.2, 0, ["greedy", "iterated"], calibrate(reference_observations()))
+    assert len(rounds) == 1 and len(calls) == 1 + rounds[0]
+    assert rows[1]["scenarios"] <= rows[0]["scenarios"]
+
+
 def test_sweep_parallel_matches_serial():
     serial = scaling_sweep([10, 12], [0.15], [0, 1], ["greedy"], jobs=1)
     parallel = scaling_sweep([10, 12], [0.15], [0, 1], ["greedy"], jobs=2)

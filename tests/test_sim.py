@@ -15,7 +15,7 @@ from ladderbus.controlgen import (
     encode_scenarios,
     partition_regions,
 )
-from ladderbus.grouping import group_iterated, scenario_lower_bound, scenario_switch_matrix
+from ladderbus.grouping import group_greedy, group_iterated, scenario_lower_bound, scenario_switch_matrix
 from ladderbus.placement import place_anneal
 from ladderbus.routing import RoutedPath, extract_paths
 from ladderbus.sim import run_frames
@@ -24,7 +24,7 @@ from ladderbus.topology import SwitchState, build_topology
 
 def grouped(paths, topo):
     """Iterated first-fit scenarios of the paths and their switch-state matrix."""
-    scenarios = group_iterated(paths, scenario_lower_bound(paths)).scenarios
+    scenarios = group_iterated(paths, scenario_lower_bound(paths), group_greedy(paths)).scenarios
     return scenarios, scenario_switch_matrix(scenarios, paths, topo)
 
 
