@@ -37,7 +37,7 @@ import copy
 import json
 import sys
 from contextlib import nullcontext
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -293,7 +293,7 @@ class RunState:
                         raise ConfigError(f"state file paths.json (path {i}): '{key}' is {value}, not {expected} "
                                           "(path i is edge i between its clusters' tiles, over their columns)")
                 raise ConfigError(f"state file paths.json (path {i}): 'lane' is {lane}, outside 0..{lanes - 1}")
-        return [RoutedPath(*v) for v in vals]  # positional: PATH_KEYS is the field order
+        return list(map(RoutedPath._make, vals))  # PATH_KEYS is the field order
 
     @cached_property
     def partition(self):
@@ -422,8 +422,13 @@ def stage_emit_ctrl(cfg: dict, state: RunState) -> None:
     programs = controlgen.encode_scenarios(matrix, regions, topo)
     progdir = state.rundir / "programs"
     progdir.mkdir(exist_ok=True)
+    written = set()
     for prog in programs:
-        (progdir / f"ctrl_{prog.region.controller_id:03d}.txt").write_text(controlgen.format_program(prog))
+        path = progdir / f"ctrl_{prog.region.controller_id:03d}.txt"
+        path.write_text(controlgen.format_program(prog))
+        written.add(path)
+    for stale in set(progdir.glob("ctrl_*.txt")) - written:  # an earlier run's extra controllers
+        stale.unlink()
     _save_json(state.rundir / "controllers.json", {
         "count": len(programs),
         "memory_bits": controlgen.control_memory_bits(programs),
@@ -461,7 +466,7 @@ def stage_sim(cfg: dict, state: RunState) -> None:
 def stage_cost(cfg: dict, state: RunState) -> None:
     """Price the controllers emit-ctrl wrote, not the config's count."""
     topo, ctrl = state.topology, state.controllers
-    model = costmodel.calibrate(costmodel.reference_observations())
+    model = costmodel.reference_model()
     rep = costmodel.cost_report(topo, ctrl["memory_bits"], ctrl["count"], model)
     _save_json(state.rundir / "cost_report.json", {
         "data_plane_units": rep.data_plane_units,
@@ -546,7 +551,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    metavar="KEY=VALUE", help="config override, dotted path (repeatable)")
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(prog="ladderbus",
                                      description="Segmented ladder bus mapping/scheduling flow")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -568,7 +576,11 @@ def main(argv: list[str] | None = None) -> int:
                       help="worker processes (default: all usable CPUs, capped at the instance count; "
                            "1 runs in-process)")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "report":
@@ -604,9 +616,11 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"bad sweep parameter --jobs: {args.jobs} (at least 1 worker process)")
             algos = args.algorithms.split(",")
             _check_algorithms(algos)
-            for i, algo in enumerate(algos):
-                if algo in algos[:i]:
-                    raise ConfigError(f"bad sweep parameter --algorithms: {algo} (named twice)")
+            for flag, values in (("--sizes", sizes), ("--densities", densities), ("--seeds", seeds),
+                                 ("--algorithms", algos)):
+                for i, value in enumerate(values):
+                    if value in values[:i]:  # the instance or row would be computed and written twice
+                        raise ConfigError(f"bad sweep parameter {flag}: {value} (named twice)")
             rundir = Path(args.rundir)
             rundir.mkdir(parents=True, exist_ok=True)
             rows = costmodel.scaling_sweep(sizes, densities, seeds, algos, jobs=args.jobs)

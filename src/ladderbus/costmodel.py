@@ -24,6 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import grouping
 from .appgraph import generate_synthetic
@@ -129,6 +130,13 @@ def calibrate(observations: list[CalibrationObservation]) -> CostModel:
     return CostModel(a=a, b=b, c=c, d=d)
 
 
+@cache
+def reference_model() -> CostModel:
+    """calibrate(reference_observations()), fitted once per process: the
+    observations are constants and the model is frozen."""
+    return calibrate(reference_observations())
+
+
 def data_plane_cost(topo: LadderTopology, model: CostModel) -> float:
     return model.a * topo.n_tiles + model.b * topo.n_lanes * topo.lane_width_bits
 
@@ -211,7 +219,7 @@ def scaling_sweep(
     Instances go to the pool largest (most edges) first, so the longest ones
     do not start last; the rows do not depend on the order or the worker count.
     """
-    model = calibrate(reference_observations())
+    model = reference_model()
     tasks = [
         (n, density, seed, list(algorithms), model)
         for n in cluster_sizes

@@ -10,8 +10,8 @@ contend is decided from those intervals in ``grouping``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .placement import TilePlacement
 from .topology import LadderTopology, tile_column
 
 
-@dataclass(frozen=True)
-class RoutedPath:
+class RoutedPath(NamedTuple):
     """One connection realized on the ladder."""
 
     edge_id: int
@@ -93,4 +92,4 @@ path_values = itemgetter(*PATH_KEYS)  # a record's values, in that order
 
 
 def path_from_record(rec: dict) -> RoutedPath:
-    return RoutedPath(*path_values(rec))
+    return RoutedPath._make(path_values(rec))

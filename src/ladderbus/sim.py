@@ -12,22 +12,31 @@ over steps.
 
 A frame steps through the scenarios in stored order, one per step. A
 step's outcome depends only on its scenario (decoded vector and
-members), so each scenario is audited once, in the first frame, and
-every later step replays that result. The audit views the
-scenario's row of the decoded int8 switch-state matrix as a lanes x
-columns array (LadderTopology.switch_grid), without a copy. Chains only
-meet at rungs: on one lane, a RIGHT_RUNG switch followed by a run of
-LEFT_RIGHT switches and a LEFT_RUNG switch links the two rungs it turns
-onto. A member (lane, cmin, cmax) claims the rungs of cmin and cmax,
-the switches of its lane over [cmin, cmax] (a same-column member
-reserves its one switch: bufferless switches cannot be time-multiplexed
-within a scenario) and the segments over [cmin, cmax), so the claims
-are counted per column and per lane from interval end counts.
+members), so the first frame is audited as a whole, in array passes
+over all its scenarios at once, and every later frame replays that
+result: energy, active counts and deliveries are multiplied out, and
+only the scenarios that collided are looped over to list their events.
+
+Chains only meet at rungs: on one lane, a RIGHT_RUNG switch whose next
+switch that is not LEFT_RIGHT reads LEFT_RUNG links the two rungs it
+turns onto. The scan finds those links from the two ends of each run of
+LEFT_RIGHT switches, a block of whole scenarios of the decoded int8
+switch-state matrix at a time, and connected rungs share a label found
+by min-label propagation plus pointer jumping over (scenario, column)
+nodes. A member (lane, cmin, cmax) claims the rungs of cmin and cmax
+(one bincount over (scenario, column)), the switches of its lane over
+[cmin, cmax] (a same-column member reserves its one switch: bufferless
+switches cannot be time-multiplexed within a scenario) and the segments
+over [cmin, cmax). Two members share a switch or a segment only if
+their intervals on one (scenario, lane) overlap, so members are sorted
+by cmin within each (scenario, lane) and neighbours compared; only the
+rows with an overlap are counted column by column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -35,6 +44,13 @@ import numpy as np
 from .controlgen import ControllerProgram, decode_programs
 from .routing import RoutedPath
 from .topology import LadderTopology, SwitchState, tile_column
+
+# switch states per block of the rung-link scan; a block is as many whole
+# scenarios as fit, and at least one
+SCAN_SWITCHES = 1 << 16
+
+# plain ints: numpy compares an array with an IntEnum member about ten times slower
+_PASS, _LEFT, _RIGHT = int(SwitchState.LEFT_RIGHT), int(SwitchState.LEFT_RUNG), int(SwitchState.RIGHT_RUNG)
 
 
 @dataclass
@@ -49,59 +65,109 @@ class SimReport:
     energy: int = 0
 
 
-def _audit(topo: LadderTopology, vector: np.ndarray, members, geometry: dict):
-    """(collided (resource, claims) pairs in rung, seg, sw order, each by lane
-    and column; delivered ids; active segment and rung count) of one step
-    applying this scenario. geometry maps a path id to (lane, cmin, cmax,
-    source column, destination column)."""
-    lanes, cols = topo.n_lanes, topo.n_columns
-    state = topo.switch_grid(vector)
-    bad_first = np.isin(state[:, 0], (SwitchState.LEFT_RIGHT, SwitchState.LEFT_RUNG))
-    bad_last = np.isin(state[:, -1], (SwitchState.LEFT_RIGHT, SwitchState.RIGHT_RUNG))
-    bad = np.flatnonzero(bad_first | bad_last)
+def _check_edge_states(topo: LadderTopology, matrix: np.ndarray) -> None:
+    """Reject a switch whose state uses a segment left of column 0 or right of
+    the last column: the lowest scenario's, then lane's, column 0 first."""
+    grid = topo.switch_grid(matrix)
+    first, last = grid[:, :, 0], grid[:, :, -1]
+    bad_first = (first == _PASS) | (first == _LEFT)
+    bad = np.flatnonzero(bad_first | (last == _PASS) | (last == _RIGHT))
     if bad.size:
-        lane = int(bad[0])
-        c = 0 if bad_first[lane] else cols - 1
-        raise ValueError(f"switch (lane {lane}, column {c}) in state {SwitchState(state[lane, c]).name} "
+        scen, lane = divmod(int(bad[0]), topo.n_lanes)
+        c = 0 if bad_first[scen, lane] else topo.n_columns - 1
+        raise ValueError(f"switch (lane {lane}, column {c}) in state {SwitchState(grid[scen, lane, c]).name} "
                          "references a nonexistent segment")
 
-    parent = list(range(cols))  # union-find over rung columns
 
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
+def _rung_links(topo: LadderTopology, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two rungs of every rung link in a frame, as (scenario, column)
+    nodes scenario * n_columns + column. A lane's first switch is never
+    LEFT_RIGHT and its last is neither LEFT_RIGHT nor RIGHT_RUNG (checked
+    first), so in the row-major scan no run of LEFT_RIGHT switches and no
+    link crosses a lane."""
+    n_sw, cols = topo.n_switches, topo.n_columns
+    per_block = max(1, SCAN_SWITCHES // n_sw)
+    lefts, rights = [], []
+    for first in range(0, len(matrix), per_block):
+        x = matrix[first:first + per_block].ravel()
+        turn = np.flatnonzero(x == _RIGHT)
+        adjacent = turn[x[turn + 1] == _LEFT]  # links with no LEFT_RIGHT in between
+        # the switches around each run of LEFT_RIGHT switches: before it, then its last one
+        ends = np.flatnonzero(np.diff(x == _PASS))
+        before, after = ends[0::2], ends[1::2] + 1
+        linked = (x[before] == _RIGHT) & (x[after] == _LEFT)
+        for side, at in ((lefts, np.concatenate((adjacent, before[linked]))),
+                         (rights, np.concatenate((adjacent + 1, after[linked])))):
+            side.append((at // n_sw + first) * cols + at % cols)
+    return np.concatenate(lefts), np.concatenate(rights)
 
-    # a rung link: RIGHT_RUNG, then LEFT_RUNG as the lane's next non-LEFT_RIGHT switch;
-    # a lane's last switch is neither (checked above), so no link crosses lanes
-    turn_lane, turn_col = np.nonzero(state != SwitchState.LEFT_RIGHT)
-    turns = state[turn_lane, turn_col]
-    link = (turns[:-1] == SwitchState.RIGHT_RUNG) & (turns[1:] == SwitchState.LEFT_RUNG)
-    for a, b in zip(turn_col[:-1][link].tolist(), turn_col[1:][link].tolist()):
-        parent[find(a)] = find(b)
-    root = np.array([find(c) for c in range(cols)])
 
-    lane, cmin, cmax, src, dst = np.array([geometry[pid] for pid in members], dtype=np.intp).reshape(-1, 5).T
-    rung = np.bincount(cmin, minlength=cols) + np.bincount(cmax[cmax != cmin], minlength=cols)
-    starts = np.bincount(lane * cols + cmin, minlength=lanes * cols).reshape(lanes, cols)
-    stops = np.bincount(lane * cols + cmax, minlength=lanes * cols).reshape(lanes, cols)
-    seg = np.cumsum(starts - stops, axis=1)  # claims on the segment right of each switch; 0 in the last column
-    sw = seg + stops
-    collided = []
-    for name, counts in (("rung", rung), ("seg", seg), ("sw", sw)):
-        at = np.nonzero(counts > 1)  # (column,) or (lane, column) index arrays, row-major
-        collided += [((name, *where), n) for *where, n in zip(*(a.tolist() for a in at), counts[at].tolist())]
+def _components(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each node's component label (the least node of its component) for the
+    undirected edges (u[i], v[i]): hook the larger root of every edge that
+    spans two components onto the smaller, then point each node at its root."""
+    label = np.arange(n_nodes, dtype=np.int32)
+    while u.size:
+        lu, lv = label[u], label[v]
+        apart = lu != lv
+        if not apart.any():
+            break
+        u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+    return label
 
-    # a shared segment shares both its end switches, so rungs and switches decide
-    shared_sw = np.pad(np.cumsum(sw > 1, axis=1), ((0, 0), (1, 0)))
-    clean = (rung[cmin] == 1) & (rung[cmax] == 1) & (shared_sw[lane, cmax + 1] == shared_sw[lane, cmin])
-    src_root = root[src]
-    drivers = np.bincount(src_root, minlength=cols)
-    ok = (src_root == root[dst]) & (drivers[src_root] == 1) & clean
-    delivered = [pid for pid, hit in zip(members, ok.tolist()) if hit]
-    active = int(np.count_nonzero(rung) + np.count_nonzero(seg))
-    return collided, delivered, active
+
+def _claims(n_scen: int, lanes: int, cols: int, scen, lane, cmin, cmax):
+    """(members none of whose resources another member claims, active
+    segment and rung count per scenario, {scenario: collided (resource,
+    claims) pairs in rung, seg, sw order, each by lane and column}) of the
+    members of a frame: member i of scenario scen[i] on lane[i] over
+    [cmin[i], cmax[i]]."""
+    lo_node, hi_node = scen * cols + cmin, scen * cols + cmax
+    rung = np.bincount(np.concatenate((lo_node, hi_node[cmax != cmin])), minlength=n_scen * cols)
+    clean = (rung[lo_node] == 1) & (rung[hi_node] == 1)
+    active = np.count_nonzero(rung.reshape(n_scen, cols), axis=1)
+    events: dict[int, list] = {}
+    hot = np.flatnonzero(rung > 1)
+    for k, c, n in zip((hot // cols).tolist(), (hot % cols).tolist(), rung[hot].tolist()):
+        events.setdefault(k, []).append((("rung", c), n))
+
+    # sorted by cmin within each (scenario, lane) row, a row holds two
+    # overlapping members iff it holds two overlapping neighbours
+    row = scen * lanes + lane
+    order = np.argsort(row * cols + cmin)
+    row_s, cmax_s = row[order], cmax[order]
+    overlap = (row_s[1:] == row_s[:-1]) & (cmin[order[1:]] <= cmax_s[:-1])
+    hit = np.zeros(n_scen * lanes, dtype=bool)
+    hit[row_s[1:][overlap]] = True
+    crowded = hit[row]
+    span = cmax - cmin  # segments claimed: a member's own, on a row without overlap
+    if crowded.any():
+        rows = np.flatnonzero(hit)
+        at = np.searchsorted(rows, row[crowded])
+        lo, hi = cmin[crowded], cmax[crowded]
+        starts = np.bincount(at * cols + lo, minlength=rows.size * cols).reshape(-1, cols)
+        stops = np.bincount(at * cols + hi, minlength=rows.size * cols).reshape(-1, cols)
+        seg = np.cumsum(starts - stops, axis=1)  # claims on the segment right of each switch; 0 in the last column
+        sw = seg + stops
+        for name, counts in (("seg", seg), ("sw", sw)):
+            r, col = np.nonzero(counts > 1)  # row-major: by scenario, lane, column
+            for k, ln, c, n in zip((rows[r] // lanes).tolist(), (rows[r] % lanes).tolist(), col.tolist(),
+                                   counts[r, col].tolist()):
+                events.setdefault(k, []).append(((name, ln, c), n))
+        # a shared segment shares both its end switches, so rungs and switches decide
+        shared = np.zeros((rows.size, cols + 1), dtype=np.intp)
+        np.cumsum(sw > 1, axis=1, out=shared[:, 1:])
+        clean[crowded] &= shared[at, hi + 1] == shared[at, lo]
+        span[crowded] = 0
+        np.add.at(active, rows // lanes, np.count_nonzero(seg, axis=1))
+    np.add.at(active, scen, span)
+    return clean, active, events
 
 
 def run_frames(
@@ -114,39 +180,51 @@ def run_frames(
 ) -> SimReport:
     """Execute n_frames, each one step per scenario in stored order, and audit
     every step; scenarios holds each scenario's path ids, in the programs'
-    scenario order."""
+    scenario order, and path i has edge id i."""
     # reassemble from controller memories so the region encoding is on the
     # executed path; decoding rejects programs that do not cover the ladder
     matrix = decode_programs(programs, topo)
-    n_scen = len(scenarios)
+    n_scen, cols = len(scenarios), topo.n_columns
     if len(matrix) != n_scen:
         raise ValueError("program memory does not match scenario count")
 
-    geometry = {p.edge_id: (p.lane, p.cmin, p.cmax, tile_column(topo, p.src_tile), tile_column(topo, p.dst_tile))
-                for p in paths}
+    # one row per path: edge id, source and destination tile, lane, cmin, cmax
+    table = np.fromiter(chain.from_iterable(paths), dtype=np.int32, count=6 * len(paths)).reshape(-1, 6)
+    if not np.array_equal(table[:, 0], np.arange(len(paths))):
+        raise ValueError("paths are not in edge-id order (path i has edge id i)")
+    if table.size and not 0 <= table[:, 1:3].min() <= table[:, 1:3].max() < topo.n_tiles:
+        for p in paths:  # raises naming the first tile out of range
+            tile_column(topo, p.src_tile), tile_column(topo, p.dst_tile)
+    table[:, 1:3] //= 2  # their columns: tile t sits in column t // 2
 
-    report = SimReport(n_frames=n_frames, frame_length=n_scen, delivered={p.edge_id: 0 for p in paths})
-    outcomes: list[tuple] = []  # _audit result of scenario k, from the first frame on
-    step_no = 0
-    for frame in range(n_frames):
-        for scen_idx in range(n_scen):
-            if frame == 0:
-                outcomes.append(_audit(topo, matrix[scen_idx], scenarios[scen_idx], geometry))
-            collided, delivered_ids, active = outcomes[scen_idx]
-            report.collisions += len(collided)
-            for res, count in collided:
-                report.collision_events.append(
-                    {"step": step_no, "scenario": scen_idx, "resource": list(res), "claims": count}
-                )
-            for pid in delivered_ids:
-                report.delivered[pid] += 1
-            report.per_step_active.append(active)
-            report.energy += active
-            if trace is not None:
-                trace.write(
-                    f"step={step_no} frame={frame} scenario={scen_idx} active={active} "
-                    f"delivered={','.join(str(i) for i in delivered_ids)}\n"
-                )
-            step_no += 1
-    report.steps = step_no
+    report = SimReport(steps=n_frames * n_scen, n_frames=n_frames, frame_length=n_scen)
+    counts = np.zeros(len(paths), dtype=np.intp)  # deliveries per path, all frames
+    if n_frames and n_scen:
+        _check_edge_states(topo, matrix)
+        members = np.fromiter(chain.from_iterable(scenarios), dtype=np.int32)
+        scen = np.repeat(np.arange(n_scen, dtype=np.int32), [len(m) for m in scenarios])
+        if members.size and not 0 <= members.min() <= members.max() < len(paths):
+            raise ValueError(f"scenarios name a path id outside 0..{len(paths) - 1}")
+        src, dst, lane, cmin, cmax = table[members, 1:].T
+        clean, active, events = _claims(n_scen, topo.n_lanes, cols, scen, lane, cmin, cmax)
+        label = _components(n_scen * cols, *_rung_links(topo, matrix))
+        src_root, dst_root = label[scen * cols + src], label[scen * cols + dst]
+        delivered = (src_root == dst_root) & (np.bincount(src_root)[src_root] == 1) & clean  # one driver
+        counts = np.bincount(members[delivered], minlength=len(paths)) * n_frames
+        report.per_step_active = active.tolist() * n_frames
+        report.energy = int(active.sum()) * n_frames
+        for frame in range(n_frames):
+            for k in sorted(events):
+                report.collision_events += [{"step": frame * n_scen + k, "scenario": k, "resource": list(res),
+                                             "claims": n} for res, n in events[k]]
+        report.collisions = len(report.collision_events)
+        if trace is not None:
+            got = members[delivered].tolist()
+            ends = np.cumsum(np.bincount(scen[delivered], minlength=n_scen)).tolist()
+            tails = [f" scenario={k} active={n} delivered={','.join(map(str, got[lo:hi]))}\n"
+                     for k, (n, lo, hi) in enumerate(zip(active.tolist(), [0] + ends, ends))]
+            for frame in range(n_frames):
+                for k, tail in enumerate(tails):
+                    trace.write(f"step={frame * n_scen + k} frame={frame}{tail}")
+    report.delivered = dict(enumerate(counts.tolist()))
     return report

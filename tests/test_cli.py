@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import ladderbus
 from ladderbus import grouping
 from ladderbus.cli import (
     EXIT_CONFIG,
@@ -678,6 +682,17 @@ def test_sweep_repeated_algorithm_is_config_error(tmp_path, capsys):
     assert not rundir.exists()
 
 
+@pytest.mark.parametrize("flag, values, named", [("--sizes", "10,12,10", "10"), ("--densities", "0.15,0.150", "0.15"),
+                                                ("--seeds", "0,0", "0")])
+def test_sweep_repeated_instance_value_is_config_error(tmp_path, capsys, flag, values, named):
+    # a repeated value would compute and write every row of its instances twice
+    rundir = tmp_path / "sweep"
+    args = {"--sizes": "10", "--densities": "0.15", "--seeds": "0", flag: values}
+    assert main(["sweep", "--rundir", str(rundir), *(a for kv in args.items() for a in kv)]) == EXIT_CONFIG
+    assert f"bad sweep parameter {flag}: {named} (named twice)" in capsys.readouterr().err
+    assert not rundir.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--sizes", "1"), ("--densities", "2")])
 def test_sweep_instance_the_generator_cannot_build_is_config_error(tmp_path, capsys, flag, value):
     rundir = tmp_path / "sweep"
@@ -868,3 +883,45 @@ def test_empty_edge_graph_runs_clean(tmp_path):
     assert doc["scenarios"] == []
     sim_report = json.loads((rundir / "sim_report.json").read_text())
     assert sim_report["steps"] == 0 and sim_report["collisions"] == 0
+
+
+def test_emit_ctrl_with_fewer_controllers_removes_the_extra_programs(tmp_path):
+    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 7, "n_edges": 12}}})
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    assert main(["run", "--config", cfg, "--rundir", str(rerun)]) == EXIT_OK
+    assert (rerun / "programs" / "ctrl_001.txt").exists()  # the default is two controllers here
+    for stage in ("emit-ctrl", "sim", "cost"):
+        assert main([stage, "--config", cfg, "--rundir", str(rerun), "--set", "controllers.count=1"]) == EXIT_OK
+    assert main(["run", "--config", cfg, "--rundir", str(fresh), "--set", "controllers.count=1"]) == EXIT_OK
+    assert read_all_state(rerun) == read_all_state(fresh)
+
+
+def test_main_calls_in_one_process_parse_independently(tmp_path):
+    graph = ["--set", "graph.synthetic.n_clusters=5", "--set", "graph.synthetic.n_edges=6"]
+    assert main(["gen", "--rundir", str(tmp_path / "a"), *graph, "--set", "sim.frames=3"]) == EXIT_OK
+    assert main(["gen", "--rundir", str(tmp_path / "b"), *graph, "--set", "seed=5"]) == EXIT_OK
+    assert main(["gen", "--rundir", str(tmp_path / "c"), "--config", str(tmp_path / "b" / "config.json")]) == EXIT_OK
+    configs = {d: json.loads((tmp_path / d / "config.json").read_text()) for d in "abc"}
+    assert (configs["a"]["seed"], configs["a"]["sim"]["frames"]) == (0, 3)
+    assert (configs["b"]["seed"], configs["b"]["sim"]["frames"]) == (5, 1)
+    assert configs["c"] == configs["b"]
+
+
+def test_run_loads_no_module_beyond_the_cli_import(tmp_path):
+    # a run's modules are imported with ladderbus.cli, inside the time a fresh
+    # process takes to set up; only argparse's messages load locale later
+    code = """
+import contextlib, io, sys
+import ladderbus.cli
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ladderbus.cli.main(["run", "--rundir", sys.argv[1],
+                               "--set", "graph.synthetic.n_clusters=7", "--set", "graph.synthetic.n_edges=12"])
+print(code, *sorted(set(sys.modules) - before))
+"""
+    src = str(Path(ladderbus.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    code, *loaded = out.stdout.split()
+    assert int(code) == EXIT_OK
+    assert set(loaded) <= {"locale", "_locale"}

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -106,7 +105,7 @@ def test_extract_paths_matches_oracle_route(n, spare, n_lanes, seed, data):
 
 def intersect(a, b):
     """Conflict-graph edge between a and b, built with a as path 0 and b as path 1."""
-    return build_conflict_graph([dataclasses.replace(a, edge_id=0), dataclasses.replace(b, edge_id=1)]).has_edge(0, 1)
+    return build_conflict_graph([a._replace(edge_id=0), b._replace(edge_id=1)]).has_edge(0, 1)
 
 
 def test_intersect_shared_source_any_lanes():

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from ladderbus.controlgen import (
     partition_regions,
 )
 from ladderbus.grouping import group_greedy, group_iterated, scenario_lower_bound, scenario_switch_matrix
-from ladderbus.placement import place_anneal
+from ladderbus.placement import place_anneal, place_greedy
 from ladderbus.routing import RoutedPath, extract_paths
-from ladderbus.sim import run_frames
+from ladderbus.sim import SCAN_SWITCHES, run_frames
 from ladderbus.topology import SwitchState, build_topology
 
 
@@ -248,3 +249,82 @@ def test_run_frames_matches_step_oracle(instance):
     assert report.collision_events == events
     assert report.per_step_active == active_per_step
     assert report.energy == sum(active_per_step)
+
+
+@pytest.fixture(scope="module")
+def large_frames():
+    """A large-shaped instance (n=400, E=12000, first-fit scenarios) twice
+    over: as grouped, and corrupted by merging scenarios pairwise (so
+    members overlap) and setting 2.5% of the switches to random legal
+    states. Each comes as (scenarios, switch-state matrix)."""
+    g = generate_synthetic(400, 12000, seed=0)
+    topo = build_topology(400)
+    paths = extract_paths(g, topo, place_greedy(g, topo))
+    scenarios = group_greedy(paths).scenarios
+    merged = tuple(sum(scenarios[k:k + 2], ()) for k in range(0, len(scenarios), 2))
+    corrupted = scenario_switch_matrix(merged, paths, topo)  # later members overwrite earlier ones
+    rng = np.random.default_rng(0)
+    cols = topo.n_columns
+    for k, idx in zip(*np.nonzero(rng.random(corrupted.shape) < 0.025)):
+        corrupted[k, idx] = rng.choice(_legal_states(idx % cols, cols))
+    return topo, paths, {"realized": (scenarios, scenario_switch_matrix(scenarios, paths, topo)),
+                         "corrupted": (merged, corrupted)}
+
+
+@pytest.mark.parametrize("kind", ["realized", "corrupted"])
+def test_large_frame_matches_step_oracle(large_frames, kind):
+    topo, paths, frames = large_frames
+    scenarios, matrix = frames[kind]
+    assert len(scenarios) > 3 * (SCAN_SWITCHES // topo.n_switches)  # the link scan takes several blocks
+    programs = encode_scenarios(matrix, partition_regions(topo, default_controller_count(topo)), topo)
+    report = run_frames(topo, programs, paths, scenarios, n_frames=1)
+
+    delivered = {p.edge_id: 0 for p in paths}
+    events, active_per_step = [], []
+    for k, members in enumerate(scenarios):
+        collided, delivered_ids, active = oracle_sim_step(topo, matrix[k].tolist(), members, paths)
+        events += [{"step": k, "scenario": k, "resource": list(res), "claims": n} for res, n in collided]
+        for pid in delivered_ids:
+            delivered[pid] += 1
+        active_per_step.append(active)
+    assert report.collision_events == events
+    assert report.collisions == len(events)
+    assert report.delivered == delivered
+    assert report.per_step_active == active_per_step
+    assert report.energy == sum(active_per_step)
+    if kind == "realized":
+        assert not events and all(delivered.values())
+    else:  # the corruption reaches both outcomes
+        assert events and 0 < sum(delivered.values()) < len(paths)
+
+
+def test_run_frames_memory_at_large_size(large_frames):
+    # three frames of the n=400, E=12000 instance (334 scenarios): the decoded
+    # int8 matrix is 1.34 MB, and the whole run peaked at 3.80 MB of traced
+    # memory, most of the rest being the report's per-path delivery counts.
+    # Dense int64 (scenario x column) audit arrays or per-switch index arrays
+    # would add megabytes.
+    topo, paths, frames = large_frames
+    scenarios, matrix = frames["realized"]
+    programs = encode_scenarios(matrix, partition_regions(topo, default_controller_count(topo)), topo)
+    tracemalloc.start()
+    try:
+        run_frames(topo, programs, paths, scenarios, n_frames=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.4e6
+
+
+def test_paths_out_of_edge_id_order_rejected():
+    g = make_cluster_graph(3, [(0, 1, 1), (1, 2, 1)])
+    topo, paths, scenarios, programs = pipeline(g)
+    with pytest.raises(ValueError, match="edge-id order"):
+        run_frames(topo, programs, paths[::-1], scenarios, n_frames=1)
+
+
+def test_scenario_naming_an_unknown_path_rejected():
+    g = make_cluster_graph(3, [(0, 1, 1), (1, 2, 1)])
+    topo, paths, scenarios, programs = pipeline(g)
+    with pytest.raises(ValueError, match=r"path id outside 0\.\.1"):
+        run_frames(topo, programs, paths[:2], scenarios[:-1] + (scenarios[-1] + (2,),), n_frames=1)
