@@ -15,7 +15,7 @@ from .appgraph import (
 )
 from .topology import LadderTopology, SwitchState, build_topology, tile_coordinates
 from .placement import TilePlacement, place_anneal, place_greedy, placement_cost
-from .routing import RoutedPath, extract_paths, route_connection
+from .routing import RoutedPath, extract_paths
 from .grouping import Partition, group_greedy, group_iterated, scenario_lower_bound
 from .controlgen import (
     ControllerProgram,

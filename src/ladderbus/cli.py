@@ -1,9 +1,11 @@
-"""Pipeline driver: gen -> place -> route -> group -> emit-ctrl -> sim -> cost.
+"""Pipeline driver: gen -> place -> group -> emit-ctrl -> sim -> cost.
 
-Every stage persists its output as one document in the run directory, so
-any stage can be re-run from its predecessors' persisted state, and a
-finished directory is a complete, reproducible record. A command reads
-each state file at most once (RunState). All randomness derives from the
+Every stage persists its output in the run directory, so any stage can be
+re-run from its predecessors' persisted state, and a finished directory is
+a complete, reproducible record. A command reads each state file at most
+once (RunState). The routed paths follow from graph.json, topology.json
+and placement.json, so a command routes them once itself; group also writes
+them to paths.json, which no stage reads. All randomness derives from the
 single root seed in the config. Exit codes: 0 success, 2 config error,
 3 stage failure, 4 invariant violation (e.g. simulated collision).
 
@@ -38,7 +40,6 @@ import json
 import sys
 from contextlib import nullcontext
 from functools import cache, cached_property
-from itertools import chain
 from pathlib import Path
 
 from . import controlgen, costmodel, grouping, sim
@@ -50,7 +51,7 @@ from .appgraph import (
     parse_cluster_graph,
 )
 from .placement import TilePlacement, place_anneal, place_greedy, placement_cost
-from .routing import PATH_KEYS, RoutedPath, extract_paths, path_record, path_values
+from .routing import extract_paths, path_record
 from .topology import build_topology
 
 EXIT_OK = 0
@@ -58,7 +59,7 @@ EXIT_CONFIG = 2
 EXIT_STAGE = 3
 EXIT_INVARIANT = 4
 
-STAGE_ORDER = ["gen", "place", "route", "group", "emit-ctrl", "sim", "cost"]
+STAGE_ORDER = ["gen", "place", "group", "emit-ctrl", "sim", "cost"]
 
 DEFAULT_CONFIG = {
     "name": "",
@@ -76,8 +77,9 @@ DEFAULT_CONFIG = {
 GRAPH_KEYS = {"file": "", "synthetic": {"n_clusters": 0, "n_edges": 0}}
 
 # keys that take only integers, each with its least value; null keeps a key's default
-_INTEGER_MIN = {"topology.n_tiles": 2, "topology.n_lanes": 1, "controllers.count": 1, "sim.frames": 0,
-                "graph.synthetic.n_clusters": 2, "graph.synthetic.n_edges": 0}
+_INTEGER_MIN = {"topology.n_tiles": 2, "topology.n_lanes": 1, "topology.lane_width_bits": 1,
+                "controllers.count": 1, "sim.frames": 0, "graph.synthetic.n_clusters": 2,
+                "graph.synthetic.n_edges": 0}
 
 
 class ConfigError(Exception):
@@ -265,39 +267,13 @@ class RunState:
 
     @cached_property
     def paths(self):
-        """The routed paths, one per edge of graph.json: path i checked to be
-        edge i between its clusters' tiles of placement.json, over those tiles'
-        columns (tile t sits in column t // 2), on a lane of topology.json."""
-        recs = _fields(_read_state(self.rundir, "paths.json", "route"), "paths.json", ("paths",), list)["paths"]
-        edges, tiles = self.graph.edges, self.placement.assignment
-        if len(recs) != len(edges):
-            k = min(len(recs), len(edges))
-            raise ConfigError(f"state file paths.json (path {k}): {'missing' if k == len(recs) else 'extra'}, "
-                              f"the file holds {len(recs)} paths for graph.json's {len(edges)} edges")
-        try:  # one pass over every record; a path is labelled only if one fails
-            vals = list(map(path_values, recs))
-            ok = set(map(type, chain.from_iterable(vals))) <= {int}  # booleans are no numbers
-        except (KeyError, TypeError):  # a record that is not an object, or lacks a key
-            ok = False
-        if not ok:
-            for i, r in enumerate(recs):  # raises at the first bad path
-                _fields(r, f"paths.json (path {i})", PATH_KEYS, int)
-        lanes = self.topology.n_lanes
-        for i, ((edge, src, dst, lane, cmin, cmax), (u, v, _w)) in enumerate(zip(vals, edges)):
-            t1, t2 = tiles[u], tiles[v]
-            c1, c2 = t1 // 2, t2 // 2
-            got, want = (edge, src, dst, cmin, cmax), (i, t1, t2, min(c1, c2), max(c1, c2))
-            if got != want or not 0 <= lane < lanes:
-                for key, value, expected in zip(("edge", "src", "dst", "cmin", "cmax"), got, want):
-                    if value != expected:
-                        raise ConfigError(f"state file paths.json (path {i}): '{key}' is {value}, not {expected} "
-                                          "(path i is edge i between its clusters' tiles, over their columns)")
-                raise ConfigError(f"state file paths.json (path {i}): 'lane' is {lane}, outside 0..{lanes - 1}")
-        return list(map(RoutedPath._make, vals))  # PATH_KEYS is the field order
+        """The routed paths, one per edge of graph.json in edge-id order: all of
+        them follow from graph.json, topology.json and placement.json."""
+        return extract_paths(self.graph, self.topology, self.placement)
 
     @cached_property
     def partition(self):
-        """The partition scenarios.json stores, its path ids checked against paths.json."""
+        """The partition scenarios.json stores, its path ids checked against the routed paths."""
         rec = _read_state(self.rundir, "scenarios.json", "group")
         _fields(rec, "scenarios.json", ("scenarios",), list)
         try:
@@ -378,11 +354,6 @@ def stage_place(cfg: dict, state: RunState) -> None:
     })
 
 
-def stage_route(cfg: dict, state: RunState) -> None:
-    paths = extract_paths(state.graph, state.topology, state.placement)
-    _save_json(state.rundir / "paths.json", {"paths": [path_record(p) for p in paths]})
-
-
 def _check_algorithms(names: list[str]) -> None:
     try:
         for name in names:
@@ -392,10 +363,12 @@ def _check_algorithms(names: list[str]) -> None:
 
 
 def stage_group(cfg: dict, state: RunState) -> None:
+    """Write paths.json, the routed paths no stage reads back, and scenarios.json."""
     topo, paths = state.topology, state.paths
     gcfg = cfg["grouping"]
     algo = gcfg["algorithm"]
     _check_algorithms([algo])
+    _save_json(state.rundir / "paths.json", {"paths": [path_record(p) for p in paths]})
     bound = grouping.scenario_lower_bound(paths)
     names = [algo, "greedy" if algo == "iterated" else "iterated"] if gcfg["compare"] else [algo]
     partitions = grouping.group_paths(names, paths, bound)
@@ -480,7 +453,6 @@ def stage_cost(cfg: dict, state: RunState) -> None:
 STAGES = {
     "gen": stage_gen,
     "place": stage_place,
-    "route": stage_route,
     "group": stage_group,
     "emit-ctrl": stage_emit_ctrl,
     "sim": stage_sim,

@@ -46,7 +46,7 @@ from operator import or_
 import numpy as np
 
 from .routing import RoutedPath
-from .topology import LadderTopology, SwitchState
+from .topology import LEFT_RIGHT, LEFT_RUNG, RIGHT_RUNG, LadderTopology
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,9 @@ def scenario_switch_matrix(scenarios, paths: list[RoutedPath], topo: LadderTopol
             p = paths[pid]
             if p.cmin < p.cmax:
                 run = grid[k, p.lane, p.cmin:p.cmax + 1]
-                run[0] = SwitchState.RIGHT_RUNG
-                run[1:-1] = SwitchState.LEFT_RIGHT
-                run[-1] = SwitchState.LEFT_RUNG
+                run[0] = RIGHT_RUNG
+                run[1:-1] = LEFT_RIGHT
+                run[-1] = LEFT_RUNG
     return matrix
 
 

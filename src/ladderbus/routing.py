@@ -10,7 +10,6 @@ contend is decided from those intervals in ``grouping``.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -31,14 +30,9 @@ class RoutedPath(NamedTuple):
     cmax: int
 
 
-def route_connection(
-    topo: LadderTopology,
-    src_tile: int,
-    dst_tile: int,
-    lane_load: np.ndarray,
-    edge_id: int = 0,
-) -> RoutedPath:
-    """Route one connection on the least-loaded lane; updates lane_load.
+def _route(edge_id: int, src_tile: int, dst_tile: int, c1: int, c2: int, lane_load: np.ndarray) -> RoutedPath:
+    """Route one connection between the tiles' columns c1 and c2 on the
+    least-loaded lane; updates lane_load.
 
     lane_load is an (n_lanes, n_columns - 1) integer array; lane_load[lane, i]
     counts paths already using the horizontal segment between columns i and
@@ -46,11 +40,6 @@ def route_connection(
     connection's interval, ties to the lowest lane id. Same-column
     connections use only the rung, stay on lane 0 and add no load.
     """
-    return _route(edge_id, src_tile, dst_tile, tile_column(topo, src_tile), tile_column(topo, dst_tile), lane_load)
-
-
-def _route(edge_id: int, src_tile: int, dst_tile: int, c1: int, c2: int, lane_load: np.ndarray) -> RoutedPath:
-    """route_connection with the tiles' columns c1 and c2 given."""
     if src_tile == dst_tile:
         raise ValueError(f"connection from tile {src_tile} to itself")
     cmin, cmax = (c1, c2) if c1 <= c2 else (c2, c1)
@@ -75,7 +64,7 @@ def extract_paths(g: ClusterGraph, topo: LadderTopology, p: TilePlacement) -> li
 
 
 def path_record(path: RoutedPath) -> dict:
-    """Serialized pipeline-state form of a path."""
+    """A path as paths.json stores it."""
     return {
         "edge": path.edge_id,
         "src": path.src_tile,
@@ -84,12 +73,3 @@ def path_record(path: RoutedPath) -> dict:
         "cmin": path.cmin,
         "cmax": path.cmax,
     }
-
-
-# a path record's keys, in RoutedPath's field order
-PATH_KEYS = ("edge", "src", "dst", "lane", "cmin", "cmax")
-path_values = itemgetter(*PATH_KEYS)  # a record's values, in that order
-
-
-def path_from_record(rec: dict) -> RoutedPath:
-    return RoutedPath._make(path_values(rec))

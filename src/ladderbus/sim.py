@@ -43,14 +43,11 @@ import numpy as np
 
 from .controlgen import ControllerProgram, decode_programs
 from .routing import RoutedPath
-from .topology import LadderTopology, SwitchState, tile_column
+from .topology import LEFT_RIGHT, LEFT_RUNG, RIGHT_RUNG, LadderTopology, SwitchState, tile_column
 
 # switch states per block of the rung-link scan; a block is as many whole
 # scenarios as fit, and at least one
 SCAN_SWITCHES = 1 << 16
-
-# plain ints: numpy compares an array with an IntEnum member about ten times slower
-_PASS, _LEFT, _RIGHT = int(SwitchState.LEFT_RIGHT), int(SwitchState.LEFT_RUNG), int(SwitchState.RIGHT_RUNG)
 
 
 @dataclass
@@ -70,8 +67,8 @@ def _check_edge_states(topo: LadderTopology, matrix: np.ndarray) -> None:
     the last column: the lowest scenario's, then lane's, column 0 first."""
     grid = topo.switch_grid(matrix)
     first, last = grid[:, :, 0], grid[:, :, -1]
-    bad_first = (first == _PASS) | (first == _LEFT)
-    bad = np.flatnonzero(bad_first | (last == _PASS) | (last == _RIGHT))
+    bad_first = (first == LEFT_RIGHT) | (first == LEFT_RUNG)
+    bad = np.flatnonzero(bad_first | (last == LEFT_RIGHT) | (last == RIGHT_RUNG))
     if bad.size:
         scen, lane = divmod(int(bad[0]), topo.n_lanes)
         c = 0 if bad_first[scen, lane] else topo.n_columns - 1
@@ -90,12 +87,12 @@ def _rung_links(topo: LadderTopology, matrix: np.ndarray) -> tuple[np.ndarray, n
     lefts, rights = [], []
     for first in range(0, len(matrix), per_block):
         x = matrix[first:first + per_block].ravel()
-        turn = np.flatnonzero(x == _RIGHT)
-        adjacent = turn[x[turn + 1] == _LEFT]  # links with no LEFT_RIGHT in between
+        turn = np.flatnonzero(x == RIGHT_RUNG)
+        adjacent = turn[x[turn + 1] == LEFT_RUNG]  # links with no LEFT_RIGHT in between
         # the switches around each run of LEFT_RIGHT switches: before it, then its last one
-        ends = np.flatnonzero(np.diff(x == _PASS))
+        ends = np.flatnonzero(np.diff(x == LEFT_RIGHT))
         before, after = ends[0::2], ends[1::2] + 1
-        linked = (x[before] == _RIGHT) & (x[after] == _LEFT)
+        linked = (x[before] == RIGHT_RUNG) & (x[after] == LEFT_RUNG)
         for side, at in ((lefts, np.concatenate((adjacent, before[linked]))),
                          (rights, np.concatenate((adjacent + 1, after[linked])))):
             side.append((at // n_sw + first) * cols + at % cols)

@@ -30,6 +30,11 @@ class SwitchState(IntEnum):
     RIGHT_RUNG = 3  # right segment <-> rung
 
 
+# the states a path sets, as plain ints: numpy compares an array with an
+# IntEnum member, and writes one into an array, on a slow path
+LEFT_RIGHT, LEFT_RUNG, RIGHT_RUNG = int(SwitchState.LEFT_RIGHT), int(SwitchState.LEFT_RUNG), int(SwitchState.RIGHT_RUNG)
+
+
 def round_half_up_sqrt(n: int) -> int:
     """Integer nearest to sqrt(n), halves rounding up (no float error)."""
     if n < 0:
@@ -93,6 +98,8 @@ def build_topology(
         n_lanes = round_half_up_sqrt(n_tiles)
     if n_lanes < 1:
         raise ValueError(f"need at least 1 lane, got {n_lanes}")
+    if lane_width_bits < 1:
+        raise ValueError(f"need lanes at least 1 bit wide, got {lane_width_bits}")
     return LadderTopology(n_tiles=n_tiles, n_lanes=n_lanes, lane_width_bits=lane_width_bits)
 
 

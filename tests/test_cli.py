@@ -83,9 +83,32 @@ def test_run_reads_each_state_file_once(tmp_path, monkeypatch):
         return read_text(path, *args, **kwargs)
 
     monkeypatch.setattr(Path, "read_text", counted)
-    assert main(["run", "--config", cfg, "--rundir", str(tmp_path / "run")]) == EXIT_OK
-    state = ["graph.json", "topology.json", "placement.json", "paths.json", "scenarios.json", "controllers.json"]
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    state = ["graph.json", "topology.json", "placement.json", "scenarios.json", "controllers.json"]
     assert {name: reads[name] for name in state} == dict.fromkeys(state, 1)
+    # paths.json is group's output alone: no command reads it back
+    assert reads["paths.json"] == 0
+    for stage in STAGE_ORDER:
+        reads.clear()
+        assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+        assert reads["paths.json"] == 0 and max(reads[name] for name in state) <= 1, (stage, reads)
+
+
+def test_group_writes_paths_json_and_no_stage_needs_it(tmp_path):
+    cfg = write_config(tmp_path)
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    before = read_all_state(rundir)
+    for name in ["paths.json", "controllers.json", "sim_report.json", "cost_report.json"]:
+        (rundir / name).unlink()
+    for prog in (rundir / "programs").glob("ctrl_*.txt"):
+        prog.unlink()
+    for stage in ("emit-ctrl", "sim", "cost"):
+        assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    assert read_all_state(rundir) == {name: b for name, b in before.items() if name != "paths.json"}
+    assert main(["group", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    assert read_all_state(rundir) == before
 
 
 def test_rerunning_one_stage_preserves_state(tmp_path):
@@ -255,7 +278,7 @@ def test_scenario_record_that_is_a_list_is_config_error(tmp_path, capsys):
 def test_group_stage_compare_runs_the_other_grouper(tmp_path):
     cfg = write_config(tmp_path)
     rundir = tmp_path / "run"
-    for stage in ["gen", "place", "route"]:
+    for stage in ["gen", "place"]:
         assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
     assert main(["group", "--config", cfg, "--rundir", str(rundir), "--set", "grouping.compare=true"]) == EXIT_OK
     doc = json.loads((rundir / "scenarios.json").read_text())
@@ -271,7 +294,7 @@ def test_group_stage_compare_runs_first_fit_once(tmp_path, monkeypatch, algorith
     cfg = write_config(tmp_path, {**BASE_CONFIG, "graph": {"synthetic": {"n_clusters": 24, "n_edges": 128}},
                                   "grouping": {"algorithm": algorithm, "compare": True}})
     rundir = tmp_path / "run"
-    for stage in ["gen", "place", "route"]:
+    for stage in ["gen", "place"]:
         assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
     calls = []
     first_fit = grouping._first_fit
@@ -295,7 +318,7 @@ def test_group_stage_compare_runs_first_fit_once(tmp_path, monkeypatch, algorith
 def test_greedy_group_stage_runs_first_fit_alone(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {**BASE_CONFIG, "grouping": {"algorithm": "greedy", "compare": False}})
     rundir = tmp_path / "run"
-    for stage in ["gen", "place", "route"]:
+    for stage in ["gen", "place"]:
         assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
 
     def no_iterated(*args):
@@ -378,7 +401,7 @@ def test_report_text_and_json(tmp_path, capsys):
 def test_report_without_sim_section(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rundir = tmp_path / "run"
-    for stage in ["gen", "place", "route", "group"]:
+    for stage in ["gen", "place", "group"]:
         assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
     capsys.readouterr()
     assert main(["report", "--rundir", str(rundir), "--format", "json"]) == EXIT_OK
@@ -451,36 +474,19 @@ def test_deeply_nested_json_is_a_config_or_graph_format_error(tmp_path, capsys):
     assert "config error: state file scenarios.json is not valid JSON" in capsys.readouterr().err
 
 
-def _del_path_3_lane(rec):
-    del rec["paths"][3]["lane"]
-
-
 def _set_assignment_0_a(rec):
     rec["assignment"][0] = "a"
 
 
-def _make_path_1_a_list(rec):
-    rec["paths"][1] = list(rec["paths"][1].values())
-
-
 @pytest.mark.parametrize("state, stage, corrupt, message", [
-    ("topology.json", "route", lambda rec: rec.pop("n_tiles"), "topology.json lacks key 'n_tiles'"),
-    ("topology.json", "route", lambda rec: rec.update(n_tiles="12"),
+    ("topology.json", "group", lambda rec: rec.pop("n_tiles"), "topology.json lacks key 'n_tiles'"),
+    ("topology.json", "group", lambda rec: rec.update(n_tiles="12"),
      "topology.json: 'n_tiles' is \"12\", not an integer"),
-    ("placement.json", "route", None, "placement.json is not valid JSON"),
-    ("placement.json", "route", _set_assignment_0_a, "placement.json: 'assignment' holds a value"),
-    ("paths.json", "group", _del_path_3_lane, "paths.json (path 3) lacks key 'lane'"),
-    ("paths.json", "group", lambda rec: rec["paths"][2].update(lane=True),
-     "paths.json (path 2): 'lane' is true, not an integer"),
-    ("paths.json", "sim", lambda rec: rec["paths"][4].update(src="4"),
-     "paths.json (path 4): 'src' is \"4\", not an integer"),
-    ("paths.json", "group", lambda rec: rec["paths"][0].update(cmax=1.0),
-     "paths.json (path 0): 'cmax' is 1.0, not an integer"),
-    ("paths.json", "group", _make_path_1_a_list, "paths.json (path 1) is not a JSON object"),
+    ("placement.json", "group", None, "placement.json is not valid JSON"),
+    ("placement.json", "group", _set_assignment_0_a, "placement.json: 'assignment' holds a value"),
     ("scenarios.json", "emit-ctrl", lambda rec: rec.pop("scenarios"), "scenarios.json lacks key 'scenarios'"),
     ("controllers.json", "sim", lambda rec: rec.pop("count"), "controllers.json lacks key 'count'"),
-], ids=["no-n_tiles", "n_tiles-string", "placement-not-json", "assignment-string", "path-without-lane",
-        "path-lane-boolean", "path-src-string", "path-cmax-float", "path-a-list", "no-scenarios", "no-count"])
+], ids=["no-n_tiles", "n_tiles-string", "placement-not-json", "assignment-string", "no-scenarios", "no-count"])
 def test_stage_on_malformed_state_is_config_error(tmp_path, capsys, state, stage, corrupt, message):
     cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
     rundir = tmp_path / "run"
@@ -495,101 +501,6 @@ def test_stage_on_malformed_state_is_config_error(tmp_path, capsys, state, stage
     assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"config error: state file {message}" in err, err
-
-
-@pytest.mark.parametrize("key, bad", [
-    ("lane", lambda path, topo: -1),
-    ("lane", lambda path, topo: topo["n_lanes"]),
-    ("cmin", lambda path, topo: -1),
-    ("cmin", lambda path, topo: path["cmax"] + 1),
-    ("cmax", lambda path, topo: topo["n_columns"]),
-    ("src", lambda path, topo: -1),
-    ("dst", lambda path, topo: topo["n_tiles"]),
-], ids=["lane-negative", "lane-past-last", "cmin-negative", "cmin-past-cmax", "cmax-past-last",
-        "src-negative", "dst-past-last"])
-def test_path_off_the_ladder_is_config_error(tmp_path, capsys, key, bad):
-    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
-    rundir = tmp_path / "run"
-    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
-    doc = json.loads((rundir / "paths.json").read_text())
-    topo = json.loads((rundir / "topology.json").read_text())
-    # a same-column path drives no switch, so no later stage would look at its lane
-    i = next(i for i, path in enumerate(doc["paths"]) if path["cmin"] == path["cmax"])
-    want = f"outside 0..{topo['n_lanes'] - 1}" if key == "lane" else f"not {doc['paths'][i][key]}"
-    value = doc["paths"][i][key] = bad(doc["paths"][i], topo)
-    (rundir / "paths.json").write_text(json.dumps(doc))
-    for stage in ("group", "sim"):
-        capsys.readouterr()
-        assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"config error: state file paths.json (path {i}): '{key}' is {value}, {want}" in err, err
-
-
-def _set_edge_5(path, _i):
-    path["edge"] = 5
-
-
-def _lower_cmax(path, i):
-    path["cmax"] -= 1
-
-
-def _raise_cmin(path, i):
-    path["cmin"] += 1
-
-
-@pytest.mark.parametrize("corrupt, key", [(_set_edge_5, "edge"), (_lower_cmax, "cmax"), (_raise_cmin, "cmin")],
-                         ids=["edge-5", "cmax-lowered", "cmin-raised"])
-def test_path_not_its_edge_over_its_tiles_columns_is_config_error(tmp_path, capsys, corrupt, key):
-    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
-    rundir = tmp_path / "run"
-    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
-    doc = json.loads((rundir / "paths.json").read_text())
-    # a path over two columns or more stays on the ladder with either end moved inward
-    i = 0 if key == "edge" else next(i for i, path in enumerate(doc["paths"]) if path["cmax"] - path["cmin"] >= 2)
-    want = doc["paths"][i][key]
-    corrupt(doc["paths"][i], i)
-    (rundir / "paths.json").write_text(json.dumps(doc))
-    for stage in ("group", "sim"):
-        capsys.readouterr()
-        assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert (f"config error: state file paths.json (path {i}): '{key}' is {doc['paths'][i][key]}, "
-                f"not {want}") in err, err
-
-
-def _drop_last_path(doc, _assignment):
-    doc["paths"].pop()
-    return len(doc["paths"]), "missing, the file holds 29 paths for graph.json's 30 edges"
-
-
-def _repeat_last_path(doc, _assignment):
-    doc["paths"].append({**doc["paths"][-1], "edge": len(doc["paths"])})
-    return len(doc["paths"]) - 1, "extra, the file holds 31 paths for graph.json's 30 edges"
-
-
-def _move_path_0(doc, assignment):
-    """Path 0 between two other clusters' tiles, over their columns."""
-    path = doc["paths"][0]
-    src, dst = [t for t in assignment if t not in (path["src"], path["dst"])][:2]
-    want = path["src"]
-    path.update(src=src, dst=dst, cmin=min(src // 2, dst // 2), cmax=max(src // 2, dst // 2))
-    return 0, f"'src' is {src}, not {want}"
-
-
-@pytest.mark.parametrize("corrupt", [_drop_last_path, _repeat_last_path, _move_path_0],
-                         ids=["truncated", "path-repeated", "path-0-moved"])
-def test_paths_not_one_per_edge_between_its_tiles_is_config_error(tmp_path, capsys, corrupt):
-    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
-    rundir = tmp_path / "run"
-    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
-    doc = json.loads((rundir / "paths.json").read_text())
-    i, message = corrupt(doc, json.loads((rundir / "placement.json").read_text())["assignment"])
-    (rundir / "paths.json").write_text(json.dumps(doc))
-    for stage in ("group", "sim"):
-        capsys.readouterr()
-        assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"config error: state file paths.json (path {i}): {message}" in err, err
 
 
 def _repeat_tile(assignment, n_tiles):
@@ -617,8 +528,21 @@ def test_placement_not_one_tile_per_cluster_is_config_error(tmp_path, capsys, co
     corrupt(rec["assignment"], json.loads((rundir / "topology.json").read_text())["n_tiles"])
     (rundir / "placement.json").write_text(json.dumps(rec))
     capsys.readouterr()
-    assert main(["route", "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
+    assert main(["group", "--config", cfg, "--rundir", str(rundir)]) == EXIT_CONFIG
     assert f"config error: state file placement.json: {message}" in capsys.readouterr().err
+
+
+def test_topology_with_lanes_under_one_bit_is_stage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"seed": 0, "graph": {"synthetic": {"n_clusters": 12, "n_edges": 30}}})
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
+    rec = json.loads((rundir / "topology.json").read_text())
+    rec["lane_width_bits"] = -64
+    (rundir / "topology.json").write_text(json.dumps(rec))
+    for stage in ("group", "cost"):
+        capsys.readouterr()
+        assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_STAGE
+        assert f"stage {stage} failed: need lanes at least 1 bit wide, got -64" in capsys.readouterr().err
 
 
 def test_cost_prices_the_emitted_controllers(tmp_path):
@@ -774,11 +698,13 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, override, 
     ("controllers.count=0", "'controllers.count' has value 0, below its least value 1"),
     ("topology.n_tiles=0", "'topology.n_tiles' has value 0, below its least value 2"),
     ("sim.frames=-1", "'sim.frames' has value -1, below its least value 0"),
+    ("topology.lane_width_bits=0", "'topology.lane_width_bits' has value 0, below its least value 1"),
     ("graph.synthetic.n_clusters=1", "'graph.synthetic.n_clusters' has value 1, below its least value 2"),
     ("graph.synthetic.n_edges=-1", "'graph.synthetic.n_edges' has value -1, below its least value 0"),
     ("graph.synthetic.n_edges=5000",
      "'graph.synthetic.n_edges' has value 5000, above the 182 ordered pairs of 14 clusters"),
-], ids=["count-0", "n_tiles-0", "frames-minus-1", "n_clusters-1", "n_edges-minus-1", "n_edges-above-pairs"])
+], ids=["count-0", "n_tiles-0", "frames-minus-1", "lane_width_bits-0", "n_clusters-1", "n_edges-minus-1",
+        "n_edges-above-pairs"])
 def test_config_count_below_its_least_value_is_config_error(tmp_path, capsys, override, message):
     cfg = write_config(tmp_path)
     assert main(["run", "--config", cfg, "--rundir", str(tmp_path / "run"), "--set", override]) == EXIT_CONFIG

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import numpy as np
@@ -8,51 +9,49 @@ from hypothesis import strategies as st
 
 from conftest import build_conflict_graph, conflict_edges_from_oracle, oracle_intersect, oracle_route
 
-from ladderbus.appgraph import generate_synthetic, make_cluster_graph
+from ladderbus.appgraph import ClusterGraph, generate_synthetic, make_cluster_graph
 from ladderbus.grouping import scenario_switch_matrix
 from ladderbus.placement import TilePlacement, place_anneal
-from ladderbus.routing import (
-    RoutedPath,
-    extract_paths,
-    path_from_record,
-    path_record,
-    route_connection,
-)
+from ladderbus.routing import RoutedPath, extract_paths, path_record
 from ladderbus.topology import SwitchState, build_topology
 
 
-def fresh_load(topo):
-    return np.zeros((topo.n_lanes, topo.n_columns - 1), dtype=np.int64)
+def route(n_tiles, n_lanes, tiles, edges):
+    """extract_paths on a hand-placed graph: cluster i sits on tiles[i]."""
+    g = make_cluster_graph(len(tiles), [(src, dst, 1) for src, dst in edges])
+    return extract_paths(g, build_topology(n_tiles, n_lanes), TilePlacement(assignment=tuple(tiles)))
 
 
 def test_route_same_column_ties_to_lane_zero():
-    topo = build_topology(8, 3)
-    p = route_connection(topo, 0, 1, fresh_load(topo))
+    (p,) = route(8, 3, [0, 1], [(0, 1)])
     assert (p.lane, p.cmin, p.cmax) == (0, 0, 0)
 
 
 def test_route_prefers_least_loaded_lane():
-    topo = build_topology(12, 3)
-    load = fresh_load(topo)
-    for i in range(1, 4):  # saturate lane 0 on columns [1,4]
-        load[0][i] = 1
-    p = route_connection(topo, 2, 8, load)  # columns 1 -> 4
-    assert p.lane == 1
-    assert (p.cmin, p.cmax) == (1, 4)
+    # two connections over columns 1 -> 4: the second finds lane 0 loaded
+    paths = route(12, 3, [2, 8, 3, 9], [(0, 1), (2, 3)])
+    assert [(p.lane, p.cmin, p.cmax) for p in paths] == [(0, 1, 4), (1, 1, 4)]
+
+
+def test_route_ties_to_the_lowest_lane():
+    # columns 3 -> 5 are free on every lane, so lane 0 although it carries
+    # 0 -> 2; columns 1 -> 4 then load lanes 1 and 2 equally, so lane 1
+    paths = route(12, 3, [0, 4, 6, 10, 2, 8], [(0, 1), (2, 3), (4, 5)])
+    assert [(p.lane, p.cmin, p.cmax) for p in paths] == [(0, 0, 2), (0, 3, 5), (1, 1, 4)]
 
 
 def test_route_rejects_self_connection():
-    topo = build_topology(4, 2)
-    with pytest.raises(ValueError):
-        route_connection(topo, 1, 1, fresh_load(topo))
+    # make_cluster_graph rejects a self-loop; a graph built directly does not
+    g = ClusterGraph(n_clusters=2, edges=((1, 1, 1),))
+    with pytest.raises(ValueError, match="connection from tile 3 to itself"):
+        extract_paths(g, build_topology(4, 2), TilePlacement(assignment=(0, 3)))
 
 
 def test_route_updates_load_and_interval():
-    topo = build_topology(10, 2)
-    load = fresh_load(topo)
-    p = route_connection(topo, 8, 0, load)  # columns 4 -> 0
-    assert (p.cmin, p.cmax) == (0, 4)
-    assert load[p.lane][0:4].tolist() == [1, 1, 1, 1]
+    # columns 4 -> 0 load lane 0 over [0, 4): its first and last segment are
+    # then taken, so columns 3 -> 4 and 0 -> 1 go to lane 1
+    paths = route(10, 2, [8, 0, 6, 9, 1, 2], [(0, 1), (2, 3), (4, 5)])
+    assert [(p.lane, p.cmin, p.cmax) for p in paths] == [(0, 0, 4), (1, 3, 4), (1, 0, 1)]
 
 
 def test_extract_paths_one_per_edge():
@@ -193,5 +192,8 @@ def test_switch_states_same_column_empty():
 
 
 def test_path_record_round_trip():
+    # paths.json's records hold the six keys ladderbench/check.py reads, in RoutedPath's field order
     p = RoutedPath(3, 2, 9, lane=1, cmin=1, cmax=4)
-    assert path_from_record(path_record(p)) == p
+    rec = json.loads(json.dumps(path_record(p)))
+    assert list(rec) == ["edge", "src", "dst", "lane", "cmin", "cmax"]
+    assert tuple(rec.values()) == p

@@ -67,6 +67,9 @@ def test_build_rejects_tiny():
         build_topology(1)
     with pytest.raises(ValueError):
         build_topology(4, 0)
+    for width in (0, -64):
+        with pytest.raises(ValueError, match=f"need lanes at least 1 bit wide, got {width}"):
+            build_topology(4, 2, width)
 
 
 def test_switch_grid_is_a_lane_major_view():
