@@ -58,6 +58,10 @@ class GraphMetrics:
     max_total_degree: int
 
 
+def _edge_error(i: int, pair: tuple[int, int], what: str) -> GraphFormatError:
+    return GraphFormatError(f"edge {i} ({pair[0]},{pair[1]}): {what}")
+
+
 def _checked_graph(n_clusters: int, edges, name: str) -> ClusterGraph:
     """ClusterGraph of [src, dst, weight] integer triples, each triple
     type-checked and validated in one pass."""
@@ -65,19 +69,20 @@ def _checked_graph(n_clusters: int, edges, name: str) -> ClusterGraph:
         raise GraphFormatError(f"n_clusters must be >= 1, got {n_clusters}")
     seen = set()
     for i, e in enumerate(edges):
-        if (not isinstance(e, list)) or len(e) != 3 or not all(isinstance(v, int) and not isinstance(v, bool) for v in e):
+        # type(v) is int: JSON gives int or bool, and the bools are rejected
+        if not isinstance(e, list) or len(e) != 3 or not (type(e[0]) is int and type(e[1]) is int and type(e[2]) is int):
             raise GraphFormatError(f"edge {i}: expected [src, dst, weight] integer triple, got {e!r}")
         src, dst, w = e
-        loc = f"edge {i} ({src},{dst})"
-        if not (0 <= src < n_clusters) or not (0 <= dst < n_clusters):
-            raise GraphFormatError(f"{loc}: cluster id out of range 0..{n_clusters - 1}")
+        pair = (src, dst)
+        if not (0 <= src < n_clusters and 0 <= dst < n_clusters):
+            raise _edge_error(i, pair, f"cluster id out of range 0..{n_clusters - 1}")
         if src == dst:
-            raise GraphFormatError(f"{loc}: self-loop")
-        if (src, dst) in seen:
-            raise GraphFormatError(f"{loc}: duplicate connection")
+            raise _edge_error(i, pair, "self-loop")
+        if pair in seen:
+            raise _edge_error(i, pair, "duplicate connection")
         if w < 0:
-            raise GraphFormatError(f"{loc}: negative weight {w}")
-        seen.add((src, dst))
+            raise _edge_error(i, pair, f"negative weight {w}")
+        seen.add(pair)
     return ClusterGraph(n_clusters=n_clusters, edges=tuple(map(tuple, edges)), name=name)
 
 
@@ -155,12 +160,22 @@ def generate_synthetic(
     max_edges = n_clusters * (n_clusters - 1)
     if not (0 <= n_edges <= max_edges):
         raise ValueError(f"n_edges={n_edges} outside 0..{max_edges} for n={n_clusters}")
-    rng = random.Random(seed)
     lo, hi = weight_range
+    if hi < lo:
+        raise ValueError(f"weight_range {weight_range} is empty")
+    rng = random.Random(seed)
+    # a weight is drawn as randint(lo, hi) draws it: k-bit words until one is
+    # below the width, the same stream without randint's Python frames
+    width = hi - lo + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
     edges = []
     for k in sorted(rng.sample(range(max_edges), n_edges)):  # ascending k is ascending (src, dst)
         src, r = divmod(k, n_clusters - 1)
-        edges.append((src, r + (r >= src), rng.randint(lo, hi)))
+        w = getrandbits(bits)
+        while w >= width:
+            w = getrandbits(bits)
+        edges.append((src, r + (r >= src), lo + w))
     if not name:
         name = f"synth_{n_clusters}_{n_edges}_s{seed}"
     return ClusterGraph(n_clusters=n_clusters, edges=tuple(edges), name=name)

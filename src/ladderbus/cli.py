@@ -3,7 +3,9 @@
 Every stage persists its output in the run directory, so any stage can be
 re-run from its predecessors' persisted state, and a finished directory is
 a complete, reproducible record. A command reads each state file at most
-once (RunState). The routed paths follow from graph.json, topology.json
+once, and none it wrote itself: a stage keeps the value it writes in
+RunState for the later stages (`run` parses only the program files, which
+the simulator runs). The routed paths follow from graph.json, topology.json
 and placement.json, so a command routes them once itself; group also writes
 them to paths.json, which no stage reads. All randomness derives from the
 single root seed in the config. Exit codes: 0 success, 2 config error,
@@ -236,8 +238,14 @@ def _fields(rec, name: str, keys: tuple[str, ...], kind: type | tuple[type, ...]
 
 
 class RunState:
-    """The run directory and one cached, checked reader per state file. No stage
-    writes a file an earlier stage of the command has read, so none goes stale."""
+    """The run directory and one cached, checked reader per state file.
+
+    A stage that writes graph.json, topology.json, placement.json,
+    scenarios.json or controllers.json also assigns the value it wrote to
+    the attribute that file's reader fills, so a command reads back only
+    the files it did not write. The program files are always parsed: the
+    simulator runs what emit-ctrl wrote. No stage writes a file an earlier
+    stage of the command has read, so no value goes stale."""
 
     def __init__(self, rundir: Path):
         self.rundir = rundir
@@ -315,6 +323,7 @@ def stage_gen(cfg: dict, state: RunState) -> None:
     else:
         raise ConfigError("config needs graph.file or graph.synthetic")
     (state.rundir / "graph.json").write_text(dump_cluster_graph(g))
+    state.graph = g
     m = graph_metrics(g)
     _save_json(state.rundir / "metrics.json", {
         "name": g.name,
@@ -344,6 +353,7 @@ def stage_place(cfg: dict, state: RunState) -> None:
     topo = build_topology(n_tiles, tcfg["n_lanes"], tcfg["lane_width_bits"])
     _controller_count(cfg, topo)  # a count the ladder cannot hold stops the run before grouping
     _save_json(state.rundir / "topology.json", topo.summary())
+    state.topology = topo
 
     greedy = place_greedy(g, topo)
     final = place_anneal(g, topo, seed=cfg["seed"] + 1, initial=greedy)
@@ -352,6 +362,7 @@ def stage_place(cfg: dict, state: RunState) -> None:
         "greedy_cost": placement_cost(g, topo, greedy),
         "final_cost": placement_cost(g, topo, final),
     })
+    state.placement = final
 
 
 def _check_algorithms(names: list[str]) -> None:
@@ -386,9 +397,12 @@ def stage_group(cfg: dict, state: RunState) -> None:
     doc["raw_bits"] = grouping.raw_scenario_bits(partition.n_scenarios, topo)
     doc["compressed_bits"] = grouping.compressed_scenario_bits(doc, topo)
     _save_json(state.rundir / "scenarios.json", doc)
+    state.partition = partition
 
 
 def stage_emit_ctrl(cfg: dict, state: RunState) -> None:
+    """Write the program files and controllers.json from the stored
+    memberships, rebuilding their switch matrix."""
     topo, paths, partition = state.topology, state.paths, state.partition
     matrix = grouping.scenario_switch_matrix(partition.scenarios, paths, topo)
     regions = controlgen.partition_regions(topo, _controller_count(cfg, topo))
@@ -402,15 +416,16 @@ def stage_emit_ctrl(cfg: dict, state: RunState) -> None:
         written.add(path)
     for stale in set(progdir.glob("ctrl_*.txt")) - written:  # an earlier run's extra controllers
         stale.unlink()
+    controllers = {"count": len(programs), "memory_bits": controlgen.control_memory_bits(programs)}
     _save_json(state.rundir / "controllers.json", {
-        "count": len(programs),
-        "memory_bits": controlgen.control_memory_bits(programs),
+        **controllers,
         "regions": [
             {"id": r.controller_id, "col_start": r.col_start, "col_end": r.col_end,
              "word_bits": r.word_bits}
             for r in (p.region for p in programs)
         ],
     })
+    state.controllers = controllers
 
 
 def stage_sim(cfg: dict, state: RunState) -> None:

@@ -8,12 +8,15 @@ annealing, on the fixed schedule of the module constants below. The
 schedule starts from the size of one move's cost change, not of the
 whole cost (Johnson, Aragon, McGeoch and Schevon 1989).
 
-The annealer prices a proposed swap with one dense dot product of two
-row differences: one of a symmetric (n+1) x (n+1) weight matrix, whose
+The annealer works on a symmetric (n+1) x (n+1) weight matrix, whose
 extra row and column of zeros belong to a phantom cluster standing in
-every empty tile slot, and one of a column-distance matrix kept with a
-column per cluster, so no move gathers; see place_anneal for the delta
-formula.
+every empty tile slot. On a small ladder it prices a proposed swap from
+four entries of a column price table, what each cluster would pay on
+each column, which an accepted swap updates whole; on a larger one,
+where that update costs more than it saves, with one dense dot product
+of two row differences, of the weight matrix and of a column-distance
+matrix kept with a column per cluster, so no move gathers. Both give
+the same integer delta; see place_anneal for the formula.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ MOVES_PER_CLUSTER = 75
 # graphs, n 14..400)
 T0_PER_CLUSTER = 0.25
 COOLING = 0.947  # per epoch of n_clusters moves: 75 epochs end at about t0 / 59
+# place_anneal prices swaps from the column price table while the table has at
+# most this many cells, (n_clusters + 1) * n_columns; above it, an accepted
+# swap's table update costs more than the table saves (n about 76 on a full ladder)
+PRICE_TABLE_MAX_CELLS = 3000
 
 
 @dataclass(frozen=True)
@@ -131,13 +138,19 @@ def place_anneal(
     Swapping cluster c1 on column a with c2 on column b changes the cost
     by (W[c1] - W[c2]) . (|col - b| - |col - a|) + 2 W[c1, c2] |a - b|,
     where W holds both directions of each cluster pair in one symmetric
-    entry and col is every cluster's column; the distances |col - k| to
-    every column k are kept as rows of a matrix, whose two moved columns
-    an accepted swap across columns rewrites. The rung hops cancel, and
+    entry and col is every cluster's column. The rung hops cancel, and
     the c1-c2 edge, which keeps its length, is added back. A self-swap,
     a swap of two empty slots and a swap within one column all give 0.
-    The arithmetic is exact integer arithmetic, and a swap is applied
-    only once it is accepted.
+    With price[c, k] = W[c] . |col - k|, what cluster c pays on column k,
+    the dot product is price[c1, b] - price[c1, a] + price[c2, a] -
+    price[c2, b]. While the table has at most PRICE_TABLE_MAX_CELLS
+    cells, a move reads those four entries and an accepted swap across
+    columns adds (W[c1] - W[c2]) outer (|b - k| - |a - k|) to it; on a
+    larger ladder a move takes the dot product, from a matrix of the
+    distances |col - k| whose two moved columns an accepted swap
+    rewrites. The arithmetic is exact integer arithmetic, so both give
+    the same delta and the same placement, and a swap is applied only
+    once it is accepted.
     """
     _check_int64_prices(g, topo)
     if initial is None:
@@ -159,7 +172,12 @@ def place_anneal(
         slot[t] = c
     tile_of = list(initial.assignment) + [0]  # the phantom's tile and column never matter
     away = dist[:, [tile_col[t] for t in tile_of]]  # away[k, x] = |k - col[x]|, (n_cols, n + 1)
-    away_row = list(away)  # row views, as w_row
+    table = (n + 1) * n_cols <= PRICE_TABLE_MAX_CELLS
+    if table:
+        price = weight @ away.T  # price[c, k], (n + 1, n_cols)
+        price_row = [memoryview(r) for r in price]  # an entry of a row's view reads as a Python int
+    else:
+        away_row = list(away)  # row views, as w_row
 
     cost = placement_cost(g, topo, initial)
     best_cost = cost
@@ -181,14 +199,21 @@ def place_anneal(
             t2 = getrandbits(k)
         c1, c2 = slot[t1], slot[t2]
         a, b = tile_col[t1], tile_col[t2]
-        delta = int((w_row[c1] - w_row[c2]).dot(away_row[b] - away_row[a]))  # ndarray.dot skips np.dot's dispatch
+        if table:
+            p1, p2 = price_row[c1], price_row[c2]
+            delta = p1[b] - p1[a] + p2[a] - p2[b]
+        else:
+            delta = int((w_row[c1] - w_row[c2]).dot(away_row[b] - away_row[a]))  # ndarray.dot skips np.dot's dispatch
         delta += 2 * w_pair[c1][c2] * abs(a - b)
         if delta <= 0 or (temp > 1e-12 and rng.random() < math.exp(-delta / temp)):
             slot[t1], slot[t2] = c2, c1
             tile_of[c1], tile_of[c2] = t2, t1
             if a != b:
-                away[:, c1] = dist[b]
-                away[:, c2] = dist[a]
+                if table:
+                    price += np.multiply.outer(w_row[c1] - w_row[c2], dist[b] - dist[a])
+                else:
+                    away[:, c1] = dist[b]
+                    away[:, c2] = dist[a]
             cost += delta
             if cost < best_cost:
                 best_cost = cost

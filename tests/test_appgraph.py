@@ -137,6 +137,12 @@ def test_generate_weight_range():
     assert all(w == 5 for _, _, w in g2.edges)
 
 
+def test_generate_rejects_empty_weight_range():
+    # no weight lies in 3..2: a draw from it would never end
+    with pytest.raises(ValueError, match="empty"):
+        generate_synthetic(5, 4, seed=0, weight_range=(3, 2))
+
+
 def test_metrics_synth60_348():
     m = graph_metrics(generate_synthetic(60, 348, seed=1))
     assert m.avg_degree == pytest.approx(5.80)

@@ -9,12 +9,14 @@ import pytest
 
 import ladderbus
 from ladderbus import grouping
+from ladderbus.appgraph import dump_cluster_graph, generate_synthetic
 from ladderbus.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_STAGE,
     STAGE_ORDER,
+    STAGES,
     RunState,
     load_config,
     main,
@@ -86,13 +88,40 @@ def test_run_reads_each_state_file_once(tmp_path, monkeypatch):
     rundir = tmp_path / "run"
     assert main(["run", "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
     state = ["graph.json", "topology.json", "placement.json", "scenarios.json", "controllers.json"]
-    assert {name: reads[name] for name in state} == dict.fromkeys(state, 1)
+    programs = [p.name for p in (rundir / "programs").glob("ctrl_*.txt")]
+    # run keeps the state its stages write: it parses only the program files,
+    # each once, which sim runs as emit-ctrl wrote them
+    assert programs and {name: reads[name] for name in state + programs} == {
+        **dict.fromkeys(state, 0), **dict.fromkeys(programs, 1)}
     # paths.json is group's output alone: no command reads it back
     assert reads["paths.json"] == 0
     for stage in STAGE_ORDER:
         reads.clear()
         assert main([stage, "--config", cfg, "--rundir", str(rundir)]) == EXIT_OK
-        assert reads["paths.json"] == 0 and max(reads[name] for name in state) <= 1, (stage, reads)
+        assert reads["paths.json"] == 0 and max(reads[name] for name in state + programs) <= 1, (stage, reads)
+
+
+@pytest.mark.parametrize("extra", [
+    {},
+    {"grouping": {"algorithm": "greedy", "compare": False}, "topology": {"n_tiles": 15}},
+    {"graph": "file", "grouping": {"compare": False}, "topology": {"n_tiles": 17}},
+], ids=["compare", "greedy-odd-tiles", "graph-file-odd-tiles"])
+def test_stored_state_equals_what_its_file_reads_back(tmp_path, extra):
+    # a stage keeps the value it writes; a fresh RunState on the same directory
+    # reads each file back to an equal value
+    doc = {**BASE_CONFIG, **extra}
+    if doc["graph"] == "file":
+        (tmp_path / "g.json").write_text(dump_cluster_graph(generate_synthetic(14, 41, seed=5, name="byfile")))
+        doc["graph"] = {"file": str(tmp_path / "g.json")}
+    cfg = load_config(write_config(tmp_path, doc))
+    rundir = tmp_path / "run"
+    rundir.mkdir()
+    state = RunState(rundir)
+    for name in STAGE_ORDER:
+        STAGES[name](cfg, state)
+    fresh = RunState(rundir)
+    for attr in ("graph", "topology", "placement", "partition", "controllers"):
+        assert getattr(fresh, attr) == vars(state)[attr], attr
 
 
 def test_group_writes_paths_json_and_no_stage_needs_it(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_anneal
+from ladderbus import placement
 from ladderbus.appgraph import generate_synthetic, make_cluster_graph
 from ladderbus.placement import TilePlacement, place_anneal, place_greedy, placement_cost
 from ladderbus.topology import build_topology
@@ -137,15 +138,20 @@ def test_anneal_never_worse_than_input():
 @given(st.integers(2, 14), st.integers(0, 8), st.integers(0, 10**6), st.data())
 def test_anneal_with_empty_slots_matches_neighbour_walk(n, spare, seed, data):
     # spare tiles, and odd tile counts whose last column has one tile, leave
-    # empty slots that swaps move clusters into and out of
+    # empty slots that swaps move clusters into and out of; each kernel runs,
+    # the dot product (no table fits in 0 cells) and the column price table
     e = data.draw(st.integers(0, n * (n - 1)))
     g = generate_synthetic(n, e, seed=seed)
     topo = build_topology(n + spare)
     greedy = place_greedy(g, topo)
-    annealed = place_anneal(g, topo, seed=seed, initial=greedy)
-    annealed.validate(g, topo)
-    assert placement_cost(g, topo, annealed) <= placement_cost(g, topo, greedy)
-    assert annealed.assignment == oracle_anneal(g, topo, seed, greedy.assignment)
+    expected = oracle_anneal(g, topo, seed, greedy.assignment)
+    for max_cells in (0, 1 << 62):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(placement, "PRICE_TABLE_MAX_CELLS", max_cells)
+            annealed = place_anneal(g, topo, seed=seed, initial=greedy)
+        annealed.validate(g, topo)
+        assert placement_cost(g, topo, annealed) <= placement_cost(g, topo, greedy)
+        assert annealed.assignment == expected, max_cells
 
 
 @pytest.mark.parametrize("shape, n_tiles, seed, kwargs, digest", [
